@@ -103,7 +103,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None):
     if mode == "run":
         return _run_script(io, script_path, script_args)
     if mode == "eval":
-        return _eval_expression(io, eval_text)
+        return _run_expression(io, eval_text)
     if mode == "ast":
         return _dump_ast(io, script_path)
     return repl(stdin, io)
@@ -149,7 +149,7 @@ def _run_script(io, path, script_args):
     return 0
 
 
-def _eval_expression(io, text):
+def _run_expression(io, text):
     from .parser import parse_expression
 
     interp = Interp(io)
@@ -157,7 +157,7 @@ def _eval_expression(io, text):
 
     def job():
         expr = parse_expression(tokenize(text))
-        return interp.eval(expr, scope)
+        return interp.run_program(ast.Program(expr.line, expr.col, [expr]), scope)
 
     try:
         value = run_on_deep_stack(job)

@@ -86,7 +86,7 @@ def evaluate(ctx, source):
     except RecursionError:
         return StructuredError("StackOverflowError", "evaluation nested too deeply")
     except Exception as exc:  # noqa: BLE001 - the no-abort contract
-        return StructuredError("InternalError", str(exc))
+        return StructuredError("InternalError", f"{type(exc).__name__}: {exc}")
     try:
         return _from_value(result, 0)
     except ConversionError as exc:

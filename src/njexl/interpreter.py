@@ -1,4 +1,12 @@
-"""Tree-walking evaluator: scopes, control flow, calls, blocks, imports.
+"""Closure compiler and evaluator: scopes, control flow, calls, blocks, imports.
+
+A Program is compiled once into nested closures code(interp, scope) -> value
+(Feeley & Lapalme, "Using closures for code generation", 1987), with
+operators, literals, comparison directions and call shapes fixed when the
+code is built.  Compiled code never holds an Interp and nothing is written
+onto syntax-tree nodes, so contexts are freed by reference counting alone.
+An Interp caches the code of recent source texts: a repeated predicate skips
+the lexer, the parser and the compiler.
 
 One Interp + one global Scope + one IoPorts bundle form an evaluation
 context.  A context is strictly single-threaded; any number of contexts can
@@ -10,6 +18,8 @@ MAX_CALL_DEPTH frames is reached and reported as a catchable
 StackOverflowError instead of exhausting the host C stack.
 """
 
+import functools
+import operator
 import os
 import sys
 import threading
@@ -44,6 +54,7 @@ from .values import (
 )
 
 MAX_CALL_DEPTH = 10_000
+CODE_CACHE_SIZE = 256  # compiled programs per Interp; least recently used dropped first
 
 _DEEP_STACK_BYTES = 512 * 1024 * 1024
 _DEEP_RECURSION_LIMIT = 150_000
@@ -136,12 +147,13 @@ class Scope:
 
 
 class BlockClosure:
-    """An anonymous block captured together with its defining scope."""
+    """An anonymous block, its compiled body (compiled here if not given) and scope."""
 
-    __slots__ = ("block", "scope", "interp")
+    __slots__ = ("block", "body", "scope", "interp")
 
-    def __init__(self, block, scope, interp):
+    def __init__(self, block, scope, interp, body=None):
         self.block = block
+        self.body = compile_body(block.body) if body is None else body
         self.scope = scope
         self.interp = interp
 
@@ -159,40 +171,18 @@ class Interp:
         self.loading = set()
         self.depth = 0
         self.script_dir = os.path.dirname(os.path.abspath(script_path)) if script_path else None
-        self._dispatch = {
-            ast.Program: self._eval_program,
-            ast.VarDecl: self._eval_var_decl,
-            ast.Assign: self._eval_assign,
-            ast.MultiAssign: self._eval_multi_assign,
-            ast.Import: self._eval_import,
-            ast.FuncDef: self._eval_func_def,
-            ast.If: self._eval_if,
-            ast.For: self._eval_for,
-            ast.While: self._eval_while,
-            ast.Break: self._eval_break,
-            ast.Continue: self._eval_continue,
-            ast.Return: self._eval_return,
-            ast.Ternary: self._eval_ternary,
-            ast.Binary: self._eval_binary,
-            ast.Unary: self._eval_unary,
-            ast.Cardinality: self._eval_cardinality,
-            ast.ClockBlock: self._eval_clock,
-            ast.Call: self._eval_call,
-            ast.StaticCall: self._eval_static_call,
-            ast.Index: self._eval_index,
-            ast.Member: self._eval_member,
-            ast.RangeLit: self._eval_range_lit,
-            ast.ListLit: self._eval_list_lit,
-            ast.MapLit: self._eval_map_lit,
-            ast.Literal: self._eval_literal,
-            ast.Identifier: self._eval_identifier,
-        }
+        self.code_cache = {}
 
-    # --- program / statement layer ------------------------------------------
-
-    def run_program(self, program, scope):
+    def run_program(self, program, scope, key=None):
+        """Run a Program (compiled here, and cached under key if given) or its code."""
+        if isinstance(program, ast.Program):
+            program = compile_body(program.body)
+            if key is not None:
+                if len(self.code_cache) >= CODE_CACHE_SIZE:
+                    del self.code_cache[next(iter(self.code_cache))]
+                self.code_cache[key] = program
         try:
-            return self.exec_statements(program.body, scope)
+            return program(self, scope)
         except ReturnSignal:
             raise NjexlError("SyntaxError", "'return' outside a function") from None
         except BreakSignal:
@@ -201,122 +191,13 @@ class Interp:
             raise NjexlError("SyntaxError", "'continue' outside a loop") from None
 
     def run_source(self, source, scope):
-        tokens = tokenize(source)
-        program = parse_program(tokens, scope.module_aliases())
-        return self.run_program(program, scope)
-
-    def exec_statements(self, stmts, scope):
-        value = None
-        for stmt in stmts:
-            value = self.eval(stmt, scope)
-        return value
-
-    def eval(self, node, scope):
-        return self._dispatch[type(node)](node, scope)
-
-    def _eval_program(self, node, scope):
-        return self.exec_statements(node.body, scope)
-
-    def _eval_var_decl(self, node, scope):
-        value = self.eval(node.value, scope) if node.value is not None else None
-        scope.declare_global(node.name, value)
-        return value
-
-    def _eval_assign(self, node, scope):
-        value = self.eval(node.value, scope)
-        target = node.target
-        if isinstance(target, ast.Identifier):
-            if node.op == "+=":
-                current = scope.lookup(target.name, target.line, target.col)
-                value = arith("+", current, value, node.line, node.col)
-            scope.assign(target.name, value)
-            return value
-        # index target
-        obj = self.eval(target.obj, scope)
-        key = self.eval(target.index, scope)
-        if node.op == "+=":
-            current = self._index_get(obj, key, target)
-            value = arith("+", current, value, node.line, node.col)
-        self._index_set(obj, key, value, target)
-        return value
-
-    def _index_get(self, obj, key, node):
-        if isinstance(obj, XMap):
-            if not obj.has(key):
-                raise NjexlError(
-                    "KeyError", f"key {stringify(key)} not in map", node.line, node.col
-                )
-            return obj.get(key)
-        return project(obj, key, node.line, node.col)
-
-    def _index_set(self, obj, key, value, node):
-        if isinstance(obj, XMap):
-            obj.set(key, value, node.line, node.col)
-            return
-        if isinstance(obj, list):
-            if not is_int_tier(key):
-                raise NjexlError("TypeError", "list index must be an integer", node.line, node.col)
-            if not 0 <= key < len(obj):
-                raise NjexlError(
-                    "IndexError", f"list index {key} out of range {len(obj)}", node.line, node.col
-                )
-            obj[key] = value
-            return
-        raise NjexlError("TypeError", f"cannot assign into {tag(obj)}", node.line, node.col)
-
-    def _eval_multi_assign(self, node, scope):
-        if node.capture is None:
-            value = self.eval(node.value, scope)
-            parts = self._destructure(value, len(node.targets), node)
-            for name, part in zip(node.targets, parts):
-                scope.assign(name, part)
-            return None
-        try:
-            value = self.eval(node.value, scope)
-            if len(node.targets) == 1:
-                parts = [value]
-            else:
-                parts = self._destructure(value, len(node.targets), node)
-        except NjexlError as exc:
-            for name in node.targets:
-                scope.assign(name, None)
-            scope.assign(node.capture, ErrorValue(exc.kind, exc.message, exc.cause))
-            return None
-        except RecursionError:
-            for name in node.targets:
-                scope.assign(name, None)
-            scope.assign(node.capture, ErrorValue("StackOverflowError", "call depth exceeded"))
-            return None
-        for name, part in zip(node.targets, parts):
-            scope.assign(name, part)
-        scope.assign(node.capture, None)
-        return None
-
-    def _destructure(self, value, count, node):
-        if isinstance(value, Pair):
-            parts = [value.first, value.second]
-        elif isinstance(value, list):
-            parts = list(value)
-        else:
-            raise NjexlError(
-                "DestructureError",
-                f"cannot split {tag(value)} into {count} values",
-                node.line,
-                node.col,
-            )
-        if len(parts) != count:
-            raise NjexlError(
-                "DestructureError",
-                f"expected {count} values, got {len(parts)}",
-                node.line,
-                node.col,
-            )
-        return parts
-
-    def _eval_import(self, node, scope):
-        module = self.import_module(node.path, node)
-        scope.assign(node.alias, module)
-        return None
+        """Run source text, reusing code compiled from it under the same module aliases."""
+        key = (source, frozenset(scope.module_aliases()))
+        code = self.code_cache.pop(key, None)
+        if code is None:
+            return self.run_program(parse_program(tokenize(source), key[1]), scope, key)
+        self.code_cache[key] = code
+        return self.run_program(code, scope)
 
     def import_module(self, path, node):
         if path in self.registry:
@@ -356,287 +237,456 @@ class Interp:
                 return os.path.abspath(cand)
         raise NjexlError("ModuleNotFound", f"no module at '{path}'", node.line, node.col)
 
-    def _eval_func_def(self, node, scope):
-        fn = Function(node.name, node.params, node.body, scope)
-        if node.name is not None:
-            scope.bindings[node.name] = fn
-            return None
-        return fn
-
-    def _eval_if(self, node, scope):
-        if truthiness(self.eval(node.cond, scope)):
-            return self.exec_statements(node.then_body, scope)
-        if node.else_body is not None:
-            return self.exec_statements(node.else_body, scope)
-        return None
-
-    def _eval_for(self, node, scope):
-        iterable = self.eval(node.iterable, scope)
-        for item in enumerate_value(iterable, node.line, node.col):
-            scope.bindings[node.var] = item
-            try:
-                self.exec_statements(node.body, scope)
-            except ContinueSignal:
-                continue
-            except BreakSignal:
-                break
-        return None
-
-    def _eval_while(self, node, scope):
-        while truthiness(self.eval(node.cond, scope)):
-            try:
-                self.exec_statements(node.body, scope)
-            except ContinueSignal:
-                continue
-            except BreakSignal:
-                break
-        return None
-
-    def _eval_break(self, node, scope):
-        if node.cond is None or truthiness(self.eval(node.cond, scope)):
-            raise BreakSignal()
-        return None
-
-    def _eval_continue(self, node, scope):
-        if node.cond is None or truthiness(self.eval(node.cond, scope)):
-            raise ContinueSignal()
-        return None
-
-    def _eval_return(self, node, scope):
-        value = self.eval(node.value, scope) if node.value is not None else None
-        raise ReturnSignal(value)
-
-    def _eval_ternary(self, node, scope):
-        if truthiness(self.eval(node.cond, scope)):
-            return self.eval(node.then, scope)
-        return self.eval(node.orelse, scope)
-
-    def _eval_binary(self, node, scope):
-        op = node.op
-        if op == "and":
-            left = self.eval(node.left, scope)
-            if not truthiness(left):
-                return False
-            return truthiness(self.eval(node.right, scope))
-        if op == "or":
-            left = self.eval(node.left, scope)
-            if truthiness(left):
-                return True
-            return truthiness(self.eval(node.right, scope))
-        left = self.eval(node.left, scope)
-        right = self.eval(node.right, scope)
-        if op == "xor":
-            return truthiness(left) != truthiness(right)
-        if op in ("==", "eq"):
-            return values_equal(left, right)
-        if op == "!=":
-            return not values_equal(left, right)
-        if op == "@":
-            return membership(left, right, node.line, node.col)
-        if op in ("<", "<=", ">", ">=", "lt", "le", "gt", "ge"):
-            return self._compare(op, left, right, node)
-        return arith(op, left, right, node.line, node.col)
-
-    def _compare(self, op, left, right, node):
-        if op in ("<=", "le") and is_collection(left) and is_collection(right):
-            return sub_collection(left, right, node.line, node.col)
-        if is_collection(left) or is_collection(right):
-            raise NjexlError(
-                "TypeError",
-                f"cannot order {tag(left)} and {tag(right)} with {op}",
-                node.line,
-                node.col,
-            )
-        c = order_compare(left, right, node.line, node.col)
-        if op in ("<", "lt"):
-            return c < 0
-        if op in ("<=", "le"):
-            return c <= 0
-        if op in (">", "gt"):
-            return c > 0
-        return c >= 0
-
-    def _eval_unary(self, node, scope):
-        value = self.eval(node.operand, scope)
-        if node.op == "not":
-            return not truthiness(value)
-        return negate(value, node.line, node.col)
-
-    def _eval_cardinality(self, node, scope):
-        return cardinality(self.eval(node.operand, scope), node.line, node.col)
-
-    def _eval_clock(self, node, scope):
-        frame = Scope(scope)
-        start = self.io.clock()
-        value = self.exec_statements(node.body, frame)
-        elapsed = self.io.clock() - start
-        return Pair(int(elapsed), value)
-
-    def _eval_call(self, node, scope):
-        callee = self.eval(node.callee, scope)
-        args = [self.eval(a, scope) for a in node.args]
-        named = {name: self.eval(v, scope) for name, v in node.named}
-        if node.splat is not None:
-            splat = self.eval(node.splat, scope)
-            if not isinstance(splat, list):
-                raise NjexlError(
-                    "TypeError", f"__args__ must be a list, got {tag(splat)}", node.line, node.col
-                )
-            args = list(splat)
-        block = BlockClosure(node.block, scope, self) if node.block is not None else None
-        return self.call_value(callee, args, named, block, node, scope)
-
-    def call_value(self, callee, args, named, block, node, scope):
-        if isinstance(callee, NativeFunction):
-            return callee.fn(self, scope, args, named, block, node)
-        if isinstance(callee, Function):
-            if block is not None:
-                raise NjexlError(
-                    "TypeError",
-                    f"function {callee.name or '<anon>'} does not take a block",
-                    node.line,
-                    node.col,
-                )
-            return self.call_function(callee, args, named, node)
-        raise NjexlError("TypeError", f"{tag(callee)} is not callable", node.line, node.col)
-
     def call_function(self, fn, args, named=None, node=None):
-        line = getattr(node, "line", None)
-        col = getattr(node, "col", None)
         if len(args) > len(fn.params):
-            raise NjexlError(
+            raise _error(
+                node,
                 "ArityError",
                 f"{fn.name or '<anon>'} takes {len(fn.params)} arguments, got {len(args)}",
-                line,
-                col,
             )
         frame = Scope(fn.scope)
-        for name in fn.params:
-            frame.bindings[name] = None
-        for name, value in zip(fn.params, args):
-            frame.bindings[name] = value
+        frame.bindings.update(dict.fromkeys(fn.params))
+        frame.bindings.update(zip(fn.params, args))
         for name, value in (named or {}).items():
             if name not in fn.params:
-                raise NjexlError(
-                    "UnknownParameter",
-                    f"{fn.name or '<anon>'} has no parameter '{name}'",
-                    line,
-                    col,
+                raise _error(
+                    node, "UnknownParameter", f"{fn.name or '<anon>'} has no parameter '{name}'"
                 )
             frame.bindings[name] = value
-        self._enter_frame(line, col)
+        self._enter_frame(node)
         try:
-            return self.exec_statements(fn.body, frame)
+            return fn.body(self, frame)
         except ReturnSignal as ret:
             return ret.value
         except RecursionError:
-            raise NjexlError("StackOverflowError", "call depth exceeded", line, col) from None
+            raise _error(node, "StackOverflowError", "call depth exceeded") from None
         finally:
             self.depth -= 1
 
-    def _enter_frame(self, line, col):
+    def _enter_frame(self, node):
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             self.depth -= 1
-            raise NjexlError(
-                "StackOverflowError", f"recursion deeper than {MAX_CALL_DEPTH} frames", line, col
+            raise _error(
+                node, "StackOverflowError", f"recursion deeper than {MAX_CALL_DEPTH} frames"
             )
 
     def invoke_block(self, closure, item, index, source, partial=_MISSING):
-        """Run an anonymous block for one element.
-
-        Returns ('value', v) normally, ('skip', None) when the block issued
-        continue, and ('stop', None) when it issued break.
-        """
+        """Run an anonymous block for one element: ('value', v) normally, ('skip',
+        None) when the block issued continue, ('stop', None) when it issued break."""
         frame = Scope(closure.scope)
         frame.bindings["$"] = item
         frame.bindings["_"] = index
         frame.bindings["$$"] = source
         if partial is not _MISSING:
             frame.bindings["_$_"] = partial
-        block = closure.block
-        self._enter_frame(block.line, block.col)
+        self._enter_frame(closure.block)
         try:
-            return ("value", self.exec_statements(block.body, frame))
+            return ("value", closure.body(self, frame))
         except ContinueSignal:
             return ("skip", None)
         except BreakSignal:
             return ("stop", None)
         except RecursionError:
-            raise NjexlError(
-                "StackOverflowError", "call depth exceeded", block.line, block.col
-            ) from None
+            raise _error(closure.block, "StackOverflowError", "call depth exceeded") from None
         finally:
             self.depth -= 1
 
-    def _eval_static_call(self, node, scope):
-        module = scope.lookup(node.alias, node.line, node.col)
+
+# --- compiler: _compile_<Name> compiles an ast.<Name> node ------------------------
+# Value operations (arith, values_equal, ...) are looked up as module globals when
+# code runs, never bound when it is built, so that perfbench/spans.py can wrap them.
+
+
+def compile_body(stmts):
+    """Code that runs stmts in order and returns the last value (null if none)."""
+    codes = [_compile(stmt) for stmt in stmts or ()]
+    if len(codes) <= 1:
+        return codes[0] if codes else _constant(None)
+    init, last = tuple(codes[:-1]), codes[-1]
+
+    def sequence(interp, scope):
+        for code in init:
+            code(interp, scope)
+        return last(interp, scope)
+
+    return sequence
+
+
+def _compile(node, default=None):
+    """Code for node, or code yielding default when there is no node."""
+    return _constant(default) if node is None else _COMPILERS[type(node)](node)
+
+
+def _error(node, kind, message):
+    return NjexlError(kind, message, getattr(node, "line", None), getattr(node, "col", None))
+
+
+def _constant(value):
+    return lambda interp, scope: value
+
+
+def _compile_Literal(node):
+    return _constant(node.value)
+
+
+def _compile_Identifier(node):
+    name = node.name
+
+    def identifier(interp, scope):
+        while scope is not None:  # Scope.lookup inlined: the most frequent node
+            if name in scope.bindings:
+                return scope.bindings[name]
+            scope = scope.parent
+        raise _error(node, "NameError", f"'{name}' is not defined")
+
+    return identifier
+
+
+def _compile_VarDecl(node):
+    value = _compile(node.value)
+
+    def var_decl(interp, scope):
+        result = value(interp, scope)
+        scope.declare_global(node.name, result)
+        return result
+
+    return var_decl
+
+
+def _compile_Assign(node):
+    value, target, add = _compile(node.value), node.target, node.op == "+="
+    if isinstance(target, ast.Identifier):
+        name, line, col = target.name, node.line, node.col
+
+        def assign(interp, scope):
+            result = value(interp, scope)
+            if add:
+                result = arith("+", scope.lookup(name, target.line, target.col), result, line, col)
+            scope.assign(name, result)
+            return result
+
+        return assign
+    obj, index = _compile(target.obj), _compile(target.index)
+
+    def assign_index(interp, scope):
+        result = value(interp, scope)
+        container, key = obj(interp, scope), index(interp, scope)
+        if add:
+            result = arith("+", _index_get(container, key, target), result, node.line, node.col)
+        _index_set(container, key, result, target)
+        return result
+
+    return assign_index
+
+
+def _index_get(obj, key, node):
+    if isinstance(obj, XMap):
+        if not obj.has(key):
+            raise _error(node, "KeyError", f"key {stringify(key)} not in map")
+        return obj.get(key)
+    return project(obj, key, node.line, node.col)
+
+
+def _index_set(obj, key, value, node):
+    if isinstance(obj, XMap):
+        obj.set(key, value, node.line, node.col)
+    elif isinstance(obj, list):
+        if not is_int_tier(key):
+            raise _error(node, "TypeError", "list index must be an integer")
+        if not 0 <= key < len(obj):
+            raise _error(node, "IndexError", f"list index {key} out of range {len(obj)}")
+        obj[key] = value
+    else:
+        raise _error(node, "TypeError", f"cannot assign into {tag(obj)}")
+
+
+def _compile_MultiAssign(node):
+    targets, capture, value = node.targets, node.capture, _compile(node.value)
+    whole = capture is not None and len(targets) == 1
+
+    def multi_assign(interp, scope):
+        try:
+            result = value(interp, scope)
+            parts, error = [result] if whole else _destructure(result, len(targets), node), None
+        except (NjexlError, RecursionError) as exc:
+            if capture is None:
+                raise
+            if isinstance(exc, RecursionError):
+                exc = NjexlError("StackOverflowError", "call depth exceeded")
+            parts, error = [None] * len(targets), ErrorValue(exc.kind, exc.message, exc.cause)
+        for name, part in zip(targets, parts):
+            scope.assign(name, part)
+        if capture is not None:
+            scope.assign(capture, error)
+
+    return multi_assign
+
+
+def _destructure(value, count, node):
+    if isinstance(value, Pair):
+        parts = [value.first, value.second]
+    elif isinstance(value, list):
+        parts = list(value)
+    else:
+        raise _error(node, "DestructureError", f"cannot split {tag(value)} into {count} values")
+    if len(parts) != count:
+        raise _error(node, "DestructureError", f"expected {count} values, got {len(parts)}")
+    return parts
+
+
+def _compile_Import(node):
+    return lambda interp, scope: scope.assign(node.alias, interp.import_module(node.path, node))
+
+
+def _compile_FuncDef(node):
+    name, params, body = node.name, node.params, compile_body(node.body)
+    if name is None:
+        return lambda interp, scope: Function(None, params, body, scope)
+
+    def func_def(interp, scope):
+        scope.bindings[name] = Function(name, params, body, scope)
+
+    return func_def
+
+
+def _choice(cond, then, orelse):
+    return lambda interp, scope: (
+        then(interp, scope) if truthiness(cond(interp, scope)) else orelse(interp, scope)
+    )
+
+
+def _compile_If(node):
+    return _choice(_compile(node.cond), compile_body(node.then_body), compile_body(node.else_body))
+
+
+def _compile_Ternary(node):
+    return _choice(_compile(node.cond), _compile(node.then), _compile(node.orelse))
+
+
+def _compile_For(node):
+    var, iterable, body = node.var, _compile(node.iterable), compile_body(node.body)
+
+    def for_(interp, scope):
+        for item in enumerate_value(iterable(interp, scope), node.line, node.col):
+            scope.bindings[var] = item
+            try:
+                body(interp, scope)
+            except ContinueSignal:
+                continue
+            except BreakSignal:
+                break
+
+    return for_
+
+
+def _compile_While(node):
+    cond, body = _compile(node.cond), compile_body(node.body)
+
+    def while_(interp, scope):
+        while truthiness(cond(interp, scope)):
+            try:
+                body(interp, scope)
+            except ContinueSignal:
+                continue
+            except BreakSignal:
+                break
+
+    return while_
+
+
+def _jump(signal, node):
+    """Code for break/continue: raise signal unless the condition is false."""
+    cond = _compile(node.cond, True)
+
+    def jump(interp, scope):
+        if truthiness(cond(interp, scope)):
+            raise signal()
+
+    return jump
+
+
+_compile_Break = functools.partial(_jump, BreakSignal)
+_compile_Continue = functools.partial(_jump, ContinueSignal)
+
+
+def _compile_Return(node):
+    value = _compile(node.value)
+
+    def return_(interp, scope):
+        raise ReturnSignal(value(interp, scope))
+
+    return return_
+
+
+_ORDER_TESTS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ORDER_TESTS.update(lt=operator.lt, le=operator.le, gt=operator.gt, ge=operator.ge)
+
+
+def _compile_Binary(node):
+    op, lhs, rhs = node.op, _compile(node.left), _compile(node.right)
+    line, col = node.line, node.col
+    if op == "and":
+        return lambda interp, scope: (
+            truthiness(lhs(interp, scope)) and truthiness(rhs(interp, scope))
+        )
+    if op == "or":
+        return lambda interp, scope: (
+            truthiness(lhs(interp, scope)) or truthiness(rhs(interp, scope))
+        )
+    if op == "xor":
+        return lambda interp, scope: (
+            truthiness(lhs(interp, scope)) != truthiness(rhs(interp, scope))
+        )
+    if op in ("==", "eq"):
+        return lambda interp, scope: values_equal(lhs(interp, scope), rhs(interp, scope))
+    if op == "!=":
+        return lambda interp, scope: not values_equal(lhs(interp, scope), rhs(interp, scope))
+    if op == "@":
+        return lambda interp, scope: membership(lhs(interp, scope), rhs(interp, scope), line, col)
+    if op not in _ORDER_TESTS:
+        return lambda interp, scope: arith(op, lhs(interp, scope), rhs(interp, scope), line, col)
+    test, containment = _ORDER_TESTS[op], op in ("<=", "le")
+
+    def order(interp, scope):
+        a, b = lhs(interp, scope), rhs(interp, scope)
+        if is_collection(a) or is_collection(b):
+            if containment and is_collection(a) and is_collection(b):
+                return sub_collection(a, b, line, col)
+            raise _error(node, "TypeError", f"cannot order {tag(a)} and {tag(b)} with {op}")
+        return test(order_compare(a, b, line, col), 0)
+
+    return order
+
+
+def _compile_Unary(node):
+    operand = _compile(node.operand)
+    if isinstance(node, ast.Unary) and node.op == "not":
+        return lambda interp, scope: not truthiness(operand(interp, scope))
+    apply = cardinality if isinstance(node, ast.Cardinality) else negate
+    return lambda interp, scope: apply(operand(interp, scope), node.line, node.col)
+
+
+_compile_Cardinality = _compile_Unary
+
+
+def _compile_ClockBlock(node):
+    body = compile_body(node.body)
+
+    def clock(interp, scope):
+        frame, start = Scope(scope), interp.io.clock()
+        value = body(interp, frame)
+        return Pair(int(interp.io.clock() - start), value)
+
+    return clock
+
+
+def _compile_Call(node):
+    return _call(node, _compile(node.callee), node.args, node.named, node.splat, node.block)
+
+
+def _compile_StaticCall(node):
+    alias, name = node.alias, node.name
+
+    def member(interp, scope):
+        module = scope.lookup(alias, node.line, node.col)
         if not isinstance(module, Module):
-            raise NjexlError(
-                "TypeError", f"'{node.alias}' is not a module", node.line, node.col
-            )
-        if node.name not in module.bindings:
-            raise NjexlError(
-                "NameError",
-                f"module {module.path} has no member '{node.name}'",
-                node.line,
-                node.col,
-            )
-        fn = module.bindings[node.name]
-        args = [self.eval(a, scope) for a in node.args]
-        return self.call_value(fn, args, {}, None, node, scope)
+            raise _error(node, "TypeError", f"'{alias}' is not a module")
+        if name not in module.bindings:
+            raise _error(node, "NameError", f"module {module.path} has no member '{name}'")
+        return module.bindings[name]
 
-    def _eval_index(self, node, scope):
-        obj = self.eval(node.obj, scope)
-        key = self.eval(node.index, scope)
-        return self._index_get(obj, key, node)
+    return _call(node, member, node.args, (), None, None)
 
-    def _eval_member(self, node, scope):
-        obj = self.eval(node.obj, scope)
-        name = node.name
-        if name.isdigit():
-            return project(obj, int(name), node.line, node.col)
-        if isinstance(obj, Range):
-            if name == "list":
-                return NativeFunction("list", lambda i, s, a, n, b, nd, rng=obj: list(rng))
-            if name == "set":
-                return NativeFunction("set", lambda i, s, a, n, b, nd, rng=obj: XSet(rng))
-        if isinstance(obj, ErrorValue):
-            if name == "kind":
-                return obj.kind
-            if name == "message":
-                return obj.message
-            if name == "cause":
-                return obj.cause
-        raise NjexlError("TypeError", f"{tag(obj)} has no member '{name}'", node.line, node.col)
 
-    def _eval_range_lit(self, node, scope):
-        start = self.eval(node.start, scope)
-        end = self.eval(node.end, scope)
-        step = self.eval(node.step, scope) if node.step is not None else 1
-        for part, label in ((start, "start"), (end, "end"), (step, "step")):
-            if not is_int_tier(part):
-                raise NjexlError(
-                    "TypeError", f"range {label} must be an integer", node.line, node.col
+def _call(node, callee, args, named, splat, block):
+    """Code for a call: the callee, then the arguments, then the call itself."""
+    args = tuple(_compile(arg) for arg in args)
+    named = tuple((name, _compile(arg)) for name, arg in named)
+    splat = None if splat is None else _compile(splat)
+    body = None if block is None else compile_body(block.body)
+
+    def call(interp, scope):
+        fn = callee(interp, scope)
+        values = [arg(interp, scope) for arg in args]
+        keywords = {name: arg(interp, scope) for name, arg in named} if named else {}
+        if splat is not None:
+            spread = splat(interp, scope)
+            if not isinstance(spread, list):
+                raise _error(node, "TypeError", f"__args__ must be a list, got {tag(spread)}")
+            values = list(spread)
+        closure = None if block is None else BlockClosure(block, scope, interp, body)
+        if isinstance(fn, NativeFunction):
+            return fn.fn(interp, scope, values, keywords, closure, node)
+        if isinstance(fn, Function):
+            if closure is not None:
+                raise _error(
+                    node, "TypeError", f"function {fn.name or '<anon>'} does not take a block"
                 )
-        return Range(start, end, step, node.line, node.col)
+            return interp.call_function(fn, values, keywords, node)
+        raise _error(node, "TypeError", f"{tag(fn)} is not callable")
 
-    def _eval_list_lit(self, node, scope):
-        return [self.eval(item, scope) for item in node.items]
+    return call
 
-    def _eval_map_lit(self, node, scope):
+
+def _compile_Index(node):
+    obj, index = _compile(node.obj), _compile(node.index)
+    return lambda interp, scope: _index_get(obj(interp, scope), index(interp, scope), node)
+
+
+def _compile_Member(node):
+    obj, name = _compile(node.obj), node.name
+    if name.isdigit():
+        position = int(name)
+        return lambda interp, scope: project(obj(interp, scope), position, node.line, node.col)
+    return lambda interp, scope: _member(obj(interp, scope), node)
+
+
+def _member(obj, node):
+    name = node.name
+    if isinstance(obj, Range) and name in ("list", "set"):
+        convert = list if name == "list" else XSet
+        return NativeFunction(name, lambda i, s, a, n, b, nd: convert(obj))
+    if isinstance(obj, ErrorValue) and name in ("kind", "message", "cause"):
+        return getattr(obj, name)
+    raise _error(node, "TypeError", f"{tag(obj)} has no member '{name}'")
+
+
+def _compile_RangeLit(node):
+    start, end, step = _compile(node.start), _compile(node.end), _compile(node.step, 1)
+
+    def range_lit(interp, scope):
+        parts = start(interp, scope), end(interp, scope), step(interp, scope)
+        for part, label in zip(parts, ("start", "end", "step")):
+            if not is_int_tier(part):
+                raise _error(node, "TypeError", f"range {label} must be an integer")
+        return Range(*parts, node.line, node.col)
+
+    return range_lit
+
+
+def _compile_ListLit(node):
+    items = tuple(_compile(item) for item in node.items)
+    return lambda interp, scope: [item(interp, scope) for item in items]
+
+
+def _compile_MapLit(node):
+    entries = tuple((_compile(key), _compile(value), key) for key, value in node.entries)
+
+    def map_lit(interp, scope):
         out = XMap()
-        for key_node, value_node in node.entries:
-            key = self.eval(key_node, scope)
-            value = self.eval(value_node, scope)
-            out.set(key, value, key_node.line, key_node.col)
+        for key, value, key_node in entries:
+            out.set(key(interp, scope), value(interp, scope), key_node.line, key_node.col)
         return out
 
-    def _eval_literal(self, node, scope):
-        return node.value
+    return map_lit
 
-    def _eval_identifier(self, node, scope):
-        return scope.lookup(node.name, node.line, node.col)
+
+_COMPILERS = {
+    getattr(ast, name[len("_compile_"):]): compiler
+    for name, compiler in list(globals().items())
+    if name.startswith("_compile_")
+}
 
 
 def new_global_scope(args=()):

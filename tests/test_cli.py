@@ -67,6 +67,11 @@ def test_eval_error_exits_one():
     assert code == 1 and "DivideByZero" in err
 
 
+def test_eval_stray_return_is_a_syntax_error():
+    code, _, err = run_cli(["--eval", "list{ return 1 }([1])"])
+    assert (code, err) == (1, "SyntaxError: 'return' outside a function\n")
+
+
 def test_ast_dump(tmp_path):
     script = tmp_path / "small.njxl"
     script.write_text("x = 1 + 2\n")

@@ -178,3 +178,15 @@ def test_evaluate_never_raises_on_fuzz():
         if isinstance(result, StructuredError):
             assert result.kind
             assert isinstance(result.message, str)
+
+
+def test_internal_error_names_the_python_exception():
+    from njexl.values import Module, NativeFunction
+
+    def boom(interp, scope, args, named, block, node):
+        raise ValueError("bad host state")
+
+    host = Module("host.Tools", {"boom": NativeFunction("boom", boom)})
+    ctx = fresh(registry={"host.Tools": host})
+    result = evaluate(ctx, "import 'host.Tools' as T\nT:boom()")
+    assert result == StructuredError("InternalError", "ValueError: bad host state")

@@ -45,7 +45,8 @@ def _attempt(source):
     # anything else propagates and fails the test
 
 
-def test_structured_program_fuzz():
+def structured_programs():
+    """Statement templates filled with random expressions (a fixed corpus)."""
     rng = random.Random(97)
 
     def rand_expr(depth=2):
@@ -61,14 +62,24 @@ def test_structured_program_fuzz():
             while "EXPR" in stmt:
                 stmt = stmt.replace("EXPR", rand_expr(), 1)
             lines.append(stmt)
-        _attempt("\n".join(lines))
+        yield "\n".join(lines)
 
 
-def test_token_soup_fuzz():
+def token_soups():
+    """Random token sequences and random printable text (a fixed corpus)."""
     rng = random.Random(137)
     for trial in range(600):
         if trial % 2 == 0:
-            source = " ".join(rng.choice(TOKEN_SOUP) for _ in range(rng.randrange(0, 25)))
+            yield " ".join(rng.choice(TOKEN_SOUP) for _ in range(rng.randrange(0, 25)))
         else:
-            source = "".join(rng.choice(string.printable) for _ in range(rng.randrange(0, 60)))
+            yield "".join(rng.choice(string.printable) for _ in range(rng.randrange(0, 60)))
+
+
+def test_structured_program_fuzz():
+    for source in structured_programs():
+        _attempt(source)
+
+
+def test_token_soup_fuzz():
+    for source in token_soups():
         _attempt(source)
