@@ -12,17 +12,21 @@ One Interp + one global Scope + one IoPorts bundle form an evaluation
 context.  A context is strictly single-threaded; any number of contexts can
 run in parallel because they share nothing mutable.
 
-Deeply recursive guest programs are executed on a dedicated big-stack
-thread (see run_on_deep_stack) so the guest-level recursion cap of
-MAX_CALL_DEPTH frames is reached and reported as a catchable
-StackOverflowError instead of exhausting the host C stack.
+Guest programs run on a big-stack worker thread (see run_on_deep_stack) so
+the guest-level recursion cap of MAX_CALL_DEPTH frames is reached and
+reported as a catchable StackOverflowError instead of exhausting the host C
+stack.  Each host thread gets one such worker on first use and reuses it for
+every later evaluation; the worker stops once its host thread has ended.
 """
 
+import collections
 import functools
 import operator
 import os
+import queue
 import sys
 import threading
+import weakref
 
 from . import ast
 from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal
@@ -59,40 +63,93 @@ CODE_CACHE_SIZE = 256  # compiled programs per Interp; least recently used dropp
 _DEEP_STACK_BYTES = 512 * 1024 * 1024
 _DEEP_RECURSION_LIMIT = 150_000
 _SPAWN_LOCK = threading.Lock()
+_WORKERS = threading.local()  # .worker: the calling host thread's _Worker
+
+
+def _drop_workers():
+    global _WORKERS
+    _WORKERS = threading.local()
+
+
+# a copy of this module that is dropped (purged from sys.modules and imported
+# again) frees its workers' owners now, not at the next full gc collection
+weakref.finalize(sys.modules[__name__], _drop_workers).atexit = False
 
 _MISSING = object()
 
 
+class _Worker:
+    """Owner of one big-stack thread that calls the jobs put on `jobs`.
+
+    The thread's loop is made only of C calls, so while idle it holds no
+    frame that refers to this module: it pins neither a context nor a copy
+    of njexl.  Freeing the owner (its host thread ended, or this module was
+    dropped) posts the stop sentinel.
+    """
+
+    __slots__ = ("jobs", "pid", "__weakref__")
+
+    def __init__(self):
+        self.jobs = queue.SimpleQueue()
+        self.pid = os.getpid()  # a forked child has the owner but not the thread
+        serve = map(operator.methodcaller("__call__"), iter(self.jobs.get, None))
+        # stack_size is process-global state: serialize set/spawn/restore
+        with _SPAWN_LOCK:
+            old_size = threading.stack_size(_DEEP_STACK_BYTES)
+            try:
+                threading.Thread(
+                    target=collections.deque, args=(serve, 0), name="njexl-eval", daemon=True
+                ).start()
+            finally:
+                threading.stack_size(old_size)
+        weakref.finalize(self, self.jobs.put, None).atexit = False
+
+
 def run_on_deep_stack(fn):
-    """Run fn() on a worker thread with a large stack; re-raise its outcome.
+    """Run fn() on the calling thread's big-stack worker; re-raise its outcome.
 
     CPython burns C stack per interpreter frame, so a 10k-frame guest
     recursion needs far more headroom than the default thread offers.  The
-    process-wide recursion limit is raised (never lowered back: lowering
-    could starve a concurrently running worker in another context).
+    worker is started on the first call from a host thread and reused by
+    every later one; a call made from inside a worker gets that worker's own
+    worker.  The process-wide recursion limit is raised (never lowered back:
+    lowering could starve a worker running in another thread).
     """
-    result = {}
+    worker = getattr(_WORKERS, "worker", None)
+    if worker is None or worker.pid != os.getpid():
+        worker = _WORKERS.worker = _Worker()
+    if sys.getrecursionlimit() < _DEEP_RECURSION_LIMIT:
+        sys.setrecursionlimit(_DEEP_RECURSION_LIMIT)
+    # this call's own completion signal and outcome slot: a caller whose
+    # wait is interrupted leaves its outcome where no later call looks
+    done = threading.Lock()
+    done.acquire()
+    outcome = []
 
-    def work():
-        if sys.getrecursionlimit() < _DEEP_RECURSION_LIMIT:
-            sys.setrecursionlimit(_DEEP_RECURSION_LIMIT)
+    def job():
+        nonlocal fn
         try:
-            result["value"] = fn()
-        except BaseException as exc:  # noqa: BLE001 - transported to caller
-            result["error"] = exc
+            outcome.append((fn(), None))
+        except BaseException as exc:  # noqa: BLE001 - transported to the caller
+            outcome.append((None, exc))
+        fn = None  # the worker keeps nothing of the job once it is done
+        done.release()
 
-    # stack_size is process-global state: serialize set/spawn/restore
-    with _SPAWN_LOCK:
-        old_size = threading.stack_size(_DEEP_STACK_BYTES)
-        try:
-            worker = threading.Thread(target=work, name="njexl-eval")
-            worker.start()
-        finally:
-            threading.stack_size(old_size)
-    worker.join()
-    if "error" in result:
-        raise result["error"]
-    return result["value"]
+    try:
+        worker.jobs.put(job)
+        done.acquire()
+    except BaseException:
+        # the job runs on: later calls get a new worker instead of queueing
+        # behind what may never finish
+        _WORKERS.worker = None
+        raise
+    value, error = outcome.pop()
+    if error is None:
+        return value
+    try:
+        raise error
+    finally:
+        error = None  # the traceback holds this frame: no cycle through it
 
 
 class Scope:

@@ -4,7 +4,7 @@ import gc
 import weakref
 
 import njexl.interpreter
-from njexl import StructuredError, evaluate
+from njexl import StructuredError, create_context, evaluate
 from njexl.interpreter import CODE_CACHE_SIZE, Interp, new_global_scope
 from njexl.stdlib import default_io
 
@@ -62,6 +62,21 @@ def test_interp_is_freed_by_reference_counting():
         assert interp.run_source(source, scope) == [2, 3]
         freed = weakref.ref(interp)
         del interp
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_context_is_freed_by_reference_counting_after_evaluate():
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = create_context(out=Capture(), err=Capture())
+        assert evaluate(ctx, "def inc(x){ x + 1 }\nlist{ inc($) }([1, 2])") == [2, 3]
+        error = evaluate(ctx, "def bad(x){ x / 0 }\nbad(inc(1))")
+        assert isinstance(error, StructuredError) and error.kind == "DivideByZero"
+        freed = weakref.ref(ctx)
+        del ctx
         assert freed() is None
     finally:
         gc.enable()
