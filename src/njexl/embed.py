@@ -27,6 +27,10 @@ from .values import (
 )
 
 _MAX_BRIDGE_DEPTH = 64
+# exact types whose values cross the bridge unchanged both ways, so list elements
+# of these types are copied inline (bool and the INT tag BigInt are int
+# subclasses, not these types, and take the general path)
+_SAME = (int, str)
 
 
 @dataclass
@@ -96,9 +100,7 @@ def evaluate(ctx, source):
 def _to_value(value, depth):
     if depth > _MAX_BRIDGE_DEPTH:
         raise ConversionError("host data nested too deeply")
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, float, Decimal)):
+    if value is None or isinstance(value, (int, str, float, Decimal)):  # bool is an int
         return value
     if isinstance(value, (datetime.datetime, datetime.date)):
         return value
@@ -107,7 +109,8 @@ def _to_value(value, depth):
     if isinstance(value, range):
         return Range(value.start, value.stop, value.step)
     if isinstance(value, (list, tuple)):
-        return [_to_value(v, depth + 1) for v in value]
+        inline = depth < _MAX_BRIDGE_DEPTH  # past the cap every element must raise
+        return [v if inline and type(v) in _SAME else _to_value(v, depth + 1) for v in value]
     if isinstance(value, (set, frozenset)):
         return XSet(_to_value(v, depth + 1) for v in value)
     if isinstance(value, dict):
@@ -121,7 +124,7 @@ def _to_value(value, depth):
 def _from_value(value, depth):
     if depth > _MAX_BRIDGE_DEPTH:
         raise ConversionError("script data nested too deeply")
-    if value is None or isinstance(value, (bool, str)):
+    if type(value) in _SAME or value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, float, Decimal)):
         return int(value) if isinstance(value, int) else value
@@ -132,7 +135,8 @@ def _from_value(value, depth):
     if isinstance(value, Range):
         return range(value.start, value.end, value.step)
     if isinstance(value, list):
-        return [_from_value(v, depth + 1) for v in value]
+        inline = depth < _MAX_BRIDGE_DEPTH
+        return [v if inline and type(v) in _SAME else _from_value(v, depth + 1) for v in value]
     if isinstance(value, XSet):
         try:
             return {_from_value(v, depth + 1) for v in value}

@@ -203,6 +203,17 @@ class Scope:
         return found
 
 
+_new_object = object.__new__
+
+
+def _frame(parent, bindings):
+    """A plain frame under parent holding bindings: Scope(parent) without the role logic."""
+    frame = _new_object(Scope)
+    frame.bindings, frame.parent = bindings, parent
+    frame.global_scope, frame.is_builtin_frame = parent.global_scope, False
+    return frame
+
+
 class BlockClosure:
     """An anonymous block, its compiled body (compiled here if not given) and scope."""
 
@@ -301,16 +312,18 @@ class Interp:
                 "ArityError",
                 f"{fn.name or '<anon>'} takes {len(fn.params)} arguments, got {len(args)}",
             )
-        frame = Scope(fn.scope)
-        frame.bindings.update(dict.fromkeys(fn.params))
-        frame.bindings.update(zip(fn.params, args))
+        bindings = dict.fromkeys(fn.params)
+        bindings.update(zip(fn.params, args))
         for name, value in (named or {}).items():
             if name not in fn.params:
                 raise _error(
                     node, "UnknownParameter", f"{fn.name or '<anon>'} has no parameter '{name}'"
                 )
-            frame.bindings[name] = value
-        self._enter_frame(node)
+            bindings[name] = value
+        frame = _frame(fn.scope, bindings)
+        self.depth += 1
+        if self.depth > MAX_CALL_DEPTH:
+            raise self._too_deep(node)
         try:
             return fn.body(self, frame)
         except ReturnSignal as ret:
@@ -320,24 +333,21 @@ class Interp:
         finally:
             self.depth -= 1
 
-    def _enter_frame(self, node):
-        self.depth += 1
-        if self.depth > MAX_CALL_DEPTH:
-            self.depth -= 1
-            raise _error(
-                node, "StackOverflowError", f"recursion deeper than {MAX_CALL_DEPTH} frames"
-            )
+    def _too_deep(self, node):
+        """The error for a frame entered past MAX_CALL_DEPTH, whose entry it undoes."""
+        self.depth -= 1
+        return _error(node, "StackOverflowError", f"recursion deeper than {MAX_CALL_DEPTH} frames")
 
     def invoke_block(self, closure, item, index, source, partial=_MISSING):
         """Run an anonymous block for one element: ('value', v) normally, ('skip',
         None) when the block issued continue, ('stop', None) when it issued break."""
-        frame = Scope(closure.scope)
-        frame.bindings["$"] = item
-        frame.bindings["_"] = index
-        frame.bindings["$$"] = source
+        bindings = {"$": item, "_": index, "$$": source}
         if partial is not _MISSING:
-            frame.bindings["_$_"] = partial
-        self._enter_frame(closure.block)
+            bindings["_$_"] = partial
+        frame = _frame(closure.scope, bindings)
+        self.depth += 1
+        if self.depth > MAX_CALL_DEPTH:
+            raise self._too_deep(closure.block)
         try:
             return ("value", closure.body(self, frame))
         except ContinueSignal:
@@ -607,7 +617,10 @@ def _compile_Binary(node):
 
     def order(interp, scope):
         a, b = lhs(interp, scope), rhs(interp, scope)
-        if is_collection(a) or is_collection(b):
+        kind = type(a)  # same-type int or str operands are never collections
+        if (kind is not type(b) or (kind is not int and kind is not str)) and (
+            is_collection(a) or is_collection(b)
+        ):
             if containment and is_collection(a) and is_collection(b):
                 return sub_collection(a, b, line, col)
             raise _error(node, "TypeError", f"cannot order {tag(a)} and {tag(b)} with {op}")

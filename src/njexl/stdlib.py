@@ -85,19 +85,24 @@ class ResourceLoader:
         if url is not None:
             # no seekable handle on a socket; buffer the body up front
             return iter(self._fetch(url).splitlines())
-        try:
-            handle = open(local, "r", encoding="utf-8")
-        except FileNotFoundError:
-            raise NjexlError("FileNotFound", f"no such file: {path}") from None
-        except OSError as exc:
-            raise NjexlError("IoError", f"cannot read {path}: {exc}") from None
 
         def generate():
+            try:
+                handle = open(local, "r", encoding="utf-8")
+            except FileNotFoundError:
+                raise NjexlError("FileNotFound", f"no such file: {path}") from None
+            except OSError as exc:
+                raise NjexlError("IoError", f"cannot read {path}: {exc}") from None
             with handle:
+                yield None
                 for line in handle:
                     yield line.rstrip("\r\n")
 
-        return generate()
+        # run up to the first yield: the file is opened (or the error raised) here,
+        # and from now on dropping the iterator closes it, even if never iterated
+        lines = generate()
+        next(lines)
+        return lines
 
     def write_text(self, path, content):
         local, url = self._open_target(path)

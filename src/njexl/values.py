@@ -23,6 +23,8 @@ from .errors import NjexlError
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
+# an integral float no larger than this in size has a repr that spells int(f)
+_FLOAT_EXACT_INT = 2**53
 
 # digits kept by inexact BigDec division
 DEC_DIV_PRECISION = 64
@@ -296,17 +298,19 @@ def _exact_value(v):
 
 def canonical_key(v, _seen=None):
     """Hashable, totally-comparable-within-tag key defining value equality."""
+    if isinstance(v, str):
+        return ("str", v)
+    if isinstance(v, int):
+        return ("num", v) if type(v) is not bool else ("bool", v)
     if v is None:
         return ("null",)
-    if isinstance(v, bool):
-        return ("bool", v)
-    if isinstance(v, int):
-        return ("num", v)
     if isinstance(v, float):
         if math.isnan(v):
             return ("nan",)
         if math.isinf(v):
             return ("inf", 1 if v > 0 else -1)
+        if v.is_integer() and -_FLOAT_EXACT_INT <= v <= _FLOAT_EXACT_INT:
+            return ("num", int(v))
         return ("num", _exact_value(v))
     if isinstance(v, Decimal):
         if v.is_nan():
@@ -314,8 +318,6 @@ def canonical_key(v, _seen=None):
         if v.is_infinite():
             return ("inf", 1 if v > 0 else -1)
         return ("num", _exact_value(v))
-    if isinstance(v, str):
-        return ("str", v)
     if isinstance(v, _DATE_TYPES):
         return ("date", v.isoformat())
     if isinstance(v, ErrorValue):
@@ -364,11 +366,16 @@ def map_key(v, line=None, col=None):
 
 
 def values_equal(a, b):
+    if type(a) is list and type(b) is list and len(a) != len(b):
+        return False  # multisets of different sizes: no key needed
     return canonical_key(a) == canonical_key(b)
 
 
 def order_compare(a, b, line=None, col=None):
     """Total order over comparable tags; -1/0/1. Incomparable tags raise."""
+    kind = type(a)
+    if kind is type(b) and (kind is int or kind is str):
+        return (a > b) - (a < b)
     if is_numeric(a) and is_numeric(b):
         for v in (a, b):
             if isinstance(v, float) and math.isnan(v):
@@ -390,10 +397,10 @@ def order_compare(a, b, line=None, col=None):
 
 def truthiness(v):
     """False for null, false, and numeric zero; everything else is true."""
-    if v is None or v is False:
-        return False
     if v is True:
         return True
+    if v is None or v is False:
+        return False
     if is_numeric(v):
         if isinstance(v, Decimal):
             return not v.is_zero()
@@ -466,6 +473,8 @@ def cardinality(v, line=None, col=None):
 
 def project(v, i, line=None, col=None):
     """Positional component access for pairs, lists, and strings."""
+    if type(v) is list and type(i) is int and 0 <= i < len(v):
+        return v[i]
     if not is_int_tier(i):
         raise NjexlError("TypeError", f"index must be an integer, got {tag(i)}", line, col)
     if isinstance(v, Pair):
@@ -545,6 +554,12 @@ def _trunc_div(a, b):
 
 def arith(op, a, b, line=None, col=None):
     """Evaluate a numeric or collection-extending binary +,-,*,/,%."""
+    if type(a) is int and type(b) is int and INT_MIN <= a <= INT_MAX and INT_MIN <= b <= INT_MAX:
+        r = a + b if op == "+" else a - b if op == "-" else a * b if op == "*" else None
+        if r is not None and INT_MIN <= r <= INT_MAX:
+            return r
+    elif type(a) is str and op == "+":
+        return a + stringify(b)
     if op == "+":
         if isinstance(a, list):
             a.append(b)
@@ -637,14 +652,12 @@ def negate(v, line=None, col=None):
 
 
 def stringify(v, _seen=None):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, int):
+        return str(v) if type(v) is not bool else ("true" if v else "false")
     if v is None:
         return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, float):
         if math.isnan(v):
             return "NaN"
@@ -653,8 +666,6 @@ def stringify(v, _seen=None):
         return repr(v)
     if isinstance(v, Decimal):
         return str(v)
-    if isinstance(v, str):
-        return v
     if isinstance(v, Range):
         if v.step == 1:
             return f"[{v.start}:{v.end}]"

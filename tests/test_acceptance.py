@@ -90,7 +90,8 @@ def test_criterion_1_corpus_goldens():
 
 def _load_predicate_ctx(script):
     ctx = fresh_ctx()
-    source = open(corpus_path(script)).read()
+    with open(corpus_path(script), encoding="utf-8") as fh:
+        source = fh.read()
     # keep the definitions, drop the demo print tail
     body = "\n".join(
         line for line in source.splitlines() if not line.startswith("print(")

@@ -1,4 +1,5 @@
 import datetime
+import gc
 import itertools
 import random
 from collections import Counter
@@ -289,6 +290,22 @@ def test_read_and_lines(tmp_path):
 def test_lines_is_lazy_iterator():
     got = run(f"it = lines({fixture_path('lines.txt')!r})\nindex{{ $ == 'cccc' }}(it)")
     assert got == 1
+
+
+def test_unused_lines_value_closes_its_file(tmp_path, recwarn):
+    target = tmp_path / "data.txt"
+    target.write_text("one\ntwo\n")
+    for source in (f"it = lines({str(target)!r})\n1", f"lines({str(target)!r})\n2"):
+        run(source)
+        gc.collect()
+    assert not [w for w in recwarn if issubclass(w.category, ResourceWarning)]
+
+
+def test_lines_fails_at_the_call(tmp_path):
+    for path, kind in (("definitely_missing.txt", "FileNotFound"), (str(tmp_path), "IoError")):
+        with pytest.raises(NjexlError) as err:
+            run(f"it = lines({path!r})\nnull")
+        assert err.value.kind == kind
 
 
 def test_read_missing_file():

@@ -260,6 +260,45 @@ def test_numeric_equality_across_tags():
     assert not values_equal(False, 0)
 
 
+def test_one_equals_one_point_oh_equals_dec_one_in_every_container():
+    ones = (1, 1.0, Decimal("1"), Decimal("1.000"), BigInt(1))
+    wraps = (
+        lambda x: x,
+        lambda x: [x],
+        lambda x: [[x], 2],
+        lambda x: XSet([x, 2]),
+        lambda x: make_map((x, "v")),
+        lambda x: make_map(("k", x)),
+        lambda x: Pair(x, [x]),
+    )
+    for wrap in wraps:
+        for a in ones:
+            for b in ones:
+                assert values_equal(wrap(a), wrap(b)), (wrap(a), wrap(b))
+                assert canonical_key(wrap(a)) == canonical_key(wrap(b))
+                assert hash(canonical_key(wrap(a))) == hash(canonical_key(wrap(b)))
+    assert len(XSet(ones)) == 1
+    assert membership(1.0, [1]) and membership(Decimal("1"), XSet([1.0]))
+    assert sub_collection([1.0, Decimal(2)], [2, 1, 3])
+
+
+def test_integral_floats_equal_their_decimal_spelling():
+    for f in (0.0, -0.0, 3.0, -7.0, 2.0**53, -(2.0**53), 2.0**53 + 2, 1e22, 1e300, -1e300):
+        assert values_equal(f, Decimal(repr(f))), f
+        assert not values_equal(f, f * 2 + 1), f
+    assert values_equal(1e300, Decimal("1E+300")) and not values_equal(1e300, int(1e300))
+    assert values_equal(2.0**53, 2**53) and values_equal(0.1, Decimal("0.1"))
+
+
+def test_lists_of_different_lengths_are_unequal_without_keys(monkeypatch):
+    def no_keys(v, _seen=None):
+        raise AssertionError("a key was built")
+
+    monkeypatch.setattr("njexl.values.canonical_key", no_keys)
+    assert not values_equal([1, 2], [1, 2, 3])
+    assert not values_equal([], [[]])
+
+
 def test_collection_tag_mismatch_is_unequal():
     assert not values_equal([1], XSet([1]))
     assert not values_equal(make_map((1, 2)), [Pair(1, 2)])
