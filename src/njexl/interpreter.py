@@ -170,13 +170,14 @@ class Scope:
         else:
             self.global_scope = parent.global_scope
 
-    def lookup(self, name, line=None, col=None):
+    def frame_of(self, name, line=None, col=None):
+        """The nearest frame binding name, the builtins frame included."""
         scope = self
-        while scope is not None:
-            if name in scope.bindings:
-                return scope.bindings[name]
+        while name not in scope.bindings:
             scope = scope.parent
-        raise NjexlError("NameError", f"'{name}' is not defined", line, col)
+            if scope is None:
+                raise NjexlError("NameError", f"'{name}' is not defined", line, col)
+        return scope
 
     def assign(self, name, value):
         """Write the nearest frame already binding name, else this frame."""
@@ -429,8 +430,12 @@ def _compile_Assign(node):
         def assign(interp, scope):
             result = value(interp, scope)
             if add:
-                result = arith("+", scope.lookup(name, target.line, target.col), result, line, col)
-            scope.assign(name, result)
+                frame = scope.frame_of(name, target.line, target.col)
+                result = arith("+", frame.bindings[name], result, line, col)
+                # a builtin's name is read from the builtins frame but bound here
+                (scope if frame.is_builtin_frame else frame).bindings[name] = result
+            else:
+                scope.assign(name, result)
             return result
 
         return assign
@@ -659,7 +664,7 @@ def _compile_StaticCall(node):
     alias, name = node.alias, node.name
 
     def member(interp, scope):
-        module = scope.lookup(alias, node.line, node.col)
+        module = scope.frame_of(alias, node.line, node.col).bindings[alias]
         if not isinstance(module, Module):
             raise _error(node, "TypeError", f"'{alias}' is not a module")
         if name not in module.bindings:

@@ -4,8 +4,30 @@ Tokens carry their raw lexeme, 1-based position, and the trivia
 (whitespace/comments) that preceded them, so that joining trivia+lexemes
 reproduces the input byte for byte.  tokenize() is a pure function of its
 input and safe to call from any number of threads.
+
+One compiled pattern, _TOKEN, matches one token at a time: a leading group
+for the trivia (whitespace, `//` and `/* */` comments), then one named
+alternative per token shape (word, decimal, int, string, operator,
+punctuation), then end of input.  Two more alternatives catch what begins no
+token, an unclosed `/*` and any other single character, and raise; so a
+match never fails, never backtracks into the trivia, and each one starts
+where the last one ended.
+
+Positions: a token's line is one more than the number of newlines before it
+and its column is its offset past the last of them, plus one.  Strings cannot
+hold a raw newline, so only trivia can, and the line count and line start
+are advanced from the trivia alone.
+
+Numbers use the regex `\\d` class, the Unicode decimal digits (category Nd),
+which int(), float() and Decimal() all read; a digit-like character outside
+it, such as `²`, is an InvalidCharacter.  String escapes are checked by the
+pattern and decoded by a second one, only when a lexeme holds a backslash.
+Errors are those of the first problem from the left: UnterminatedString at
+the opening quote, UnterminatedComment at `/*`, InvalidCharacter at the
+character or at the backslash of a bad escape.
 """
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import NjexlError
@@ -35,15 +57,33 @@ KEYWORDS = frozenset(
     ]
 )
 
-# longest match first
-MULTI_OPS = ("#clock", "==", "!=", "<=", ">=", "+=", "#(", "#|")
-SINGLE_OPS = "=<>+-*/%@?:!|"
-PUNCTS = "()[]{},;."
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-
 _ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t"}
+
+# a string body stops at its closing quote, a raw newline or its first bad escape
+_STRING_BODY = {
+    q: re.compile(rf"[^{q}\\\n]*(?:\\(?:[\\'\"nt]|u[0-9a-fA-F]{{4}})[^{q}\\\n]*)*") for q in "'\""
+}
+_STRING = "|".join(f"{q}{body.pattern}{q}" for q, body in _STRING_BODY.items())
+
+_TOKEN = re.compile(
+    r"([ \t\r\n]*(?:(?://[^\n]*|/\*.*?\*/)[ \t\r\n]*)*)"
+    r"(?:(?P<word>[A-Za-z_$][A-Za-z0-9_$]*)"
+    # a fraction only when a digit follows the dot, so `2.list()` lexes as 2 . list
+    r"|(?P<dec>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))"
+    r"|(?P<int>\d+)"
+    rf"|(?P<str>{_STRING})"
+    r"|(?P<comment>/\*)"
+    # longest first; '#clock' must not swallow the head of a longer word
+    r"|(?P<op>#clock(?![A-Za-z0-9_$])|[=!<>+]=|#[(|]|[=<>+\-*/%@?:!|])"
+    r"|(?P<punct>[()\[\]{},;.])"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))",
+    re.S,
+)
+
+_ESCAPE = re.compile(r"\\(u[0-9a-fA-F]{4}|.)")
+# a \u escape that the end of input cuts short leaves the string unterminated
+_CUT_OFF_ESCAPE = re.compile(r"\\u[0-9a-fA-F]{0,3}\Z")
 
 
 @dataclass
@@ -65,165 +105,56 @@ class Token:
         return self.kind == KEYWORD and self.lexeme == word
 
 
-class _Cursor:
-    def __init__(self, text):
-        self.text = text
-        self.i = 0
-        self.line = 1
-        self.col = 1
-
-    def at_end(self):
-        return self.i >= len(self.text)
-
-    def peek(self, offset=0):
-        j = self.i + offset
-        return self.text[j] if j < len(self.text) else ""
-
-    def advance(self, n=1):
-        for _ in range(n):
-            if self.at_end():
-                return
-            if self.text[self.i] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.i += 1
-
-    def startswith(self, s):
-        return self.text.startswith(s, self.i)
-
-
 def tokenize(source):
     """Lex source into a token list ending with an end-of-input token."""
-    cur = _Cursor(source)
     tokens = []
-    while True:
-        trivia = _skip_trivia(cur)
-        if cur.at_end():
-            tokens.append(Token(EOF, "", cur.line, cur.col, trivia))
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        group = m.lastgroup
+        trivia, lexeme = m.group(1, group)
+        if "\n" in trivia:
+            line += trivia.count("\n")
+            line_start = m.start() + trivia.rindex("\n") + 1
+        start = m.end(1)
+        col = start - line_start + 1
+        if group == "word":
+            append(Token(KEYWORD if lexeme in KEYWORDS else IDENT, lexeme, line, col, trivia))
+        elif group == "op":
+            append(Token(OP, lexeme, line, col, trivia))
+        elif group == "punct":
+            append(Token(PUNCT, lexeme, line, col, trivia))
+        elif group == "int":
+            append(Token(INT, lexeme, line, col, trivia, int(lexeme)))
+        elif group == "str":
+            text = lexeme[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(_unescape, text)
+            append(Token(STR, lexeme, line, col, trivia, text))
+        elif group == "dec":
+            append(Token(DEC, lexeme, line, col, trivia, lexeme))
+        elif group == "eof":
+            append(Token(EOF, "", line, col, trivia))
             return tokens
-        tokens.append(_scan_token(cur, trivia))
-
-
-def _skip_trivia(cur):
-    start = cur.i
-    while not cur.at_end():
-        c = cur.peek()
-        if c in " \t\r\n":
-            cur.advance()
-        elif cur.startswith("//"):
-            while not cur.at_end() and cur.peek() != "\n":
-                cur.advance()
-        elif cur.startswith("/*"):
-            line, col = cur.line, cur.col
-            cur.advance(2)
-            while not cur.startswith("*/"):
-                if cur.at_end():
-                    raise NjexlError("UnterminatedComment", "block comment never closed", line, col)
-                cur.advance()
-            cur.advance(2)
+        elif group == "comment":
+            raise NjexlError("UnterminatedComment", "block comment never closed", line, col)
         else:
-            break
-    return cur.text[start:cur.i]
+            raise _unlexable(source, start, line, col)
 
 
-def _scan_token(cur, trivia):
-    line, col = cur.line, cur.col
-    c = cur.peek()
-
-    if c in _IDENT_START:
-        start = cur.i
-        while not cur.at_end() and cur.peek() in _IDENT_CONT:
-            cur.advance()
-        word = cur.text[start:cur.i]
-        kind = KEYWORD if word in KEYWORDS else IDENT
-        return Token(kind, word, line, col, trivia)
-
-    if c.isdigit():
-        return _scan_number(cur, trivia, line, col)
-
-    if c in "'\"":
-        return _scan_string(cur, trivia, line, col)
-
-    for op in MULTI_OPS:
-        if cur.startswith(op):
-            # '#clock' must not swallow the head of a longer word
-            if op == "#clock" and cur.peek(len(op)) in _IDENT_CONT:
-                break
-            cur.advance(len(op))
-            return Token(OP, op, line, col, trivia)
-
-    if c in SINGLE_OPS:
-        cur.advance()
-        return Token(OP, c, line, col, trivia)
-
-    if c in PUNCTS:
-        cur.advance()
-        return Token(PUNCT, c, line, col, trivia)
-
-    raise NjexlError("InvalidCharacter", f"unexpected character {c!r}", line, col)
+def _unescape(m):
+    return _ESCAPES.get(m[1]) or chr(int(m[1][1:], 16))
 
 
-def _scan_number(cur, trivia, line, col):
-    start = cur.i
-    while cur.peek().isdigit():
-        cur.advance()
-    is_decimal = False
-    # fraction only when a digit follows the dot, so `2.list()` lexes as 2 . list
-    if cur.peek() == "." and cur.peek(1).isdigit():
-        is_decimal = True
-        cur.advance()
-        while cur.peek().isdigit():
-            cur.advance()
-    if cur.peek() in "eE":
-        j = 1
-        if cur.peek(1) in "+-":
-            j = 2
-        if cur.peek(j).isdigit():
-            is_decimal = True
-            cur.advance(j)
-            while cur.peek().isdigit():
-                cur.advance()
-    lexeme = cur.text[start:cur.i]
-    if is_decimal:
-        return Token(DEC, lexeme, line, col, trivia, value=lexeme)
-    return Token(INT, lexeme, line, col, trivia, value=int(lexeme))
-
-
-def _scan_string(cur, trivia, line, col):
-    quote = cur.peek()
-    start = cur.i
-    cur.advance()
-    out = []
-    while True:
-        if cur.at_end() or cur.peek() == "\n":
-            raise NjexlError("UnterminatedString", "string literal never closed", line, col)
-        c = cur.peek()
-        if c == quote:
-            cur.advance()
-            return Token(STR, cur.text[start:cur.i], line, col, trivia, value="".join(out))
-        if c == "\\":
-            esc_line, esc_col = cur.line, cur.col
-            cur.advance()
-            e = cur.peek()
-            if e in _ESCAPES:
-                out.append(_ESCAPES[e])
-                cur.advance()
-            elif e == "u":
-                cur.advance()
-                hexits = ""
-                for _ in range(4):
-                    h = cur.peek()
-                    if h not in "0123456789abcdefABCDEF":
-                        raise NjexlError(
-                            "InvalidCharacter", "\\u escape needs four hex digits", esc_line, esc_col
-                        )
-                    hexits += h
-                    cur.advance()
-                out.append(chr(int(hexits, 16)))
-            else:
-                raise NjexlError("InvalidCharacter", f"unsupported escape \\{e}", esc_line, esc_col)
-        else:
-            out.append(c)
-            cur.advance()
+def _unlexable(source, start, line, col):
+    """The error for the character at start, which begins no token."""
+    c = source[start]
+    if c not in "'\"":
+        return NjexlError("InvalidCharacter", f"unexpected character {c!r}", line, col)
+    # the body stops at the first problem: a newline, the end, or a bad escape
+    at = _STRING_BODY[c].match(source, start + 1).end()
+    if source.startswith("\\", at) and not _CUT_OFF_ESCAPE.match(source, at):
+        e = source[at + 1 : at + 2]
+        message = "\\u escape needs four hex digits" if e == "u" else f"unsupported escape \\{e}"
+        return NjexlError("InvalidCharacter", message, line, col + at - start)
+    return NjexlError("UnterminatedString", "string literal never closed", line, col)

@@ -77,8 +77,10 @@ class _Parser:
     # --- token plumbing ----------------------------------------------------
 
     def peek(self, offset=0):
-        j = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[j]
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:  # past the end: the final end-of-input token
+            return self.tokens[-1]
 
     def advance(self):
         tok = self.tokens[self.pos]

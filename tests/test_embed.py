@@ -67,6 +67,13 @@ def test_parse_error_is_structured():
     assert result.line == 1
 
 
+def test_only_decimal_digits_make_numbers():
+    ctx = fresh()
+    result = evaluate(ctx, "x = ²")
+    assert result == StructuredError("InvalidCharacter", "unexpected character '²'", 1, 5)
+    assert evaluate(ctx, "٣ + 1") == 4
+
+
 def test_runtime_error_is_structured_with_position():
     ctx = fresh()
     result = evaluate(ctx, "x = 1\nx / 0")

@@ -177,6 +177,33 @@ e.kind
     assert run(src) == "NameError"
 
 
+def test_add_assign_updates_the_nearest_frame_holding_the_name():
+    src = """
+total = 1
+def add(n){ total += n }
+add(2)
+add(3)
+total
+"""
+    assert run(src) == 6
+    # the inner block's += must not write the outer block's _$_
+    assert run("lfold{ _$_ += lfold{ _$_ += $ * 2 }([$, 1], 0) }([10, 20], 0)") == 64
+
+
+def test_add_assign_to_a_builtin_name_binds_the_current_frame():
+    src = """
+def f(){ size += '!' ; size }
+[f(), size([1, 2])]
+"""
+    assert run(src) == ["builtin(size)!", 2]
+
+
+def test_add_assign_to_an_unbound_name_is_name_error():
+    with pytest.raises(NjexlError) as err:
+        run("x = 1\n  y += x")
+    assert (err.value.kind, err.value.line, err.value.col) == ("NameError", 2, 3)
+
+
 def test_return_is_optional():
     assert run("def f(){ 1 + 1 }\nf()") == 2
     assert run("def f(){ return 41 + 1 ; 'unreached' }\nf()") == 42

@@ -116,6 +116,10 @@ def test_comments_are_trivia():
         ("/* open", "UnterminatedComment"),
         ("a ~ b", "InvalidCharacter"),
         ("'bad \\q'", "InvalidCharacter"),
+        ("x = ²", "InvalidCharacter"),
+        ("1.5²", "InvalidCharacter"),
+        ("2e+3²", "InvalidCharacter"),
+        ("'\\u", "UnterminatedString"),
     ],
 )
 def test_lex_errors(source, kind):
