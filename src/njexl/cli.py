@@ -1,17 +1,18 @@
 """Command-line front end: script runner, one-shot eval, AST dump, REPL.
 
-Exit codes: 0 success, 1 uncaught script error (parse or runtime), 2 usage
-error.  Output and error streams stay separate so golden tests can pin both.
+Exit codes: 0 success, 1 any failure (one describe() line on stderr, never a
+traceback), 2 usage error.  Output and error streams stay separate so golden
+tests can pin both.
 """
 
 import os
 import sys
 
 from . import ast
-from .errors import NjexlError
+from .errors import guest_error
 from .interpreter import Interp, new_global_scope, run_on_deep_stack
 from .lexer import tokenize
-from .parser import parse_program
+from .parser import parse_expression, parse_program
 from .stdlib import FakeClock, IoPorts, ResourceLoader
 from .values import stringify
 
@@ -128,68 +129,47 @@ def _usage(stderr):
     return 2
 
 
-def _report(io, exc):
-    io.err.write(exc.describe() + "\n")
-    return 1
+def _run(io, job, show=None):
+    """Run job, then show(its value) if show is given, on the deep stack.
+
+    Returns 0 after writing the shown text, if any, to stdout.  Any failure,
+    in job or in show, is one describe() line on stderr and returns 1."""
+    try:
+        text = run_on_deep_stack(job if show is None else lambda: show(job()))
+    except Exception as exc:  # noqa: BLE001 - no failure escapes as a traceback
+        io.err.write(guest_error(exc).describe() + "\n")
+        return 1
+    if show is not None:
+        io.out.write(text + "\n")
+    return 0
 
 
 def _run_script(io, path, script_args):
-    try:
-        source = io.loader.read_text(path)
-    except NjexlError as exc:
-        return _report(io, exc)
     interp = Interp(io, script_path=path)
     scope = new_global_scope(script_args)
-    try:
-        run_on_deep_stack(lambda: interp.run_source(source, scope))
-    except NjexlError as exc:
-        return _report(io, exc)
-    except RecursionError:
-        return _report(io, NjexlError("StackOverflowError", "evaluation nested too deeply"))
-    return 0
+    return _run(io, lambda: interp.run_source(io.loader.read_text(path), scope))
 
 
 def _run_expression(io, text):
-    from .parser import parse_expression
-
     interp = Interp(io)
-    scope = new_global_scope()
 
     def job():
         expr = parse_expression(tokenize(text))
-        return interp.run_program(ast.Program(expr.line, expr.col, [expr]), scope)
+        return interp.run_program(ast.Program(expr.line, expr.col, [expr]), new_global_scope())
 
-    try:
-        value = run_on_deep_stack(job)
-    except NjexlError as exc:
-        return _report(io, exc)
-    except RecursionError:
-        return _report(io, NjexlError("StackOverflowError", "evaluation nested too deeply"))
-    io.out.write(stringify(value) + "\n")
-    return 0
+    return _run(io, job, stringify)
 
 
 def _dump_ast(io, path):
-    try:
-        source = io.loader.read_text(path)
-    except NjexlError as exc:
-        return _report(io, exc)
-    try:
-        program = run_on_deep_stack(lambda: parse_program(tokenize(source)))
-    except NjexlError as exc:
-        return _report(io, exc)
-    except RecursionError:
-        return _report(io, NjexlError("ParseError", "input nested too deeply"))
-    io.out.write(ast.dump(program) + "\n")
-    return 0
+    return _run(io, lambda: parse_program(tokenize(io.loader.read_text(path))), ast.dump)
 
 
 def _needs_more(buffer):
     """Heuristic continuation test: unbalanced brackets or an open string."""
     try:
         tokens = tokenize(buffer)
-    except NjexlError as exc:
-        return exc.kind in ("UnterminatedString", "UnterminatedComment")
+    except Exception as exc:  # noqa: BLE001 - the entry's run reports it
+        return guest_error(exc).kind in ("UnterminatedString", "UnterminatedComment")
     depth = 0
     for tok in tokens:
         if tok.lexeme in ("(", "[", "{", "#(", "#|"):
@@ -203,7 +183,6 @@ def repl(stdin, io):
     """Line loop with a persistent global scope; :quit leaves with code 0."""
     interp = Interp(io)
     scope = new_global_scope()
-    aliases = set()
     interactive = hasattr(stdin, "isatty") and stdin.isatty()
     buffer = ""
     while True:
@@ -223,21 +202,13 @@ def repl(stdin, io):
             continue
 
         def line_job(text=source):
-            program = parse_program(tokenize(text), aliases | scope.module_aliases())
+            program = parse_program(tokenize(text), scope.module_aliases())
             for stmt in program.body:
-                one = ast.Program(stmt.line, stmt.col, [stmt])
-                value = interp.run_program(one, scope)
-                if isinstance(stmt, ast.Import):
-                    aliases.add(stmt.alias)
-                elif _echoes(stmt) and value is not None:
+                value = interp.run_program(ast.Program(stmt.line, stmt.col, [stmt]), scope)
+                if _echoes(stmt) and value is not None:
                     io.out.write(stringify(value) + "\n")
 
-        try:
-            run_on_deep_stack(line_job)
-        except NjexlError as exc:
-            io.err.write(exc.describe() + "\n")
-        except RecursionError:
-            io.err.write("StackOverflowError: evaluation nested too deeply\n")
+        _run(io, line_job)
 
 
 def _echoes(stmt):

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .errors import NjexlError
+from .errors import guest_error
 from .interpreter import Interp, new_global_scope, run_on_deep_stack
 from .stdlib import default_io
 from .values import (
@@ -85,12 +85,11 @@ def evaluate(ctx, source):
 
     try:
         result = run_on_deep_stack(job)
-    except NjexlError as exc:
-        return StructuredError(exc.kind, exc.message, exc.line, exc.col)
-    except RecursionError:
-        return StructuredError("StackOverflowError", "evaluation nested too deeply")
     except Exception as exc:  # noqa: BLE001 - the no-abort contract
-        return StructuredError("InternalError", f"{type(exc).__name__}: {exc}")
+        # rebind exc, not a new name: leaving the clause unbinds exc, so its
+        # traceback leaves no cycle through this frame that holds the context
+        exc = guest_error(exc)
+        return StructuredError(exc.kind, exc.message, exc.line, exc.col)
     try:
         return _from_value(result, 0)
     except ConversionError as exc:

@@ -25,6 +25,15 @@ class NjexlError(Exception):
         return f"{self.kind}: {self.message}"
 
 
+def guest_error(exc):
+    """The NjexlError that reports exc, an exception raised by a guest run."""
+    if isinstance(exc, NjexlError):
+        return exc
+    if isinstance(exc, RecursionError):
+        return NjexlError("StackOverflowError", "evaluation nested too deeply")
+    return NjexlError("InternalError", f"{type(exc).__name__}: {exc}")
+
+
 class BreakSignal(Exception):
     pass
 

@@ -24,7 +24,9 @@ it, such as `²`, is an InvalidCharacter.  String escapes are checked by the
 pattern and decoded by a second one, only when a lexeme holds a backslash.
 Errors are those of the first problem from the left: UnterminatedString at
 the opening quote, UnterminatedComment at `/*`, InvalidCharacter at the
-character or at the backslash of a bad escape.
+character or at the backslash of a bad escape, NumberFormatError at an
+integer literal longer than int() reads (4300 digits by default; the limit
+is process-global, so the lexer leaves it as it is).
 """
 
 import re
@@ -125,7 +127,13 @@ def tokenize(source):
         elif group == "punct":
             append(Token(PUNCT, lexeme, line, col, trivia))
         elif group == "int":
-            append(Token(INT, lexeme, line, col, trivia, int(lexeme)))
+            try:
+                value = int(lexeme)
+            except ValueError:
+                raise NjexlError(
+                    "NumberFormatError", f"integer literal too long ({len(lexeme)} digits)", line, col
+                ) from None
+            append(Token(INT, lexeme, line, col, trivia, value))
         elif group == "str":
             text = lexeme[1:-1]
             if "\\" in text:

@@ -371,6 +371,18 @@ def test_criterion_6_cli_contract(tmp_path):
 # --- criterion 7: embed API ---------------------------------------------------------------
 
 
+def garbage(rng):
+    """One malformed input text, drawn from rng."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return "".join(rng.choice("()[]{}#|?:;,.'\"") for _ in range(rng.randrange(1, 14)))
+    if kind == 1:
+        return "".join(rng.choice(string.printable) for _ in range(rng.randrange(1, 24)))
+    if kind == 2:
+        return "(" * rng.randrange(1, 60)
+    return rng.choice(["def", "if (", "#(", "a @ @", "1 ? 2", "import", "{ 1 :", "x ="])
+
+
 def test_criterion_7_embed_api():
     rng = random.Random(707)
 
@@ -391,19 +403,9 @@ def test_criterion_7_embed_api():
         assert evaluate(ctx, "v") == value
 
     # 500 malformed inputs produce structured errors, never host aborts
-    def garbage():
-        kind = rng.randrange(4)
-        if kind == 0:
-            return "".join(rng.choice("()[]{}#|?:;,.'\"") for _ in range(rng.randrange(1, 14)))
-        if kind == 1:
-            return "".join(rng.choice(string.printable) for _ in range(rng.randrange(1, 24)))
-        if kind == 2:
-            return "(" * rng.randrange(1, 60)
-        return rng.choice(["def", "if (", "#(", "a @ @", "1 ? 2", "import", "{ 1 :", "x ="])
-
     errors = 0
     for _ in range(500):
-        result = evaluate(ctx, garbage())
+        result = evaluate(ctx, garbage(rng))
         if isinstance(result, StructuredError):
             errors += 1
             assert result.kind and isinstance(result.message, str)

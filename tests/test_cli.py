@@ -1,4 +1,18 @@
-from conftest import corpus_path, fixture_path, run_cli
+import random
+import re
+
+import pytest
+
+from njexl import StructuredError, create_context, evaluate
+from njexl.stdlib import BUILTINS
+
+from conftest import Capture, corpus_path, fixture_path, run_cli
+from test_acceptance import garbage
+
+# far deeper than the deep stack can parse: every way of running it overflows
+DEEP = "(" * 60000 + "1" + ")" * 60000
+# what stderr holds after n failures: n lines of `Kind: message (line L, col C)`
+_ERROR_LINES = re.compile(r"(?:[A-Za-z]+: [^\n]+\n)*")
 
 
 def test_run_good_script_exits_zero(tmp_path):
@@ -136,6 +150,56 @@ def test_njexl_path_multiple_entries(tmp_path, monkeypatch):
     assert code == 0 and out == "from second\n"
 
 
+@pytest.fixture(scope="module")
+def deep_runs(tmp_path_factory):
+    """(exit code, stdout, stderr) of DEEP through each CLI mode, run once per module."""
+    script = tmp_path_factory.mktemp("deep") / "deep.njxl"
+    script.write_text(DEEP)
+    return {
+        "--eval": run_cli(["--eval", DEEP]),
+        "run": run_cli(["run", str(script)]),
+        "repl": run_cli([], DEEP),
+        "--ast": run_cli(["--ast", str(script)]),
+    }
+
+
+def test_main_never_raises(tmp_path, monkeypatch, deep_runs):
+    def boom(interp, scope, args, named, block, node):
+        raise ValueError("bad host state")
+
+    monkeypatch.setattr(BUILTINS["size"], "fn", boom)
+    overflow = "StackOverflowError: evaluation nested too deeply\n"
+    pinned = {
+        "1" * 4301: "NumberFormatError: integer literal too long (4301 digits) (line 1, col 1)\n",
+        "size([1])": "InternalError: ValueError: bad host state\n",
+    }
+    too_long_to_show = "lfold{ _$_ * 2 }([0:15000], 1)"  # 2**15000: past str()'s digit limit
+    want = {DEEP: overflow, **pinned}
+    rng = random.Random(707)
+    runs = [(DEEP, mode, deep_runs[mode]) for mode in ("--eval", "run", "repl")]
+    script = tmp_path / "input.njxl"
+    for source in [*pinned, too_long_to_show, *(garbage(rng) for _ in range(150))]:
+        script.write_text(source)
+        runs.append((source, "--eval", run_cli(["--eval", source])))
+        runs.append((source, "run", run_cli(["run", str(script)])))
+        runs.append((source, "repl", run_cli([], source)))
+    for source, mode, (code, _, err) in runs:
+        if mode == "repl":
+            assert code == 0, source
+        else:
+            assert code in (0, 1) and err.count("\n") == code, (mode, source)
+        assert _ERROR_LINES.fullmatch(err), (mode, source, err)
+        if source in want:
+            assert err == want[source], mode
+
+
+def test_too_deep_source_is_a_stack_overflow_every_way(deep_runs):
+    overflow = "StackOverflowError: evaluation nested too deeply"
+    for mode in ("run", "--ast", "--eval"):
+        assert deep_runs[mode] == (1, "", overflow + "\n"), mode
+    assert evaluate(create_context(), DEEP) == StructuredError(*overflow.split(": "))
+
+
 # --- REPL ---------------------------------------------------------------------
 
 
@@ -191,3 +255,13 @@ def test_repl_n_definitions_remain_visible():
     lines.append(":quit")
     code, out, _ = run_cli([], "\n".join(lines) + "\n")
     assert code == 0 and out == "45\n"
+
+
+def test_repl_and_evaluate_agree_on_a_rebound_module_alias():
+    entries = ["import 'java.lang.Integer' as Int", "Int = 3", "Int:parseInt('1')"]
+    ctx = create_context(out=Capture(), err=Capture())
+    *_, result = [evaluate(ctx, entry) for entry in entries]
+    assert result.kind == "ParseError"
+    code, out, err = run_cli([], "\n".join(entries) + "\n")
+    assert (code, out) == (0, "")
+    assert err == f"{result.kind}: {result.message} (line {result.line}, col {result.col})\n"

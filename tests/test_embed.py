@@ -74,6 +74,11 @@ def test_only_decimal_digits_make_numbers():
     assert evaluate(ctx, "٣ + 1") == 4
 
 
+def test_int_literal_past_the_digit_limit_is_a_positioned_error():
+    result = evaluate(fresh(), "x = 1 +\n  " + "1" * 4301)
+    assert (result.kind, result.line, result.col) == ("NumberFormatError", 2, 3)
+
+
 def test_runtime_error_is_structured_with_position():
     ctx = fresh()
     result = evaluate(ctx, "x = 1\nx / 0")

@@ -120,6 +120,7 @@ def test_comments_are_trivia():
         ("1.5²", "InvalidCharacter"),
         ("2e+3²", "InvalidCharacter"),
         ("'\\u", "UnterminatedString"),
+        pytest.param("1" * 4301, "NumberFormatError", id="4301-digit int-NumberFormatError"),
     ],
 )
 def test_lex_errors(source, kind):
@@ -128,6 +129,30 @@ def test_lex_errors(source, kind):
     assert err.value.kind == kind
     assert err.value.line is not None
     assert err.value.col is not None
+
+
+@pytest.mark.parametrize(
+    "source,line,col",
+    [("x = ²", 1, 5), ("1.5²", 1, 4), ("2e+3²", 1, 5), ("a\n  b ¹", 2, 5), ("1.²", 1, 3), ("٣²", 1, 2)],
+)
+def test_non_decimal_digits_are_invalid_characters(source, line, col):
+    with pytest.raises(NjexlError) as err:
+        tokenize(source)
+    char = source[-1]
+    assert (err.value.kind, err.value.message, err.value.line, err.value.col) == (
+        "InvalidCharacter", f"unexpected character {char!r}", line, col
+    )
+
+
+def test_unicode_decimal_digits_make_numbers():
+    assert [t.value for t in tokenize("٣ + ١.٥e٢")[::2]] == [3, "١.٥e٢"]
+
+
+def test_escape_cut_off_by_the_end_is_an_unterminated_string():
+    for source in ("'\\u", "x = 'ab\\u0"):
+        with pytest.raises(NjexlError) as err:
+            tokenize(source)
+        assert (err.value.kind, err.value.col) == ("UnterminatedString", source.index("'") + 1)
 
 
 def test_positions_are_one_based():
