@@ -29,7 +29,7 @@ import threading
 import weakref
 
 from . import ast
-from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal
+from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal, guest_error
 from .parser import parse_program
 from .lexer import tokenize
 from .values import (
@@ -62,6 +62,7 @@ CODE_CACHE_SIZE = 256  # compiled programs per Interp; least recently used dropp
 
 _DEEP_STACK_BYTES = 512 * 1024 * 1024
 _DEEP_RECURSION_LIMIT = 150_000
+_WAIT_INTERVAL = 0.05  # s; a caller waiting on its job checks for signals this often
 _SPAWN_LOCK = threading.Lock()
 _WORKERS = threading.local()  # .worker: the calling host thread's _Worker
 
@@ -137,7 +138,10 @@ def run_on_deep_stack(fn):
 
     try:
         worker.jobs.put(job)
-        done.acquire()
+        # a timed wait: a Ctrl-C that lands just before the wait blocks would
+        # otherwise go unseen until the job ends
+        while not done.acquire(timeout=_WAIT_INTERVAL):
+            pass
     except BaseException:
         # the job runs on: later calls get a new worker instead of queueing
         # behind what may never finish
@@ -153,22 +157,17 @@ def run_on_deep_stack(fn):
 
 
 class Scope:
-    """Lexical frame chain: builtins frame -> global frame -> locals.
+    """Lexical frame chain: builtins frame (the root) -> global frame -> locals.
 
-    Assignment never writes the builtins frame, so binding a builtin's name
-    shadows it exactly in the scope doing the binding.
+    Assignment never writes the root, so binding a builtin's name shadows it
+    exactly in the scope doing the binding.
     """
 
-    __slots__ = ("bindings", "parent", "global_scope", "is_builtin_frame")
+    __slots__ = ("bindings", "parent")
 
-    def __init__(self, parent=None, role="plain"):
-        self.bindings = {}
+    def __init__(self, parent=None, bindings=None):
+        self.bindings = {} if bindings is None else bindings
         self.parent = parent
-        self.is_builtin_frame = role == "builtins"
-        if role == "global" or parent is None:
-            self.global_scope = self
-        else:
-            self.global_scope = parent.global_scope
 
     def frame_of(self, name, line=None, col=None):
         """The nearest frame binding name, the builtins frame included."""
@@ -182,15 +181,19 @@ class Scope:
     def assign(self, name, value):
         """Write the nearest frame already binding name, else this frame."""
         scope = self
-        while scope is not None:
-            if name in scope.bindings and not scope.is_builtin_frame:
+        while scope.parent is not None:
+            if name in scope.bindings:
                 scope.bindings[name] = value
                 return
             scope = scope.parent
         self.bindings[name] = value
 
     def declare_global(self, name, value):
-        self.global_scope.bindings[name] = value
+        """Write the global frame: the child of the root."""
+        scope = self
+        while scope.parent.parent is not None:
+            scope = scope.parent
+        scope.bindings[name] = value
 
     def module_aliases(self):
         """Names bound to modules anywhere in the chain (for re-parsing)."""
@@ -202,17 +205,6 @@ class Scope:
                     found.add(name)
             scope = scope.parent
         return found
-
-
-_new_object = object.__new__
-
-
-def _frame(parent, bindings):
-    """A plain frame under parent holding bindings: Scope(parent) without the role logic."""
-    frame = _new_object(Scope)
-    frame.bindings, frame.parent = bindings, parent
-    frame.global_scope, frame.is_builtin_frame = parent.global_scope, False
-    return frame
 
 
 class BlockClosure:
@@ -321,7 +313,7 @@ class Interp:
                     node, "UnknownParameter", f"{fn.name or '<anon>'} has no parameter '{name}'"
                 )
             bindings[name] = value
-        frame = _frame(fn.scope, bindings)
+        frame = Scope(fn.scope, bindings)
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(node)
@@ -345,7 +337,7 @@ class Interp:
         bindings = {"$": item, "_": index, "$$": source}
         if partial is not _MISSING:
             bindings["_$_"] = partial
-        frame = _frame(closure.scope, bindings)
+        frame = Scope(closure.scope, bindings)
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(closure.block)
@@ -433,7 +425,7 @@ def _compile_Assign(node):
                 frame = scope.frame_of(name, target.line, target.col)
                 result = arith("+", frame.bindings[name], result, line, col)
                 # a builtin's name is read from the builtins frame but bound here
-                (scope if frame.is_builtin_frame else frame).bindings[name] = result
+                (scope if frame.parent is None else frame).bindings[name] = result
             else:
                 scope.assign(name, result)
             return result
@@ -484,8 +476,7 @@ def _compile_MultiAssign(node):
         except (NjexlError, RecursionError) as exc:
             if capture is None:
                 raise
-            if isinstance(exc, RecursionError):
-                exc = NjexlError("StackOverflowError", "call depth exceeded")
+            exc = guest_error(exc)
             parts, error = [None] * len(targets), ErrorValue(exc.kind, exc.message, exc.cause)
         for name, part in zip(targets, parts):
             scope.assign(name, part)
@@ -768,8 +759,4 @@ def new_global_scope(args=()):
     """A fresh global frame (atop a shared-shape builtins frame) with __args__."""
     from .stdlib import BUILTINS  # local import avoids a cycle
 
-    builtins_frame = Scope(role="builtins")
-    builtins_frame.bindings.update(BUILTINS)
-    scope = Scope(builtins_frame, role="global")
-    scope.bindings["__args__"] = list(args)
-    return scope
+    return Scope(Scope(None, dict(BUILTINS)), {"__args__": list(args)})

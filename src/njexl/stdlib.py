@@ -2,8 +2,10 @@
 
 Builtins are ordinary values living in a frame below the global one, so a
 script binding `min` or `size` shadows the builtin in its own scope without
-destroying it.  Every builtin has the same native signature: (interp,
-scope, args, named, block, node).
+destroying it.  Every builtin has the native signature (interp, scope, args,
+named, block, node), which host modules passed as registry= share.  A
+builtin declares its shape, `@_builtin(name, count=..., block=...)`, and
+one check of named arguments, block and count runs before its body.
 """
 
 import datetime
@@ -153,33 +155,44 @@ class IoPorts:
 BUILTINS = {}
 
 
-def _builtin(name):
-    def register(fn):
-        BUILTINS[name] = NativeFunction(name, fn)
-        return fn
+def _native(name, body, count=None, block="optional"):
+    """NativeFunction name: one check of the call's arguments, then
+    body(interp, scope, args, block, node, name).
+
+    count is the number of positional arguments: an int, a (low, high) pair,
+    or None for any number.  block is "optional", "needed", or "maps":
+    optional, with count holding only when a block is given (without one,
+    the arguments are the values themselves).  The check refuses named
+    arguments first, then a missing needed block, then a wrong count.
+    """
+    low, high = (count, count) if isinstance(count, int) else count or (None, None)
+    wanted = f"{low}" if low == high else f"{low}..{high}"
+
+    def fn(interp, scope, args, named, given, node):
+        if named:
+            _fail(node, "UnknownParameter", f"{name} takes no named arguments")
+        if given is None and block == "needed":
+            _fail(node, "TypeError", f"{name} needs a {{...}} block")
+        if low is not None and not low <= len(args) <= high:
+            if given is not None or block != "maps":
+                _fail(node, "ArityError", f"{name} takes {wanted} arguments, got {len(args)}")
+        return body(interp, scope, args, given, node, name)
+
+    return NativeFunction(name, fn)
+
+
+def _builtin(name, count=None, block="optional"):
+    """Register the decorated body as builtin name (see _native)."""
+
+    def register(body):
+        BUILTINS[name] = _native(name, body, count, block)
+        return body
 
     return register
 
 
 def _fail(node, kind, message):
     raise NjexlError(kind, message, getattr(node, "line", None), getattr(node, "col", None))
-
-
-def _need_args(node, name, args, low, high=None):
-    high = low if high is None else high
-    if not low <= len(args) <= high:
-        wanted = str(low) if low == high else f"{low}..{high}"
-        _fail(node, "ArityError", f"{name} takes {wanted} arguments, got {len(args)}")
-
-
-def _no_named(node, name, named):
-    if named:
-        _fail(node, "UnknownParameter", f"{name} takes no named arguments")
-
-
-def _need_block(node, name, block):
-    if block is None:
-        _fail(node, "TypeError", f"{name} needs a {{...}} block")
 
 
 def _iter_arg(node, name, value):
@@ -216,9 +229,7 @@ def _to_int(value):
     return int(value)
 
 
-def _convert(node, name, args, named, converter):
-    _no_named(node, name, named)
-    _need_args(node, name, args, 1, 2)
+def _convert(node, name, args, converter):
     try:
         return converter(args[0])
     except (ValueError, ArithmeticError, InvalidOperation):
@@ -227,20 +238,17 @@ def _convert(node, name, args, named, converter):
         _fail(node, "NumberFormatError", f"cannot read {stringify(args[0])!r} as {name}")
 
 
-@_builtin("int")
-def b_int(interp, scope, args, named, block, node):
-    """Parse decimal integer text or truncate a number toward zero."""
-    return _convert(node, "int", args, named, lambda v: int_result(_to_int(v)))
+@_builtin("int", count=(1, 2))
+@_builtin("INT", count=(1, 2))
+def b_int(interp, scope, args, block, node, name):
+    """Parse decimal integer text or truncate a number toward zero; INT's
+    result always carries the arbitrary-precision tag."""
+    tagged = BigInt if name == "INT" else int_result
+    return _convert(node, name, args, lambda v: tagged(_to_int(v)))
 
 
-@_builtin("INT")
-def b_big_int(interp, scope, args, named, block, node):
-    """Like int(), but the result always carries the arbitrary-precision tag."""
-    return _convert(node, "INT", args, named, lambda v: BigInt(_to_int(v)))
-
-
-@_builtin("float")
-def b_float(interp, scope, args, named, block, node):
+@_builtin("float", count=(1, 2))
+def b_float(interp, scope, args, block, node, name):
     def conv(v):
         if isinstance(v, str):
             return float(_parse_with(_FLOAT_RE, v))
@@ -248,11 +256,11 @@ def b_float(interp, scope, args, named, block, node):
             raise ValueError(v)
         return float(v)
 
-    return _convert(node, "float", args, named, conv)
+    return _convert(node, name, args, conv)
 
 
-@_builtin("DEC")
-def b_dec(interp, scope, args, named, block, node):
+@_builtin("DEC", count=(1, 2))
+def b_dec(interp, scope, args, block, node, name):
     def conv(v):
         if isinstance(v, str):
             return Decimal(_parse_with(_FLOAT_RE, v))
@@ -264,7 +272,7 @@ def b_dec(interp, scope, args, named, block, node):
             return v
         return Decimal(int(v))
 
-    return _convert(node, "DEC", args, named, conv)
+    return _convert(node, name, args, conv)
 
 
 _DATE_FIELDS = [("yyyy", "%Y"), ("MM", "%m"), ("dd", "%d"), ("HH", "%H"), ("mm", "%M"), ("ss", "%S")]
@@ -290,11 +298,9 @@ def _translate_pattern(pattern, node):
     return "".join(out), has_time
 
 
-@_builtin("date")
-def b_date(interp, scope, args, named, block, node):
+@_builtin("date", count=2)
+def b_date(interp, scope, args, block, node, name):
     """date(text, pattern) with yyyy MM dd HH mm ss fields."""
-    _no_named(node, "date", named)
-    _need_args(node, "date", args, 2)
     text, pattern = args
     if not isinstance(text, str) or not isinstance(pattern, str):
         _fail(node, "TypeError", "date() expects two strings")
@@ -311,36 +317,29 @@ def b_date(interp, scope, args, named, block, node):
 
 
 @_builtin("print")
-def b_print(interp, scope, args, named, block, node):
+def b_print(interp, scope, args, block, node, name):
     """Write canonical forms, space separated, with a trailing newline."""
-    _no_named(node, "print", named)
     interp.io.out.write(" ".join(stringify(a) for a in args) + "\n")
     return None
 
 
-@_builtin("read")
-def b_read(interp, scope, args, named, block, node):
-    _no_named(node, "read", named)
-    _need_args(node, "read", args, 1)
+@_builtin("read", count=1)
+def b_read(interp, scope, args, block, node, name):
     if not isinstance(args[0], str):
         _fail(node, "TypeError", "read() expects a path string")
     return interp.io.loader.read_text(args[0])
 
 
-@_builtin("lines")
-def b_lines(interp, scope, args, named, block, node):
+@_builtin("lines", count=1)
+def b_lines(interp, scope, args, block, node, name):
     """Lazy iterator of lines with the terminators stripped."""
-    _no_named(node, "lines", named)
-    _need_args(node, "lines", args, 1)
     if not isinstance(args[0], str):
         _fail(node, "TypeError", "lines() expects a path string")
     return LazySeq(interp.io.loader.iter_lines(args[0]))
 
 
-@_builtin("write")
-def b_write(interp, scope, args, named, block, node):
-    _no_named(node, "write", named)
-    _need_args(node, "write", args, 2)
+@_builtin("write", count=2)
+def b_write(interp, scope, args, block, node, name):
     path, content = args
     if not isinstance(path, str) or not isinstance(content, str):
         _fail(node, "TypeError", "write() expects a path and a string")
@@ -348,13 +347,11 @@ def b_write(interp, scope, args, named, block, node):
     return None
 
 
-@_builtin("eval")
-def b_eval(interp, scope, args, named, block, node):
+@_builtin("eval", count=1)
+def b_eval(interp, scope, args, block, node, name):
     """Run text as a program in a child scope of the call site."""
     from .interpreter import Scope
 
-    _no_named(node, "eval", named)
-    _need_args(node, "eval", args, 1)
     if not isinstance(args[0], str):
         _fail(node, "TypeError", "eval() expects a string")
     return interp.run_source(args[0], Scope(scope))
@@ -364,23 +361,18 @@ def b_eval(interp, scope, args, named, block, node):
 # collection builtins
 
 
-@_builtin("size")
-def b_size(interp, scope, args, named, block, node):
-    _no_named(node, "size", named)
-    _need_args(node, "size", args, 1)
+@_builtin("size", count=1)
+def b_size(interp, scope, args, block, node, name):
     if args[0] is None:
         _fail(node, "TypeError", "size of null")
     return cardinality(args[0], getattr(node, "line", None), getattr(node, "col", None))
 
 
-@_builtin("index")
-def b_index(interp, scope, args, named, block, node):
+@_builtin("index", count=1, block="needed")
+def b_index(interp, scope, args, block, node, name):
     """First index where the block is truthy; -1 when there is none."""
-    _no_named(node, "index", named)
-    _need_block(node, "index", block)
-    _need_args(node, "index", args, 1)
     source = args[0]
-    for i, item in enumerate(_iter_arg(node, "index", source)):
+    for i, item in enumerate(_iter_arg(node, name, source)):
         status, value = block.run(item, i, source)
         if status == "stop":
             return -1
@@ -389,7 +381,13 @@ def b_index(interp, scope, args, named, block, node):
     return -1
 
 
-def _map_into(interp, node, name, args, block, sink):
+@_builtin("list", count=1, block="maps")
+@_builtin("set", count=1, block="maps")
+def b_collect(interp, scope, args, block, node, name):
+    """list(a, b, ...) collects values; list{ f }(c) maps a collection.  set
+    does the same, and duplicates collapse by value equality."""
+    out = [] if name == "list" else XSet()
+    sink = out.append if name == "list" else out.add
     if block is None:
         # one non-string collection argument converts element-wise, so that
         # set(tuple) deduplicates the tuple's members; anything else is
@@ -403,8 +401,7 @@ def _map_into(interp, node, name, args, block, sink):
             items = iter(args)
         for v in items:
             sink(v)
-        return
-    _need_args(node, name, args, 1)
+        return out
     source = args[0]
     for i, item in enumerate(_iter_arg(node, name, source)):
         status, value = block.run(item, i, source)
@@ -413,27 +410,10 @@ def _map_into(interp, node, name, args, block, sink):
         if status == "skip":
             continue
         sink(value)
-
-
-@_builtin("list")
-def b_list(interp, scope, args, named, block, node):
-    """list(a, b, ...) collects values; list{ f }(c) maps a collection."""
-    _no_named(node, "list", named)
-    out = []
-    _map_into(interp, node, "list", args, block, out.append)
     return out
 
 
-@_builtin("set")
-def b_set(interp, scope, args, named, block, node):
-    """set(a, b, ...) or set{ f }(c); duplicates collapse by value equality."""
-    _no_named(node, "set", named)
-    out = XSet()
-    _map_into(interp, node, "set", args, block, out.add)
-    return out
-
-
-def _less(interp, node, block, a, b, source=None):
+def _less(node, block, a, b, source=None):
     if block is not None:
         status, value = block.run(Pair(a, b), 0, source)
         if status != "value":
@@ -442,35 +422,34 @@ def _less(interp, node, block, a, b, source=None):
     return order_compare(a, b, getattr(node, "line", None), getattr(node, "col", None)) < 0
 
 
-@_builtin("minmax")
-def b_minmax(interp, scope, args, named, block, node):
+@_builtin("minmax", count=1)
+def b_minmax(interp, scope, args, block, node, name):
     """One-pass (min, max) pair; first-encountered value wins ties."""
-    _no_named(node, "minmax", named)
-    _need_args(node, "minmax", args, 1)
     lowest = highest = None
     seen = False
-    for item in _iter_arg(node, "minmax", args[0]):
+    for item in _iter_arg(node, name, args[0]):
         if not seen:
             lowest = highest = item
             seen = True
             continue
-        if _less(interp, node, block, item, lowest, args[0]):
+        if _less(node, block, item, lowest, args[0]):
             lowest = item
-        if _less(interp, node, block, highest, item, args[0]):
+        if _less(node, block, highest, item, args[0]):
             highest = item
     if not seen:
         _fail(node, "EmptyCollection", "minmax of an empty collection")
     return Pair(lowest, highest)
 
 
-def _fold(interp, node, name, args, block, reverse):
-    _need_block(node, name, block)
-    _need_args(node, name, args, 1, 2)
-    seed = args[1] if len(args) == 2 else None
+@_builtin("lfold", count=(1, 2), block="needed")
+@_builtin("rfold", count=(1, 2), block="needed")
+def b_fold(interp, scope, args, block, node, name):
+    """Left fold, the running partial visible in the block as _$_; rfold is
+    the same fold over reversed iteration order."""
     items = list(_iter_arg(node, name, args[0]))
-    if reverse:
+    if name == "rfold":
         items.reverse()
-    partial = seed
+    partial = args[1] if len(args) == 2 else None
     for i, item in enumerate(items):
         status, value = block.run(item, i, args[0], partial)
         if status == "stop":
@@ -481,27 +460,12 @@ def _fold(interp, node, name, args, block, reverse):
     return partial
 
 
-@_builtin("lfold")
-def b_lfold(interp, scope, args, named, block, node):
-    """Left fold; the running partial is visible in the block as _$_ ."""
-    _no_named(node, "lfold", named)
-    return _fold(interp, node, "lfold", args, block, reverse=False)
-
-
-@_builtin("rfold")
-def b_rfold(interp, scope, args, named, block, node):
-    """Right fold: identical to lfold over reversed iteration order."""
-    _no_named(node, "rfold", named)
-    return _fold(interp, node, "rfold", args, block, reverse=True)
-
-
 @_builtin("join")
-def b_join(interp, scope, args, named, block, node):
+def b_join(interp, scope, args, block, node, name):
     """Cartesian product in odometer order, filtered by the optional block."""
-    _no_named(node, "join", named)
     if not args:
         _fail(node, "ArityError", "join needs at least one collection")
-    pools = [list(_iter_arg(node, "join", a)) for a in args]
+    pools = [list(_iter_arg(node, name, a)) for a in args]
     out = []
     count = 0
     for combo in itertools.product(*pools):
@@ -520,40 +484,28 @@ def b_join(interp, scope, args, named, block, node):
     return out
 
 
-def _sorted(interp, node, name, args, named, block, descending):
-    _no_named(node, name, named)
-    _need_args(node, name, args, 1)
-    items = list(_iter_arg(node, name, args[0]))
+@_builtin("sorta", count=1)
+@_builtin("sortd", count=1)
+def b_sort(interp, scope, args, block, node, name):
+    """New list in ascending (sorta) or descending (sortd) order; stable; the
+    input is left untouched."""
 
     def cmp(a, b):
-        if _less(interp, node, block, a, b, args[0]):
+        if _less(node, block, a, b, args[0]):
             return -1
-        if _less(interp, node, block, b, a, args[0]):
+        if _less(node, block, b, a, args[0]):
             return 1
         return 0
 
-    return sorted(items, key=cmp_to_key(cmp), reverse=descending)
-
-
-@_builtin("sorta")
-def b_sorta(interp, scope, args, named, block, node):
-    """New ascending list; stable; the input is left untouched."""
-    return _sorted(interp, node, "sorta", args, named, block, descending=False)
-
-
-@_builtin("sortd")
-def b_sortd(interp, scope, args, named, block, node):
-    """New descending list; stable; the input is left untouched."""
-    return _sorted(interp, node, "sortd", args, named, block, descending=True)
+    items = list(_iter_arg(node, name, args[0]))
+    return sorted(items, key=cmp_to_key(cmp), reverse=name == "sortd")
 
 
 # ---------------------------------------------------------------------------
 # native module registry
 
 
-def _shim_parse_int(interp, scope, args, named, block, node):
-    _no_named(node, "parseInt", named)
-    _need_args(node, "parseInt", args, 1)
+def _shim_parse_int(interp, scope, args, block, node, name):
     text = args[0]
     if not isinstance(text, str):
         _fail(node, "NumberFormatError", f"for input: {stringify(text)}")
@@ -565,11 +517,8 @@ def _shim_parse_int(interp, scope, args, named, block, node):
 
 def default_registry():
     """Native modules importable by exact path string."""
-    integer = Module(
-        "java.lang.Integer",
-        {"parseInt": NativeFunction("parseInt", _shim_parse_int)},
-    )
-    return {"java.lang.Integer": integer}
+    parse_int = _native("parseInt", _shim_parse_int, count=1)
+    return {"java.lang.Integer": Module("java.lang.Integer", {"parseInt": parse_int})}
 
 
 def default_io(out=None, err=None, loader=None, clock=None, env=None):

@@ -333,15 +333,16 @@ def canonical_key(v, _seen=None):
             _seen = set()
         if id(v) in _seen:
             raise NjexlError("TypeError", "cyclic value has no identity")
-        _seen = _seen | {id(v)}
+        _seen.add(id(v))  # _seen holds v's ancestors only: a shared value is no cycle
         if isinstance(v, list):
-            return ("list", tuple(sorted(canonical_key(e, _seen) for e in v)))
-        if isinstance(v, XSet):
-            return ("set", tuple(sorted(canonical_key(e, _seen) for e in v)))
-        pairs = sorted(
-            (canonical_key(k, _seen), canonical_key(val, _seen)) for k, val in v.items()
-        )
-        return ("map", tuple(pairs))
+            key = ("list", tuple(sorted(canonical_key(e, _seen) for e in v)))
+        elif isinstance(v, XSet):
+            key = ("set", tuple(sorted(canonical_key(e, _seen) for e in v)))
+        else:
+            pairs = ((canonical_key(k, _seen), canonical_key(val, _seen)) for k, val in v.items())
+            key = ("map", tuple(sorted(pairs)))
+        _seen.discard(id(v))
+        return key
     # functions, builtins, modules, iterators compare by identity
     return ("obj", id(v))
 
@@ -655,7 +656,12 @@ def stringify(v, _seen=None):
     if isinstance(v, str):
         return v
     if isinstance(v, int):
-        return str(v) if type(v) is not bool else ("true" if v else "false")
+        if type(v) is bool:
+            return "true" if v else "false"
+        try:
+            return str(v)
+        except ValueError:  # past the interpreter's int-to-str digit limit; exact
+            return str(Decimal(v))
     if v is None:
         return "null"
     if isinstance(v, float):
@@ -675,13 +681,16 @@ def stringify(v, _seen=None):
             _seen = set()
         if id(v) in _seen:
             return "[...]" if isinstance(v, list) else "{...}"
-        _seen = _seen | {id(v)}
+        _seen.add(id(v))  # _seen holds v's ancestors only: a shared value is no cycle
         if isinstance(v, list):
-            return "[" + ", ".join(stringify(e, _seen) for e in v) + "]"
-        if isinstance(v, XSet):
-            return "{" + ", ".join(stringify(e, _seen) for e in v) + "}"
-        entries = (f"{stringify(k, _seen)} : {stringify(val, _seen)}" for k, val in v.items())
-        return "{" + ", ".join(entries) + "}"
+            text = "[" + ", ".join(stringify(e, _seen) for e in v) + "]"
+        elif isinstance(v, XSet):
+            text = "{" + ", ".join(stringify(e, _seen) for e in v) + "}"
+        else:
+            entries = (f"{stringify(k, _seen)} : {stringify(val, _seen)}" for k, val in v.items())
+            text = "{" + ", ".join(entries) + "}"
+        _seen.discard(id(v))
+        return text
     if isinstance(v, Pair):
         return f"({stringify(v.first, _seen)}, {stringify(v.second, _seen)})"
     if isinstance(v, LazySeq):

@@ -204,6 +204,39 @@ def test_add_assign_to_an_unbound_name_is_name_error():
     assert (err.value.kind, err.value.line, err.value.col) == ("NameError", 2, 3)
 
 
+# each statement of _WRITES targets a different frame: += of a global, = of a
+# global, = of a fresh name, += of a builtin's name, and var
+_WRITES = "g += 1 ; h = 5 ; fresh = 1 ; size += '!' ; var v = 7 ; [fresh, size]"
+_WRITE_SITES = {
+    "global": _WRITES,
+    "function": "def f(){ %s }\nf()" % _WRITES,
+    "block": "list{ %s }([1])" % _WRITES,
+    "eval": "eval('%s')" % _WRITES.replace("'", "\\'"),
+    "clock": "#clock{ %s }" % _WRITES,
+    "module": "import '{module}' as m\nm:f()",
+}
+
+
+@pytest.mark.parametrize("site", sorted(_WRITE_SITES))
+def test_which_frame_each_assignment_writes(site, tmp_path):
+    module = tmp_path / "m.njxl"
+    module.write_text("g = 100 ; h = 0\ndef f(){ %s }\n" % _WRITES)
+    source = "g = 1 ; h = 0\n" + _WRITE_SITES[site].replace("{module}", str(module))
+    _, _, scope = run_source(source)
+    names = scope.bindings
+    globals_ = {k: names[k] for k in ("g", "h", "v", "fresh", "size") if k in names}
+    if site == "global":
+        assert globals_ == {"g": 2, "h": 5, "v": 7, "fresh": 1, "size": "builtin(size)!"}
+    elif site == "module":
+        # the module's function writes its own module's frames, never the importer's
+        assert globals_ == {"g": 1, "h": 0}
+        module_names = {k: v for k, v in names["m"].bindings.items() if k != "f"}
+        assert module_names == {"__args__": [], "g": 101, "h": 5, "v": 7}
+    else:
+        # fresh names and a builtin's name bind the frame the site opened
+        assert globals_ == {"g": 2, "h": 5, "v": 7}
+
+
 def test_return_is_optional():
     assert run("def f(){ 1 + 1 }\nf()") == 2
     assert run("def f(){ return 41 + 1 ; 'unreached' }\nf()") == 42
@@ -294,6 +327,20 @@ def spin(n){ spin(n + 1) }
 e.kind
 """
     assert run(src) == "StackOverflowError"
+
+
+def test_recursion_under_nested_operators_overflows_as_a_guest_error():
+    # each guest call here takes many Python frames, so the overflow may come
+    # from the recursion limit before the frame cap; either way it is a guest error
+    body = "f(n + 1)"
+    for _ in range(15):
+        body = f"1 + ({body})"
+    src = f"def f(n){{ {body} }}\n"
+    with pytest.raises(NjexlError) as err:
+        run(src + "f(0)")
+    assert err.value.kind == "StackOverflowError"
+    assert err.value.line is not None and err.value.col is not None
+    assert isinstance(run(src + "#(o,:e) = f(0)\ne"), ErrorValue)
 
 
 def test_deterministic_given_fixed_ports():

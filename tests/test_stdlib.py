@@ -354,3 +354,66 @@ def test_set_dedup_equivalence_class_count():
         from njexl.values import canonical_key
 
         assert got == len({canonical_key(x) for x in xs})
+
+
+# --- argument checks: kind, message and position of every builtin ------------------
+
+_NAMED = "UnknownParameter", "{} takes no named arguments"
+_BLOCK = "TypeError", "{} needs a {{...}} block"
+
+# (call, kind, message); each call sits at line 2, col 7 of its program
+_ARGUMENT_ERRORS = [
+    *[(f"{name}(1, a=2)", *_NAMED) for name in (
+        "int", "INT", "float", "DEC", "date", "print", "read", "lines", "write", "eval",
+        "size", "index", "list", "set", "minmax", "lfold", "rfold", "join", "sorta", "sortd",
+    )],
+    ("index(a=2)", *_NAMED),  # named arguments are checked before the block
+    *[(f"{name}()", *_BLOCK) for name in ("index", "lfold", "rfold")],  # block before count
+    ("int()", "ArityError", "int takes 1..2 arguments, got 0"),
+    ("INT(1, 2, 3)", "ArityError", "INT takes 1..2 arguments, got 3"),
+    ("float()", "ArityError", "float takes 1..2 arguments, got 0"),
+    ("DEC('1', 2, 3)", "ArityError", "DEC takes 1..2 arguments, got 3"),
+    ("date('2020')", "ArityError", "date takes 2 arguments, got 1"),
+    ("read()", "ArityError", "read takes 1 arguments, got 0"),
+    ("lines('a', 'b')", "ArityError", "lines takes 1 arguments, got 2"),
+    ("write('a')", "ArityError", "write takes 2 arguments, got 1"),
+    ("eval()", "ArityError", "eval takes 1 arguments, got 0"),
+    ("size([1], [2])", "ArityError", "size takes 1 arguments, got 2"),
+    ("index{ $ }([1], [2])", "ArityError", "index takes 1 arguments, got 2"),
+    ("list{ $ }([1], [2])", "ArityError", "list takes 1 arguments, got 2"),
+    ("set{ $ }()", "ArityError", "set takes 1 arguments, got 0"),
+    ("minmax()", "ArityError", "minmax takes 1 arguments, got 0"),
+    ("minmax{ true }([1], [2])", "ArityError", "minmax takes 1 arguments, got 2"),
+    ("lfold{ $ }()", "ArityError", "lfold takes 1..2 arguments, got 0"),
+    ("rfold{ $ }([1], 0, 0)", "ArityError", "rfold takes 1..2 arguments, got 3"),
+    ("join()", "ArityError", "join needs at least one collection"),
+    ("sorta([1], [2])", "ArityError", "sorta takes 1 arguments, got 2"),
+    ("sortd{ true }()", "ArityError", "sortd takes 1 arguments, got 0"),
+    ("I:parseInt()", "ArityError", "parseInt takes 1 arguments, got 0"),
+    ("I:parseInt('1', '2')", "ArityError", "parseInt takes 1 arguments, got 2"),
+]
+
+
+@pytest.mark.parametrize("call, kind, message", _ARGUMENT_ERRORS)
+def test_builtin_argument_errors_keep_kind_message_and_position(call, kind, message):
+    with pytest.raises(NjexlError) as err:
+        run(f"import 'java.lang.Integer' as I\n  y = {call}")
+    name = call.split("(")[0].split("{")[0].split(":")[-1]
+    got = err.value
+    assert (got.kind, got.message, got.line, got.col) == (kind, message.format(name), 2, 7)
+
+
+def test_native_module_function_rejects_named_arguments():
+    # static calls cannot pass named arguments, so a host calls the function itself
+    from types import SimpleNamespace
+
+    from njexl.stdlib import default_registry
+
+    parse_int = default_registry()["java.lang.Integer"].bindings["parseInt"]
+    node = SimpleNamespace(line=2, col=7)
+    with pytest.raises(NjexlError) as err:
+        parse_int.fn(None, None, ["1"], {"a": 2}, None, node)
+    got = err.value
+    assert (got.kind, got.message, got.line, got.col) == (
+        "UnknownParameter", "parseInt takes no named arguments", 2, 7
+    )
