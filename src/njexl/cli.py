@@ -5,7 +5,6 @@ traceback), 2 usage error.  Output and error streams stay separate so golden
 tests can pin both.
 """
 
-import os
 import sys
 
 from . import ast
@@ -13,7 +12,7 @@ from .errors import guest_error
 from .interpreter import Interp, new_global_scope, run_on_deep_stack
 from .lexer import tokenize
 from .parser import parse_expression, parse_program
-from .stdlib import FakeClock, IoPorts, ResourceLoader
+from .stdlib import FakeClock, ResourceLoader, default_io
 from .values import stringify
 
 USAGE = """usage: njexl [options] run <file> [--] [args...]
@@ -93,12 +92,11 @@ def main(argv=None, stdin=None, stdout=None, stderr=None):
             return _usage(stderr)
         i += 1
 
-    io = IoPorts(
+    io = default_io(
         out=stdout,
         err=stderr,
         loader=ResourceLoader(url_map, http_enabled),
-        clock=FakeClock(seed_clock) if seed_clock is not None else _real_clock(),
-        env=dict(os.environ),
+        clock=FakeClock(seed_clock) if seed_clock is not None else None,
     )
 
     if mode == "run":
@@ -108,12 +106,6 @@ def main(argv=None, stdin=None, stdout=None, stderr=None):
     if mode == "ast":
         return _dump_ast(io, script_path)
     return repl(stdin, io)
-
-
-def _real_clock():
-    import time
-
-    return time.perf_counter_ns
 
 
 def _is_int(text):

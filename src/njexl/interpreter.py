@@ -208,18 +208,15 @@ class Scope:
 
 
 class BlockClosure:
-    """An anonymous block, its compiled body (compiled here if not given) and scope."""
+    """An anonymous block, its compiled body and the scope it was written in;
+    builtins run it through Interp.invoke_block."""
 
-    __slots__ = ("block", "body", "scope", "interp")
+    __slots__ = ("block", "body", "scope")
 
-    def __init__(self, block, scope, interp, body=None):
+    def __init__(self, block, scope, body):
         self.block = block
-        self.body = compile_body(block.body) if body is None else body
+        self.body = body
         self.scope = scope
-        self.interp = interp
-
-    def run(self, item, index, source, partial=_MISSING):
-        return self.interp.invoke_block(self, item, index, source, partial)
 
 
 class Interp:
@@ -602,9 +599,11 @@ def _compile_Binary(node):
             truthiness(lhs(interp, scope)) != truthiness(rhs(interp, scope))
         )
     if op in ("==", "eq"):
-        return lambda interp, scope: values_equal(lhs(interp, scope), rhs(interp, scope))
+        return lambda interp, scope: values_equal(lhs(interp, scope), rhs(interp, scope), line, col)
     if op == "!=":
-        return lambda interp, scope: not values_equal(lhs(interp, scope), rhs(interp, scope))
+        return lambda interp, scope: not values_equal(
+            lhs(interp, scope), rhs(interp, scope), line, col
+        )
     if op == "@":
         return lambda interp, scope: membership(lhs(interp, scope), rhs(interp, scope), line, col)
     if op not in _ORDER_TESTS:
@@ -681,7 +680,7 @@ def _call(node, callee, args, named, splat, block):
             if not isinstance(spread, list):
                 raise _error(node, "TypeError", f"__args__ must be a list, got {tag(spread)}")
             values = list(spread)
-        closure = None if block is None else BlockClosure(block, scope, interp, body)
+        closure = None if block is None else BlockClosure(block, scope, body)
         if isinstance(fn, NativeFunction):
             return fn.fn(interp, scope, values, keywords, closure, node)
         if isinstance(fn, Function):

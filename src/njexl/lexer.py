@@ -13,6 +13,10 @@ token, an unclosed `/*` and any other single character, and raise; so a
 match never fails, never backtracks into the trivia, and each one starts
 where the last one ended.
 
+Each operator, punctuation and keyword lexeme belongs to exactly one kind,
+as no identifier, literal or end-of-input lexeme spells one; so the parser
+matches fixed tokens by lexeme alone.
+
 Positions: a token's line is one more than the number of newlines before it
 and its column is its offset past the last of them, plus one.  Strings cannot
 hold a raw newline, so only trivia can, and the line count and line start
@@ -96,15 +100,6 @@ class Token:
     col: int
     trivia: str = ""
     value: object = field(default=None, repr=False)
-
-    def is_op(self, lexeme):
-        return self.kind == OP and self.lexeme == lexeme
-
-    def is_punct(self, lexeme):
-        return self.kind == PUNCT and self.lexeme == lexeme
-
-    def is_kw(self, word):
-        return self.kind == KEYWORD and self.lexeme == word
 
 
 def tokenize(source):

@@ -14,7 +14,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 
 from .errors import NjexlError
 from .values import (
@@ -38,6 +38,10 @@ from .values import (
 
 # ---------------------------------------------------------------------------
 # I/O ports
+
+# seconds an http(s) fetch waits for the server to connect or send more
+# before it fails as an IoError, so a silent server cannot hang read()/lines()
+FETCH_TIMEOUT_S = 30
 
 
 class ResourceLoader:
@@ -120,7 +124,7 @@ class ResourceLoader:
         import urllib.request
 
         try:
-            with urllib.request.urlopen(url) as resp:
+            with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
                 return resp.read().decode("utf-8", errors="replace")
         except Exception as exc:  # noqa: BLE001 - network failure surface
             raise NjexlError("IoError", f"cannot fetch {url}: {exc}") from None
@@ -373,7 +377,7 @@ def b_index(interp, scope, args, block, node, name):
     """First index where the block is truthy; -1 when there is none."""
     source = args[0]
     for i, item in enumerate(_iter_arg(node, name, source)):
-        status, value = block.run(item, i, source)
+        status, value = interp.invoke_block(block, item, i, source)
         if status == "stop":
             return -1
         if status == "value" and truthiness(value):
@@ -386,8 +390,9 @@ def b_index(interp, scope, args, block, node, name):
 def b_collect(interp, scope, args, block, node, name):
     """list(a, b, ...) collects values; list{ f }(c) maps a collection.  set
     does the same, and duplicates collapse by value equality."""
+    line, col = getattr(node, "line", None), getattr(node, "col", None)
     out = [] if name == "list" else XSet()
-    sink = out.append if name == "list" else out.add
+    sink = out.append if name == "list" else partial(out.add, line=line, col=col)
     if block is None:
         # one non-string collection argument converts element-wise, so that
         # set(tuple) deduplicates the tuple's members; anything else is
@@ -404,7 +409,7 @@ def b_collect(interp, scope, args, block, node, name):
         return out
     source = args[0]
     for i, item in enumerate(_iter_arg(node, name, source)):
-        status, value = block.run(item, i, source)
+        status, value = interp.invoke_block(block, item, i, source)
         if status == "stop":
             break
         if status == "skip":
@@ -413,9 +418,9 @@ def b_collect(interp, scope, args, block, node, name):
     return out
 
 
-def _less(node, block, a, b, source=None):
+def _less(interp, node, block, a, b, source=None):
     if block is not None:
-        status, value = block.run(Pair(a, b), 0, source)
+        status, value = interp.invoke_block(block, Pair(a, b), 0, source)
         if status != "value":
             _fail(node, "TypeError", "break/continue not allowed in a comparator block")
         return truthiness(value)
@@ -432,9 +437,9 @@ def b_minmax(interp, scope, args, block, node, name):
             lowest = highest = item
             seen = True
             continue
-        if _less(node, block, item, lowest, args[0]):
+        if _less(interp, node, block, item, lowest, args[0]):
             lowest = item
-        if _less(node, block, highest, item, args[0]):
+        if _less(interp, node, block, highest, item, args[0]):
             highest = item
     if not seen:
         _fail(node, "EmptyCollection", "minmax of an empty collection")
@@ -451,7 +456,7 @@ def b_fold(interp, scope, args, block, node, name):
         items.reverse()
     partial = args[1] if len(args) == 2 else None
     for i, item in enumerate(items):
-        status, value = block.run(item, i, args[0], partial)
+        status, value = interp.invoke_block(block, item, i, args[0], partial)
         if status == "stop":
             break
         if status == "skip":
@@ -473,7 +478,7 @@ def b_join(interp, scope, args, block, node, name):
         if block is None:
             out.append(row)
             continue
-        status, value = block.run(row, count, list(args), out)
+        status, value = interp.invoke_block(block, row, count, list(args), out)
         count += 1
         if status == "stop":
             break
@@ -488,14 +493,14 @@ def b_join(interp, scope, args, block, node, name):
 @_builtin("sortd", count=1)
 def b_sort(interp, scope, args, block, node, name):
     """New list in ascending (sorta) or descending (sortd) order; stable; the
-    input is left untouched."""
-
-    def cmp(a, b):
-        if _less(node, block, a, b, args[0]):
-            return -1
-        if _less(node, block, b, a, args[0]):
-            return 1
-        return 0
+    input is left untouched.  sorted() only asks whether a < b, so the
+    comparator answers that alone: -1 when a precedes b, else 0 or more."""
+    if block is None:
+        line, col = getattr(node, "line", None), getattr(node, "col", None)
+        cmp = partial(order_compare, line=line, col=col)
+    else:
+        def cmp(a, b):
+            return -1 if _less(interp, node, block, a, b, args[0]) else 0
 
     items = list(_iter_arg(node, name, args[0]))
     return sorted(items, key=cmp_to_key(cmp), reverse=name == "sortd")

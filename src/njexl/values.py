@@ -104,13 +104,13 @@ class XSet:
         for v in values:
             self.add(v)
 
-    def add(self, value):
-        k = canonical_key(value)
+    def add(self, value, line=None, col=None):
+        k = canonical_key(value, line, col)
         if k not in self._items:
             self._items[k] = value
 
-    def contains(self, value):
-        return canonical_key(value) in self._items
+    def contains(self, value, line=None, col=None):
+        return canonical_key(value, line, col) in self._items
 
     def __len__(self):
         return len(self._items)
@@ -139,9 +139,6 @@ class XMap:
             return map_key(key) in self._items
         except NjexlError:
             return False
-
-    def keys(self):
-        return (k for k, _ in self._items.values())
 
     def items(self):
         return iter(self._items.values())
@@ -296,8 +293,9 @@ def _exact_value(v):
     return Fraction(v)
 
 
-def canonical_key(v, _seen=None):
-    """Hashable, totally-comparable-within-tag key defining value equality."""
+def canonical_key(v, line=None, col=None, _seen=None):
+    """Hashable, totally-comparable-within-tag key defining value equality.
+    A cyclic value has none: it raises a TypeError at line and col."""
     if isinstance(v, str):
         return ("str", v)
     if isinstance(v, int):
@@ -327,19 +325,23 @@ def canonical_key(v, _seen=None):
             return ("range", ())
         return ("range", (v.start, v.step, v.length()))
     if isinstance(v, Pair):
-        return ("pair", (canonical_key(v.first, _seen), canonical_key(v.second, _seen)))
+        first = canonical_key(v.first, line, col, _seen)
+        return ("pair", (first, canonical_key(v.second, line, col, _seen)))
     if isinstance(v, (list, XSet, XMap)):
         if _seen is None:
             _seen = set()
         if id(v) in _seen:
-            raise NjexlError("TypeError", "cyclic value has no identity")
+            raise NjexlError("TypeError", "cyclic value has no identity", line, col)
         _seen.add(id(v))  # _seen holds v's ancestors only: a shared value is no cycle
         if isinstance(v, list):
-            key = ("list", tuple(sorted(canonical_key(e, _seen) for e in v)))
+            key = ("list", tuple(sorted(canonical_key(e, line, col, _seen) for e in v)))
         elif isinstance(v, XSet):
-            key = ("set", tuple(sorted(canonical_key(e, _seen) for e in v)))
+            key = ("set", tuple(sorted(canonical_key(e, line, col, _seen) for e in v)))
         else:
-            pairs = ((canonical_key(k, _seen), canonical_key(val, _seen)) for k, val in v.items())
+            pairs = (
+                (canonical_key(k, line, col, _seen), canonical_key(val, line, col, _seen))
+                for k, val in v.items()
+            )
             key = ("map", tuple(sorted(pairs)))
         _seen.discard(id(v))
         return key
@@ -360,16 +362,16 @@ def _keyable(k):
 
 def map_key(v, line=None, col=None):
     """Canonical key for map use; rejects mutable values as keys."""
-    k = canonical_key(v)
+    k = canonical_key(v, line, col)
     if _keyable(k):
         return k
     raise NjexlError("TypeError", f"{tag(v)} cannot be a map key", line, col)
 
 
-def values_equal(a, b):
+def values_equal(a, b, line=None, col=None):
     if type(a) is list and type(b) is list and len(a) != len(b):
         return False  # multisets of different sizes: no key needed
-    return canonical_key(a) == canonical_key(b)
+    return canonical_key(a, line, col) == canonical_key(b, line, col)
 
 
 def order_compare(a, b, line=None, col=None):
@@ -409,15 +411,15 @@ def truthiness(v):
     return True
 
 
-def _counts(values):
-    return Counter(canonical_key(e) for e in values)
+def _counts(values, line, col):
+    return Counter(canonical_key(e, line, col) for e in values)
 
 
 def sub_collection(a, b, line=None, col=None):
     """Containment: multiset on lists, subset on sets, submap on maps."""
     if isinstance(a, list) and isinstance(b, list):
-        need = _counts(a)
-        have = _counts(b)
+        need = _counts(a, line, col)
+        have = _counts(b, line, col)
         return all(have[k] >= n for k, n in need.items())
     if isinstance(a, XSet) and isinstance(b, XSet):
         return all(b.contains(e) for e in a)
@@ -440,10 +442,10 @@ def is_collection(v):
 def membership(x, c, line=None, col=None):
     """The @ operator: element of list/set, key of map, substring, range hit."""
     if isinstance(c, list):
-        kx = canonical_key(x)
-        return any(canonical_key(e) == kx for e in c)
+        kx = canonical_key(x, line, col)
+        return any(canonical_key(e, line, col) == kx for e in c)
     if isinstance(c, XSet):
-        return c.contains(x)
+        return c.contains(x, line, col)
     if isinstance(c, XMap):
         return c.has(x)
     if isinstance(c, str):
@@ -566,7 +568,7 @@ def arith(op, a, b, line=None, col=None):
             a.append(b)
             return a
         if isinstance(a, XSet):
-            a.add(b)
+            a.add(b, line, col)
             return a
         if isinstance(a, str) or isinstance(b, str):
             return stringify(a) + stringify(b)

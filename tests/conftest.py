@@ -29,6 +29,14 @@ def run_source(source, *, args=(), loader=None, clock=None, env=None, scope=None
     return value, out.getvalue(), scope
 
 
+def parse_source(source, module_aliases=()):
+    """Parse source text as a whole program."""
+    from njexl.lexer import tokenize
+    from njexl.parser import parse_program
+
+    return parse_program(tokenize(source), module_aliases)
+
+
 def run_cli(argv, stdin_text=""):
     """Invoke the CLI in-process; returns (exit_code, stdout, stderr)."""
     from njexl.cli import main

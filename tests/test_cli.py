@@ -4,6 +4,7 @@ import re
 import pytest
 
 from njexl import StructuredError, create_context, evaluate
+from njexl.cli import USAGE
 from njexl.stdlib import BUILTINS
 
 from conftest import Capture, corpus_path, fixture_path, run_cli
@@ -265,3 +266,24 @@ def test_repl_and_evaluate_agree_on_a_rebound_module_alias():
     code, out, err = run_cli([], "\n".join(entries) + "\n")
     assert (code, out) == (0, "")
     assert err == f"{result.kind}: {result.message} (line {result.line}, col {result.col})\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [(["--eval", "1 + 1"], 0, "2\n", ""), (["--bogus"], 2, "", USAGE)],
+)
+def test_console_entry_point_exits_with_mains_code(argv, code, out, err):
+    """`njexl` runs cli.console, which hands main's return to sys.exit."""
+    import os
+    import subprocess
+    import sys
+
+    import njexl
+
+    src = os.path.dirname(os.path.dirname(njexl.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "from njexl.cli import console; console()", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)

@@ -7,7 +7,7 @@ from njexl.interpreter import Interp, new_global_scope, run_on_deep_stack
 from njexl.stdlib import FakeClock, default_io
 from njexl.values import ErrorValue
 
-from conftest import Capture, run_source
+from conftest import Capture, parse_source, run_source
 
 
 def run(source, **kw):
@@ -351,18 +351,16 @@ def test_deterministic_given_fixed_ports():
 
 
 def test_invoke_block_with_explicit_context():
-    from njexl.interpreter import BlockClosure, Interp, new_global_scope
-    from njexl.parser import parse_source
-    from njexl.stdlib import default_io
+    from njexl.interpreter import BlockClosure, compile_body
 
     program = parse_source("probe{ _ > 0 and $$[_-1] > $ }(xs)")
     block_node = program.body[0].block
     interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
     scope = new_global_scope()
-    closure = BlockClosure(block_node, scope, interp)
-    status, value = closure.run(item=2, index=2, source=[1, 3, 2])
+    closure = BlockClosure(block_node, scope, compile_body(block_node.body))
+    status, value = interp.invoke_block(closure, item=2, index=2, source=[1, 3, 2])
     assert (status, value) == ("value", True)
-    status, value = closure.run(item=3, index=1, source=[1, 3, 2])
+    status, value = interp.invoke_block(closure, item=3, index=1, source=[1, 3, 2])
     assert (status, value) == ("value", False)
 
 

@@ -227,3 +227,31 @@ def test_keyword_closure_property(word):
         assert tok.kind == KEYWORD
     else:
         assert tok.kind == IDENT
+
+
+_FIXED = {
+    **{word: KEYWORD for word in KEYWORDS},
+    **{op: OP for op in "#clock == != <= >= += #( #| = < > + - * / % @ ? : ! |".split()},
+    **{p: PUNCT for p in "()[]{},;."},
+}
+
+
+def test_each_fixed_lexeme_belongs_to_one_kind():
+    """The parser matches operators, punctuation and keywords by lexeme alone."""
+    from njexl.parser import _BINARY_PREC
+    from test_fuzz import structured_programs, token_soups
+
+    for lexeme, kind in _FIXED.items():
+        assert kinds_and_lexemes(lexeme) == [(kind, lexeme), (EOF, "")]
+    assert set(_BINARY_PREC) <= set(_FIXED)
+    near = ["#clocks", "ifs", "_if", "$and", "not1", "'('", '":"', "1.5", "1e3", "a.b", "//:\n"]
+    sources = [p.read_text() for p in sorted(CORPUS.glob("*.njxl"))]
+    sources += near + list(structured_programs()) + list(token_soups())
+    for source in sources:
+        try:
+            tokens = tokenize(source)
+        except NjexlError:
+            continue
+        for tok in tokens:
+            assert _FIXED.get(tok.lexeme, tok.kind) == tok.kind, (source, tok)
+            assert tok.kind not in (KEYWORD, OP, PUNCT) or tok.lexeme in _FIXED, (source, tok)

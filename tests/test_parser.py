@@ -6,9 +6,9 @@ from njexl import ast
 from njexl.ast import dump
 from njexl.errors import NjexlError
 from njexl.lexer import tokenize
-from njexl.parser import parse_expression, parse_source
+from njexl.parser import parse_expression
 
-from conftest import CORPUS
+from conftest import CORPUS, parse_source
 
 
 def expr(source, aliases=()):

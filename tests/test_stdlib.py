@@ -213,6 +213,39 @@ def test_sorted_permutation_property():
         assert run(f"sortd({xs!r}) == {xs!r}") is True  # and a permutation
 
 
+class _CountedLess:
+    """An int whose < counts how often sorted() asks it."""
+
+    calls = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __lt__(self, other):
+        _CountedLess.calls += 1
+        return self.value < other.value
+
+
+@pytest.mark.parametrize("name", ["sorta", "sortd"])
+def test_a_block_sort_asks_its_comparator_once_per_comparison(name):
+    rng = random.Random(8)
+    for n in (0, 1, 2, 3, 10, 100, 300):
+        xs = [rng.randrange(40) for _ in range(n)]
+        _CountedLess.calls = 0
+        sorted(map(_CountedLess, xs), reverse=name == "sortd")
+        asked, _, scope = run_source(f"k = 0\nys = {name}{{ k += 1; $.0 < $.1 }}({xs!r})\nk")
+        assert asked == _CountedLess.calls
+        assert scope.bindings["ys"] == sorted(xs, reverse=name == "sortd")
+
+
+def test_block_sorts_are_stable_both_ways():
+    rng = random.Random(9)
+    pairs = [[rng.randrange(20), i] for i in range(3000)]
+    for name, descending in (("sorta", False), ("sortd", True)):
+        got = run(f"{name}{{ $.0[0] < $.1[0] }}(__args__[0])", args=[pairs])
+        assert got == sorted(pairs, key=lambda p: p[0], reverse=descending)
+
+
 def test_sort_incomparable_elements():
     with pytest.raises(NjexlError) as err:
         run("sorta([1, 'a'])")
@@ -324,6 +357,33 @@ def test_http_disabled_by_default():
     with pytest.raises(NjexlError) as err:
         run("read('http://example.com/x')")
     assert err.value.kind == "IoError"
+
+
+@pytest.mark.parametrize("builtin", ["read", "lines"])
+def test_a_fetch_from_a_silent_server_times_out(monkeypatch, builtin):
+    import socket
+    import time
+    import warnings
+
+    from njexl import stdlib
+
+    monkeypatch.setattr(stdlib, "FETCH_TIMEOUT_S", 0.3)
+    monkeypatch.setenv("no_proxy", "*")  # straight to the local listener
+    loader = stdlib.ResourceLoader(http_enabled=True)
+    with socket.socket() as server:
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)  # the connection completes, but nothing ever answers
+        url = f"http://127.0.0.1:{server.getsockname()[1]}/x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            start = time.monotonic()
+            with pytest.raises(NjexlError) as err:
+                run(f"{builtin}({url!r})", loader=loader)
+            elapsed = time.monotonic() - start
+            gc.collect()
+    assert err.value.kind == "IoError" and "timed out" in err.value.message
+    assert elapsed < 5
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_eval_examples():

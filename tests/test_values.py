@@ -567,6 +567,27 @@ def test_canonical_key_rejects_cycles():
         canonical_key(xs)
 
 
+@pytest.mark.parametrize(
+    "case, col",
+    [
+        ("t = l == l", 5),
+        ("t = l != l", 5),
+        ("t = 1 + (l @ [l])", 10),
+        ("ok = [l] <= [l]", 6),
+        ("xs = set(l)", 6),
+        ("m = {}; m[l] = 1", 9),
+        ("s = set(1) + l", 5),
+        ("t = 3 @ [1, l]", 5),
+        ("t = l @ set(1)", 5),
+    ],
+)
+def test_a_cyclic_value_fails_at_the_operation_that_keys_it(case, col):
+    with pytest.raises(NjexlError) as err:
+        run_source("l = [1, 2]; l[0] = l\n" + case)
+    got = (err.value.kind, err.value.message, err.value.line, err.value.col)
+    assert got == ("TypeError", "cyclic value has no identity", 2, col)
+
+
 def test_stringify_marks_cycles_instead_of_recursing():
     xs = [1]
     xs.append(xs)
