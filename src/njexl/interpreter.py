@@ -33,6 +33,8 @@ from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal, guest
 from .parser import parse_program
 from .lexer import tokenize
 from .values import (
+    INT_MAX,
+    INT_MIN,
     ErrorValue,
     Function,
     Module,
@@ -47,6 +49,7 @@ from .values import (
     is_collection,
     is_int_tier,
     membership,
+    native_kind,
     negate,
     order_compare,
     project,
@@ -418,13 +421,26 @@ def _compile_Assign(node):
 
         def assign(interp, scope):
             result = value(interp, scope)
-            if add:
-                frame = scope.frame_of(name, target.line, target.col)
-                result = arith("+", frame.bindings[name], result, line, col)
-                # a builtin's name is read from the builtins frame but bound here
-                (scope if frame.parent is None else frame).bindings[name] = result
-            else:
+            if not add:
                 scope.assign(name, result)
+                return result
+            bindings = scope.bindings
+            if name in bindings:
+                old = bindings[name]
+            else:
+                frame = scope.frame_of(name, target.line, target.col)
+                old = frame.bindings[name]
+                # a builtin's name is read from the builtins frame but bound here
+                bindings = (scope if frame.parent is None else frame).bindings
+            kind = type(old)  # the exact-type lane of compiled + (see _compile_Binary)
+            if kind is type(result) and (kind is str or (
+                kind is int and INT_MIN <= old <= INT_MAX and INT_MIN <= result <= INT_MAX
+                and INT_MIN <= old + result <= INT_MAX
+            )):
+                result = old + result
+            else:
+                result = arith("+", old, result, line, col)
+            bindings[name] = result
             return result
 
         return assign
@@ -579,13 +595,18 @@ def _compile_Return(node):
     return return_
 
 
-_ORDER_TESTS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_ORDER_TESTS.update(lt=operator.lt, le=operator.le, gt=operator.gt, ge=operator.ge)
+# exact-type lanes: on same-type plain int or str operands a compiled operator
+# answers itself, with the value function's answer; every other input falls
+# through to that function.  bool and BigInt are int subclasses, never plain int.
+_TESTS = {"==": operator.eq, "eq": operator.eq, "!=": operator.ne}
+_TESTS.update({"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge})
+_TESTS.update(lt=operator.lt, le=operator.le, gt=operator.gt, ge=operator.ge)
+_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_INT_OPS.update({"/": operator.floordiv, "%": operator.mod})
 
 
 def _compile_Binary(node):
     op, lhs, rhs = node.op, _compile(node.left), _compile(node.right)
-    line, col = node.line, node.col
     if op == "and":
         return lambda interp, scope: (
             truthiness(lhs(interp, scope)) and truthiness(rhs(interp, scope))
@@ -598,28 +619,58 @@ def _compile_Binary(node):
         return lambda interp, scope: (
             truthiness(lhs(interp, scope)) != truthiness(rhs(interp, scope))
         )
-    if op in ("==", "eq"):
-        return lambda interp, scope: values_equal(lhs(interp, scope), rhs(interp, scope), line, col)
-    if op == "!=":
-        return lambda interp, scope: not values_equal(
-            lhs(interp, scope), rhs(interp, scope), line, col
-        )
+    const = None
+    if isinstance(node.right, ast.Literal):  # read as the constant it is: rhs is None then
+        const, rhs = node.right.value, None
     if op == "@":
-        return lambda interp, scope: membership(lhs(interp, scope), rhs(interp, scope), line, col)
-    if op not in _ORDER_TESTS:
-        return lambda interp, scope: arith(op, lhs(interp, scope), rhs(interp, scope), line, col)
-    test, containment = _ORDER_TESTS[op], op in ("<=", "le")
+
+        def member(interp, scope):
+            x, c = lhs(interp, scope), const if rhs is None else rhs(interp, scope)
+            kind = type(x)
+            if type(c) is list and (kind is int or kind is str) and native_kind(c) is kind:
+                return x in c
+            return membership(x, c, node.line, node.col)
+
+        return member
+    if op in _INT_OPS:
+        # low <= a and low < b: / and % need a >= 0 < b, where floor division truncates
+        fast, concat, low = _INT_OPS[op], op == "+", 0 if op in "/%" else INT_MIN
+
+        def arith_(interp, scope):
+            a, b = lhs(interp, scope), const if rhs is None else rhs(interp, scope)
+            if type(a) is int and type(b) is int:
+                if low <= a <= INT_MAX and low < b <= INT_MAX:
+                    result = fast(a, b)
+                    if INT_MIN <= result <= INT_MAX:
+                        return result
+            elif concat and type(a) is str and type(b) is str:
+                return a + b
+            return arith(op, a, b, node.line, node.col)
+
+        return arith_
+    test, negated = _TESTS[op], op == "!="
+    if op in ("==", "eq", "!="):
+
+        def equal(interp, scope):
+            a, b = lhs(interp, scope), const if rhs is None else rhs(interp, scope)
+            kind = type(a)
+            if kind is type(b) and (kind is int or kind is str):
+                return test(a, b)
+            return values_equal(a, b, node.line, node.col) is not negated  # != is == negated
+
+        return equal
+    containment = op in ("<=", "le")
 
     def order(interp, scope):
-        a, b = lhs(interp, scope), rhs(interp, scope)
-        kind = type(a)  # same-type int or str operands are never collections
-        if (kind is not type(b) or (kind is not int and kind is not str)) and (
-            is_collection(a) or is_collection(b)
-        ):
+        a, b = lhs(interp, scope), const if rhs is None else rhs(interp, scope)
+        kind = type(a)
+        if kind is type(b) and (kind is int or kind is str):
+            return test(a, b)
+        if is_collection(a) or is_collection(b):
             if containment and is_collection(a) and is_collection(b):
-                return sub_collection(a, b, line, col)
+                return sub_collection(a, b, node.line, node.col)
             raise _error(node, "TypeError", f"cannot order {tag(a)} and {tag(b)} with {op}")
-        return test(order_compare(a, b, line, col), 0)
+        return test(order_compare(a, b, node.line, node.col), 0)
 
     return order
 
@@ -695,8 +746,17 @@ def _call(node, callee, args, named, splat, block):
 
 
 def _compile_Index(node):
-    obj, index = _compile(node.obj), _compile(node.index)
-    return lambda interp, scope: _index_get(obj(interp, scope), index(interp, scope), node)
+    obj, index, const = _compile(node.obj), _compile(node.index), None
+    if isinstance(node.index, ast.Literal):  # read as the constant it is: index is None then
+        const, index = node.index.value, None
+
+    def index_(interp, scope):
+        v, i = obj(interp, scope), const if index is None else index(interp, scope)
+        if type(v) is list and type(i) is int and 0 <= i < len(v):  # exact-type lane
+            return v[i]
+        return _index_get(v, i, node)
+
+    return index_
 
 
 def _compile_Member(node):

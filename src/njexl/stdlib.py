@@ -29,6 +29,7 @@ from .values import (
     float_to_decimal,
     int_result,
     is_numeric,
+    native_kind,
     order_compare,
     stringify,
     tag,
@@ -39,8 +40,8 @@ from .values import (
 # ---------------------------------------------------------------------------
 # I/O ports
 
-# seconds an http(s) fetch waits for the server to connect or send more
-# before it fails as an IoError, so a silent server cannot hang read()/lines()
+# seconds an http(s) fetch may take, and wait for the server to connect or
+# send more, before it fails as an IoError: no server can hang read()/lines()
 FETCH_TIMEOUT_S = 30
 
 
@@ -123,9 +124,15 @@ class ResourceLoader:
     def _fetch(self, url):
         import urllib.request
 
+        deadline, chunks = time.monotonic() + FETCH_TIMEOUT_S, []
         try:
             with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
-                return resp.read().decode("utf-8", errors="replace")
+                # read1 returns what has arrived; read(n) would wait for all n bytes
+                while chunk := resp.read1(65536):
+                    if time.monotonic() > deadline:
+                        raise TimeoutError("timed out")
+                    chunks.append(chunk)
+            return b"".join(chunks).decode("utf-8", errors="replace")
         except Exception as exc:  # noqa: BLE001 - network failure surface
             raise NjexlError("IoError", f"cannot fetch {url}: {exc}") from None
 
@@ -430,6 +437,8 @@ def _less(interp, node, block, a, b, source=None):
 @_builtin("minmax", count=1)
 def b_minmax(interp, scope, args, block, node, name):
     """One-pass (min, max) pair; first-encountered value wins ties."""
+    if block is None and type(args[0]) is list and native_kind(args[0]):
+        return Pair(min(args[0]), max(args[0]))  # both keep the first of equals
     lowest = highest = None
     seen = False
     for item in _iter_arg(node, name, args[0]):
@@ -495,15 +504,15 @@ def b_sort(interp, scope, args, block, node, name):
     """New list in ascending (sorta) or descending (sortd) order; stable; the
     input is left untouched.  sorted() only asks whether a < b, so the
     comparator answers that alone: -1 when a precedes b, else 0 or more."""
-    if block is None:
-        line, col = getattr(node, "line", None), getattr(node, "col", None)
-        cmp = partial(order_compare, line=line, col=col)
-    else:
-        def cmp(a, b):
-            return -1 if _less(interp, node, block, a, b, args[0]) else 0
-
     items = list(_iter_arg(node, name, args[0]))
-    return sorted(items, key=cmp_to_key(cmp), reverse=name == "sortd")
+    if block is not None:
+        key = cmp_to_key(lambda a, b: -1 if _less(interp, node, block, a, b, args[0]) else 0)
+    elif native_kind(items):
+        key = None  # plain ints or plain strs: Python's own order is the guest's
+    else:
+        line, col = getattr(node, "line", None), getattr(node, "col", None)
+        key = cmp_to_key(partial(order_compare, line=line, col=col))
+    return sorted(items, key=key, reverse=name == "sortd")
 
 
 # ---------------------------------------------------------------------------

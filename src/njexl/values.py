@@ -368,9 +368,20 @@ def map_key(v, line=None, col=None):
     raise NjexlError("TypeError", f"{tag(v)} cannot be a map key", line, col)
 
 
+def native_kind(items):
+    """int when every element of list items is a plain int, str when every one
+    is a plain str, else None: such lists compare by Python's own == and <."""
+    kinds = set(map(type, items))
+    return kinds.pop() if kinds == {int} or kinds == {str} else None
+
+
 def values_equal(a, b, line=None, col=None):
-    if type(a) is list and type(b) is list and len(a) != len(b):
-        return False  # multisets of different sizes: no key needed
+    if type(a) is list and type(b) is list:
+        if len(a) != len(b):
+            return False  # multisets of different sizes: no key needed
+        kind = native_kind(a)
+        if kind is not None and native_kind(b) is kind:
+            return sorted(a) == sorted(b)
     return canonical_key(a, line, col) == canonical_key(b, line, col)
 
 
@@ -418,8 +429,11 @@ def _counts(values, line, col):
 def sub_collection(a, b, line=None, col=None):
     """Containment: multiset on lists, subset on sets, submap on maps."""
     if isinstance(a, list) and isinstance(b, list):
-        need = _counts(a, line, col)
-        have = _counts(b, line, col)
+        kind = native_kind(a)
+        if kind is not None and native_kind(b) is kind:
+            need, have = Counter(a), Counter(b)
+        else:
+            need, have = _counts(a, line, col), _counts(b, line, col)
         return all(have[k] >= n for k, n in need.items())
     if isinstance(a, XSet) and isinstance(b, XSet):
         return all(b.contains(e) for e in a)
@@ -476,8 +490,6 @@ def cardinality(v, line=None, col=None):
 
 def project(v, i, line=None, col=None):
     """Positional component access for pairs, lists, and strings."""
-    if type(v) is list and type(i) is int and 0 <= i < len(v):
-        return v[i]
     if not is_int_tier(i):
         raise NjexlError("TypeError", f"index must be an integer, got {tag(i)}", line, col)
     if isinstance(v, Pair):
@@ -557,12 +569,6 @@ def _trunc_div(a, b):
 
 def arith(op, a, b, line=None, col=None):
     """Evaluate a numeric or collection-extending binary +,-,*,/,%."""
-    if type(a) is int and type(b) is int and INT_MIN <= a <= INT_MAX and INT_MIN <= b <= INT_MAX:
-        r = a + b if op == "+" else a - b if op == "-" else a * b if op == "*" else None
-        if r is not None and INT_MIN <= r <= INT_MAX:
-            return r
-    elif type(a) is str and op == "+":
-        return a + stringify(b)
     if op == "+":
         if isinstance(a, list):
             a.append(b)

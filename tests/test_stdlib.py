@@ -386,6 +386,54 @@ def test_a_fetch_from_a_silent_server_times_out(monkeypatch, builtin):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+@pytest.mark.parametrize("builtin", ["read", "lines"])
+def test_a_fetch_from_a_trickling_server_times_out(monkeypatch, builtin):
+    """A server that answers at once and then sends one byte every 0.1 s
+    never lets a single socket wait time out; the fetch's deadline ends it."""
+    import socket
+    import threading
+    import time
+    import warnings
+
+    from njexl import stdlib
+
+    def trickle(server, stop):
+        conn, _ = server.accept()
+        with conn:
+            conn.recv(65536)
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n")
+            while not stop.wait(0.1):
+                try:
+                    conn.sendall(b"x")
+                except OSError:  # the client gave up and closed
+                    return
+
+    monkeypatch.setattr(stdlib, "FETCH_TIMEOUT_S", 0.3)
+    monkeypatch.setenv("no_proxy", "*")  # straight to the local server
+    loader = stdlib.ResourceLoader(http_enabled=True)
+    stop = threading.Event()
+    with socket.socket() as server:
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+        url = f"http://127.0.0.1:{server.getsockname()[1]}/x"
+        sender = threading.Thread(target=trickle, args=(server, stop))
+        sender.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                start = time.monotonic()
+                with pytest.raises(NjexlError) as err:
+                    run(f"{builtin}({url!r})", loader=loader)
+                elapsed = time.monotonic() - start
+                gc.collect()
+        finally:
+            stop.set()
+            sender.join()
+    assert err.value.kind == "IoError" and "timed out" in err.value.message
+    assert elapsed < 2
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_eval_examples():
     assert run("eval('1+1')") == 2
     assert run("x = 5\neval('x+1')") == 6

@@ -113,6 +113,20 @@ def test_list_and_set_append():
     assert sorted(s) == [1, 2]
 
 
+def test_plus_on_a_list_or_set_grows_it_in_place():
+    """`+` appends to the left list or adds to the left set and returns that
+    same collection: no copy, in compiled code as in arith."""
+    value, _, scope = run_source("a = [1]\nb = a + 2\nb")
+    assert value == [1, 2] and scope.bindings["a"] is scope.bindings["b"] is value
+    value, _, scope = run_source("s = set(1)\nt = s + 2\nt")
+    assert sorted(value) == [1, 2] and scope.bindings["s"] is value
+    with pytest.raises(NjexlError) as err:
+        run_source("x = 2 + [1]")
+    assert (err.value.kind, err.value.message, err.value.line, err.value.col) == (
+        "TypeError", "cannot apply + to int and list", 1, 5
+    )
+
+
 def test_type_error_for_non_numeric():
     with pytest.raises(NjexlError) as err:
         arith("-", "a", 1)
