@@ -13,7 +13,6 @@ import itertools
 import re
 import time
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
 from functools import cmp_to_key, partial
 
 from .errors import NjexlError
@@ -24,9 +23,9 @@ from .values import (
     NativeFunction,
     Pair,
     XSet,
+    as_decimal,
     cardinality,
     enumerate_value,
-    float_to_decimal,
     int_result,
     is_numeric,
     native_kind,
@@ -228,62 +227,35 @@ def _parse_with(pattern, text):
     return text
 
 
-def _to_int(value):
-    if isinstance(value, str):
-        return int(_parse_with(_INT_RE, value))
-    if isinstance(value, bool) or not is_numeric(value):
-        raise ValueError(value)
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ValueError(value)
-        return int(value)
-    return int(value)
-
-
-def _convert(node, name, args, converter):
-    try:
-        return converter(args[0])
-    except (ValueError, ArithmeticError, InvalidOperation):
-        if len(args) == 2:
-            return args[1]
-        _fail(node, "NumberFormatError", f"cannot read {stringify(args[0])!r} as {name}")
+# each conversion's text pattern, and its converter of that text or a number
+_CONVERSIONS = {
+    "int": (_INT_RE, lambda v: int_result(int(v))),
+    "INT": (_INT_RE, BigInt),
+    "float": (_FLOAT_RE, float),
+    "DEC": (_FLOAT_RE, as_decimal),
+}
 
 
 @_builtin("int", count=(1, 2))
 @_builtin("INT", count=(1, 2))
-def b_int(interp, scope, args, block, node, name):
-    """Parse decimal integer text or truncate a number toward zero; INT's
-    result always carries the arbitrary-precision tag."""
-    tagged = BigInt if name == "INT" else int_result
-    return _convert(node, name, args, lambda v: tagged(_to_int(v)))
-
-
 @_builtin("float", count=(1, 2))
-def b_float(interp, scope, args, block, node, name):
-    def conv(v):
-        if isinstance(v, str):
-            return float(_parse_with(_FLOAT_RE, v))
-        if isinstance(v, bool) or not is_numeric(v):
-            raise ValueError(v)
-        return float(v)
-
-    return _convert(node, name, args, conv)
-
-
 @_builtin("DEC", count=(1, 2))
-def b_dec(interp, scope, args, block, node, name):
-    def conv(v):
-        if isinstance(v, str):
-            return Decimal(_parse_with(_FLOAT_RE, v))
-        if isinstance(v, bool) or not is_numeric(v):
-            raise ValueError(v)
-        if isinstance(v, float):
-            return float_to_decimal(v)
-        if isinstance(v, Decimal):
-            return v
-        return Decimal(int(v))
-
-    return _convert(node, name, args, conv)
+def b_number(interp, scope, args, block, node, name):
+    """Read decimal text or convert a number, or give the fallback argument
+    if it cannot: int and INT truncate toward zero, INT's result always
+    carries the arbitrary-precision tag, and DEC reads a float's shortest form."""
+    pattern, convert = _CONVERSIONS[name]
+    value = args[0]
+    try:
+        if isinstance(value, str):
+            return convert(_parse_with(pattern, value))
+        if is_numeric(value):
+            return convert(value)
+    except (ValueError, ArithmeticError):
+        pass
+    if len(args) == 2:
+        return args[1]
+    _fail(node, "NumberFormatError", f"cannot read {stringify(value)!r} as {name}")
 
 
 _DATE_FIELDS = [("yyyy", "%Y"), ("MM", "%m"), ("dd", "%d"), ("HH", "%H"), ("mm", "%M"), ("ss", "%S")]

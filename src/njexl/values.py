@@ -15,8 +15,9 @@ containment can never disagree with each other.
 
 import datetime
 import math
+import operator
 from collections import Counter
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 from .errors import NjexlError
@@ -61,11 +62,7 @@ class Range:
         return iter(range(self.start, self.end, self.step))
 
     def hits(self, x):
-        if self.step > 0:
-            inside = self.start <= x < self.end
-        else:
-            inside = self.end < x <= self.start
-        return inside and (x - self.start) % self.step == 0
+        return x in range(self.start, self.end, self.step)
 
 
 class Pair:
@@ -475,11 +472,7 @@ def membership(x, c, line=None, col=None):
 
 
 def cardinality(v, line=None, col=None):
-    if isinstance(v, str):
-        return len(v)
-    if isinstance(v, list):
-        return len(v)
-    if isinstance(v, (XSet, XMap)):
+    if isinstance(v, (str, list, XSet, XMap)):
         return len(v)
     if isinstance(v, Range):
         return v.length()
@@ -511,20 +504,10 @@ def project(v, i, line=None, col=None):
 
 def enumerate_value(v, line=None, col=None):
     """Iteration order used by for-loops and the higher-order builtins."""
-    if isinstance(v, list):
-        return iter(v)
-    if isinstance(v, XSet):
+    if isinstance(v, (list, XSet, Range, str, Pair, LazySeq)):
         return iter(v)
     if isinstance(v, XMap):
         return (Pair(k, val) for k, val in v.items())
-    if isinstance(v, Range):
-        return iter(v)
-    if isinstance(v, str):
-        return iter(v)
-    if isinstance(v, Pair):
-        return iter(v)
-    if isinstance(v, LazySeq):
-        return iter(v)
     raise NjexlError("TypeError", f"{tag(v)} is not iterable", line, col)
 
 
@@ -532,39 +515,34 @@ def enumerate_value(v, line=None, col=None):
 # arithmetic
 
 
-def _dec_digits(d):
-    return len(d.as_tuple().digits)
+# Decimal contexts, built once and without traps: an infinite or NaN operand
+# gives the IEEE result instead of raising.  Their flags are written and never
+# read, so every thread may share them.  + - * % are exact at any exponent;
+# / keeps DEC_DIV_PRECISION digits in the default exponent range.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
+_DIVIDE = Context(prec=DEC_DIV_PRECISION, traps=[])
+_DEC_OPS = {"+": _EXACT.add, "-": _EXACT.subtract, "*": _EXACT.multiply}
+_DEC_OPS.update({"/": _DIVIDE.divide, "%": _EXACT.remainder})
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _dec_exact(op, a, b):
-    """+,-,* on decimals with enough precision to stay exact."""
-    if op == "*":
-        prec = _dec_digits(a) + _dec_digits(b) + 2
-    else:
-        ta, tb = a.as_tuple(), b.as_tuple()
-        hi = max(len(ta.digits) + ta.exponent, len(tb.digits) + tb.exponent)
-        lo = min(ta.exponent, tb.exponent)
-        prec = hi - lo + 2
-    with localcontext() as cx:
-        cx.prec = max(prec, 28)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        return a * b
-
-
-def _as_decimal(v):
+def as_decimal(v):
+    """A DEC of a number (a float through its shortest form), or of decimal text."""
     if isinstance(v, Decimal):
         return v
     if isinstance(v, float):
         return float_to_decimal(v)
-    return Decimal(int(v))
+    return Decimal(v)
 
 
 def _trunc_div(a, b):
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
+
+
+def _by_zero(kind, op, line, col):
+    what = "division" if op == "/" else "remainder"
+    return NjexlError("DivideByZero", f"{kind} {what} by zero", line, col)
 
 
 def arith(op, a, b, line=None, col=None):
@@ -584,66 +562,33 @@ def arith(op, a, b, line=None, col=None):
         )
 
     if isinstance(a, Decimal) or isinstance(b, Decimal):
-        return _arith_dec(op, _as_decimal(a), _as_decimal(b), line, col)
+        a, b = as_decimal(a), as_decimal(b)
+        if op in "/%" and b.is_zero():
+            raise _by_zero("decimal", op, line, col)
+        return _DEC_OPS[op](a, b)
     if isinstance(a, float) or isinstance(b, float):
-        return _arith_float(op, float(a), float(b))
-    big = is_big(a) or is_big(b)
-    return _arith_int(op, a, b, big, line, col)
-
-
-def _arith_int(op, a, b, big, line, col):
-    if op == "+":
-        r = a + b
-    elif op == "-":
-        r = a - b
-    elif op == "*":
-        r = a * b
-    elif op == "/":
-        if b == 0:
-            raise NjexlError("DivideByZero", "integer division by zero", line, col)
-        if big and a % b != 0:
-            return _arith_dec("/", Decimal(a), Decimal(b), line, col)
-        r = _trunc_div(a, b)
-    else:
-        if b == 0:
-            raise NjexlError("DivideByZero", "integer remainder by zero", line, col)
-        r = a - _trunc_div(a, b) * b
-    return BigInt(r) if big else int_result(r)
-
-
-def _arith_float(op, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0.0:
-            if a == 0.0 or math.isnan(a):
-                return math.nan
-            return math.copysign(math.inf, a) * math.copysign(1.0, b)
-        return a / b
-    if b == 0.0:
-        return math.nan
-    return math.fmod(a, b)
-
-
-def _arith_dec(op, a, b, line, col):
-    if op in "+-*":
-        return _dec_exact(op, a, b)
-    if b.is_zero():
-        raise NjexlError(
-            "DivideByZero",
-            "decimal division by zero" if op == "/" else "decimal remainder by zero",
-            line,
-            col,
-        )
-    with localcontext() as cx:
-        cx.prec = DEC_DIV_PRECISION
-        if op == "/":
+        a, b = float(a), float(b)
+        if op in _OPS:
+            return _OPS[op](a, b)
+        if op == "%":  # IEEE: NaN for a zero divisor or an infinite dividend
+            return math.nan if b == 0.0 or math.isinf(a) else math.fmod(a, b)
+        if b != 0.0:
             return a / b
-        return a % b
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    big = is_big(a) or is_big(b)
+    if op in _OPS:
+        r = _OPS[op](a, b)
+    elif b == 0:
+        raise _by_zero("integer", op, line, col)
+    elif op == "%":
+        r = a - _trunc_div(a, b) * b
+    elif big and a % b != 0:
+        return _DIVIDE.divide(Decimal(a), Decimal(b))
+    else:
+        r = _trunc_div(a, b)
+    return BigInt(r) if big else int_result(r)
 
 
 def negate(v, line=None, col=None):

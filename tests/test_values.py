@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from njexl import create_context, evaluate
 from njexl.errors import NjexlError
 from njexl.values import (
     BigInt,
@@ -142,6 +143,30 @@ def test_decimal_exact_addition_keeps_digits():
 def test_mixed_float_decimal_uses_shortest_repr_bridge():
     out = arith("+", 0.1, Decimal("0.2"))
     assert out == Decimal("0.3")
+
+
+# each raised a host exception (InternalError) before the tower used IEEE contexts
+@pytest.mark.parametrize(
+    "source, kind, text",
+    [
+        ("(1.0/0) % 1", float, "nan"),
+        ("DEC(1.0/0) % 1", Decimal, "NaN"),
+        ("0 + DEC(1.0/0)", Decimal, "Infinity"),
+        ("DEC('1') + 1.0/0", Decimal, "Infinity"),
+        ("DEC(1.0/0) - DEC(1.0/0)", Decimal, "NaN"),
+        ("DEC('1e100') % 3", Decimal, "1"),
+        ("DEC('1e999999') * 10", Decimal, "1.0E+1000000"),
+    ],
+)
+def test_non_finite_and_huge_operands_give_ieee_values(source, kind, text):
+    value = evaluate(create_context(), source)
+    assert type(value) is kind, value
+    assert str(value) == text
+
+
+def test_decimal_remainder_is_exact_past_the_division_precision():
+    dividend = Decimal("1." + "0" * 70 + "1")
+    assert arith("%", dividend, Decimal(10)) == dividend
 
 
 # the independent oracle: plain host arithmetic per tier, exact via Fraction;
@@ -468,6 +493,21 @@ def test_membership_scan_oracle():
         c = [rng.randrange(6) for _ in range(rng.randrange(8))]
         x = rng.randrange(8)
         assert membership(x, c) == any(values_equal(x, e) for e in c)
+
+
+def test_range_hits_match_the_progression_formula():
+    def formula(r, x):
+        inside = r.start <= x < r.end if r.step > 0 else r.end < x <= r.start
+        return inside and (x - r.start) % r.step == 0
+
+    for start in range(-7, 8):
+        for end in range(-7, 8):
+            for step in (1, 2, 3, -1, -2, -3):
+                r = Range(start, end, step)
+                assert all(r.hits(x) == formula(r, x) for x in range(-10, 11))
+    wide = Range(-(2**70), 2**70, 3)
+    for x in (-(2**70), -(2**70) + 1, -(2**70) + 3, 2**70 - 1, 2**70, 0, 1, 2):
+        assert wide.hits(x) == formula(wide, x)
 
 
 def test_membership_non_container():
