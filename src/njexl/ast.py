@@ -3,122 +3,126 @@
 from dataclasses import dataclass, field
 from decimal import Decimal
 
+# nodes compare and hash by identity, with object's repr: generating __eq__
+# and __repr__ for every class was about half of this module's import time
+_node = dataclass(eq=False, repr=False)
 
-@dataclass
+
+@_node
 class Node:
     line: int
     col: int
 
 
-@dataclass
+@_node
 class Program(Node):
     body: list
 
 
-@dataclass
+@_node
 class VarDecl(Node):
     name: str
     value: object  # Node or None
 
 
-@dataclass
+@_node
 class Assign(Node):
     target: Node
     op: str  # '=' or '+='
     value: Node
 
 
-@dataclass
+@_node
 class MultiAssign(Node):
     targets: list  # of str
     capture: object  # str or None; always the last target when present
     value: Node
 
 
-@dataclass
+@_node
 class Import(Node):
     path: str
     alias: str
 
 
-@dataclass
+@_node
 class FuncDef(Node):
     name: object  # str or None for anonymous function expressions
     params: list
     body: list
 
 
-@dataclass
+@_node
 class AnonBlock(Node):
     body: list
 
 
-@dataclass
+@_node
 class If(Node):
     cond: Node
     then_body: list
     else_body: object  # list or None
 
 
-@dataclass
+@_node
 class For(Node):
     var: str
     iterable: Node
     body: list
 
 
-@dataclass
+@_node
 class While(Node):
     cond: Node
     body: list
 
 
-@dataclass
+@_node
 class Break(Node):
     cond: object  # Node or None
 
 
-@dataclass
+@_node
 class Continue(Node):
     cond: object
 
 
-@dataclass
+@_node
 class Return(Node):
     value: object
 
 
-@dataclass
+@_node
 class Ternary(Node):
     cond: Node
     then: Node
     orelse: Node
 
 
-@dataclass
+@_node
 class Binary(Node):
     op: str
     left: Node
     right: Node
 
 
-@dataclass
+@_node
 class Unary(Node):
     op: str
     operand: Node
 
 
-@dataclass
+@_node
 class Cardinality(Node):
     operand: Node
 
 
-@dataclass
+@_node
 class ClockBlock(Node):
     body: list
 
 
-@dataclass
+@_node
 class Call(Node):
     callee: Node
     args: list
@@ -127,48 +131,48 @@ class Call(Node):
     block: object = None  # AnonBlock or None
 
 
-@dataclass
+@_node
 class StaticCall(Node):
     alias: str
     name: str
     args: list
 
 
-@dataclass
+@_node
 class Index(Node):
     obj: Node
     index: Node
 
 
-@dataclass
+@_node
 class Member(Node):
     obj: Node
     name: str  # all-digits names are numeric projections
 
 
-@dataclass
+@_node
 class RangeLit(Node):
     start: Node
     end: Node
     step: object  # Node or None
 
 
-@dataclass
+@_node
 class ListLit(Node):
     items: list
 
 
-@dataclass
+@_node
 class MapLit(Node):
     entries: list  # of (key Node, value Node)
 
 
-@dataclass
+@_node
 class Literal(Node):
     value: object
 
 
-@dataclass
+@_node
 class Identifier(Node):
     name: str
 

@@ -1,12 +1,25 @@
-"""Closure compiler and evaluator: scopes, control flow, calls, blocks, imports.
+"""Two-tier evaluator: scopes, control flow, calls, blocks, imports.
 
-A Program is compiled once into nested closures code(interp, scope) -> value
-(Feeley & Lapalme, "Using closures for code generation", 1987), with
-operators, literals, comparison directions and call shapes fixed when the
-code is built.  Compiled code never holds an Interp and nothing is written
-onto syntax-tree nodes, so contexts are freed by reference counting alone.
-An Interp caches the code of recent source texts: a repeated predicate skips
-the lexer, the parser and the compiler.
+Tier 0.  A Program is compiled once into nested closures
+code(interp, scope) -> value (Feeley & Lapalme, "Using closures for code
+generation", 1987), with operators, literals, comparison directions and
+call shapes fixed when the code is built.  Compiled code never holds an
+Interp and nothing is written onto syntax-tree nodes, so contexts are freed
+by reference counting alone.  An Interp caches the code of recent source
+texts: a repeated predicate skips the lexer, the parser and the compiler.
+
+Tier 1.  Each function body and each block body is a Code, shared by every
+Function or BlockClosure made from its FuncDef or call site.  It starts in
+tier 0.  A block body tiers up once the element counts that its builtins
+announce before their loops add up to BLOCK_TIER_UP_AT; a function body on
+its FUNCTION_TIER_UP_AT-th call.  Tier-up translates the body into one flat
+Python function (codegen.py) that runs in the same frames and raises the
+same errors; a body holding a node kind the generator does not cover stays
+in tier 0.  A loop already running keeps its tier: there is no on-stack
+replacement.  Program bodies and one-shot evaluations stay in tier 0.  Both
+tiers enter through Interp.invoke_block and Interp.call_function, and both
+look the value operations (arith, values_equal, ...) up in this module when
+they run.
 
 One Interp + one global Scope + one IoPorts bundle form an evaluation
 context.  A context is strictly single-threaded; any number of contexts can
@@ -29,6 +42,7 @@ import threading
 import weakref
 
 from . import ast
+from .codegen import generate
 from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal, guest_error
 from .parser import parse_program
 from .lexer import tokenize
@@ -62,6 +76,8 @@ from .values import (
 
 MAX_CALL_DEPTH = 10_000
 CODE_CACHE_SIZE = 256  # compiled programs per Interp; least recently used dropped first
+BLOCK_TIER_UP_AT = 128  # elements, summed over a block body's builtin calls
+FUNCTION_TIER_UP_AT = 32  # calls of a function body
 
 _DEEP_STACK_BYTES = 512 * 1024 * 1024
 _DEEP_RECURSION_LIMIT = 150_000
@@ -210,16 +226,44 @@ class Scope:
         return found
 
 
+class Code:
+    """A function's or block's body: tier-0 closures until hot, then tier-1
+    code if the generator covers it.  run(interp, frame) runs it."""
+
+    __slots__ = ("stmts", "params", "run", "heat")
+
+    def __init__(self, stmts, params=None):
+        self.stmts = stmts
+        self.params = params  # a function's parameter names; None for a block
+        self.run = compile_body(stmts)
+        self.heat = 0  # runs counted toward tier-up; -1 once it is decided
+
+    def warm(self, count, threshold):
+        """Count count more runs; the first time the count reaches threshold,
+        swap in tier-1 code.  Returns the code to run now."""
+        if self.heat >= 0:
+            self.heat += count
+            if self.heat >= threshold:
+                self.heat = -1
+                self.run = generate(self, globals()) or self.run
+        return self.run
+
+
 class BlockClosure:
-    """An anonymous block, its compiled body and the scope it was written in;
-    builtins run it through Interp.invoke_block."""
+    """An anonymous block, its Code and the scope it was written in.
+    Builtins call expect once, then Interp.invoke_block per element."""
 
-    __slots__ = ("block", "body", "scope")
+    __slots__ = ("block", "code", "scope", "run")
 
-    def __init__(self, block, scope, body):
+    def __init__(self, block, scope, code):
         self.block = block
-        self.body = body
+        self.code = code
         self.scope = scope
+        self.run = code.run
+
+    def expect(self, count):
+        """Ready the block to run over count elements: it may tier up first."""
+        self.run = self.code.warm(count, BLOCK_TIER_UP_AT)
 
 
 class Interp:
@@ -314,11 +358,13 @@ class Interp:
                 )
             bindings[name] = value
         frame = Scope(fn.scope, bindings)
+        code = fn.body
+        run = code.run if code.heat < 0 else code.warm(1, FUNCTION_TIER_UP_AT)
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(node)
         try:
-            return fn.body(self, frame)
+            return run(self, frame)
         except ReturnSignal as ret:
             return ret.value
         except RecursionError:
@@ -332,8 +378,9 @@ class Interp:
         return _error(node, "StackOverflowError", f"recursion deeper than {MAX_CALL_DEPTH} frames")
 
     def invoke_block(self, closure, item, index, source, partial=_MISSING):
-        """Run an anonymous block for one element: ('value', v) normally, ('skip',
-        None) when the block issued continue, ('stop', None) when it issued break."""
+        """Run an anonymous block for one element in the block's tier; return
+        its value.  A continue or break in it raises ContinueSignal or
+        BreakSignal for the builtin to handle."""
         bindings = {"$": item, "_": index, "$$": source}
         if partial is not _MISSING:
             bindings["_$_"] = partial
@@ -342,11 +389,7 @@ class Interp:
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(closure.block)
         try:
-            return ("value", closure.body(self, frame))
-        except ContinueSignal:
-            return ("skip", None)
-        except BreakSignal:
-            return ("stop", None)
+            return closure.run(self, frame)
         except RecursionError:
             raise _error(closure.block, "StackOverflowError", "call depth exceeded") from None
         finally:
@@ -516,7 +559,7 @@ def _compile_Import(node):
 
 
 def _compile_FuncDef(node):
-    name, params, body = node.name, node.params, compile_body(node.body)
+    name, params, body = node.name, node.params, Code(node.body, node.params)
     if name is None:
         return lambda interp, scope: Function(None, params, body, scope)
 
@@ -659,20 +702,24 @@ def _compile_Binary(node):
             return values_equal(a, b, node.line, node.col) is not negated  # != is == negated
 
         return equal
-    containment = op in ("<=", "le")
 
     def order(interp, scope):
         a, b = lhs(interp, scope), const if rhs is None else rhs(interp, scope)
         kind = type(a)
         if kind is type(b) and (kind is int or kind is str):
             return test(a, b)
-        if is_collection(a) or is_collection(b):
-            if containment and is_collection(a) and is_collection(b):
-                return sub_collection(a, b, node.line, node.col)
-            raise _error(node, "TypeError", f"cannot order {tag(a)} and {tag(b)} with {op}")
-        return test(order_compare(a, b, node.line, node.col), 0)
+        return _ordered(a, b, node)
 
     return order
+
+
+def _ordered(a, b, node):
+    """An ordering operator (node) on operands that its exact-type lane does not take."""
+    if is_collection(a) or is_collection(b):
+        if node.op in ("<=", "le") and is_collection(a) and is_collection(b):
+            return sub_collection(a, b, node.line, node.col)
+        raise _error(node, "TypeError", f"cannot order {tag(a)} and {tag(b)} with {node.op}")
+    return _TESTS[node.op](order_compare(a, b, node.line, node.col), 0)
 
 
 def _compile_Unary(node):
@@ -720,7 +767,7 @@ def _call(node, callee, args, named, splat, block):
     args = tuple(_compile(arg) for arg in args)
     named = tuple((name, _compile(arg)) for name, arg in named)
     splat = None if splat is None else _compile(splat)
-    body = None if block is None else compile_body(block.body)
+    code = None if block is None else Code(block.body)
 
     def call(interp, scope):
         fn = callee(interp, scope)
@@ -731,18 +778,22 @@ def _call(node, callee, args, named, splat, block):
             if not isinstance(spread, list):
                 raise _error(node, "TypeError", f"__args__ must be a list, got {tag(spread)}")
             values = list(spread)
-        closure = None if block is None else BlockClosure(block, scope, body)
+        closure = None if block is None else BlockClosure(block, scope, code)
         if isinstance(fn, NativeFunction):
             return fn.fn(interp, scope, values, keywords, closure, node)
-        if isinstance(fn, Function):
-            if closure is not None:
-                raise _error(
-                    node, "TypeError", f"function {fn.name or '<anon>'} does not take a block"
-                )
+        if isinstance(fn, Function) and closure is None:
             return interp.call_function(fn, values, keywords, node)
-        raise _error(node, "TypeError", f"{tag(fn)} is not callable")
+        raise _uncallable(fn, node)
 
     return call
+
+
+def _uncallable(fn, node):
+    """The error for calling fn, which is neither a builtin nor, with a block
+    given, a function."""
+    if isinstance(fn, Function):
+        return _error(node, "TypeError", f"function {fn.name or '<anon>'} does not take a block")
+    return _error(node, "TypeError", f"{tag(fn)} is not callable")
 
 
 def _compile_Index(node):
@@ -780,14 +831,17 @@ def _member(obj, node):
 def _compile_RangeLit(node):
     start, end, step = _compile(node.start), _compile(node.end), _compile(node.step, 1)
 
-    def range_lit(interp, scope):
-        parts = start(interp, scope), end(interp, scope), step(interp, scope)
-        for part, label in zip(parts, ("start", "end", "step")):
-            if not is_int_tier(part):
-                raise _error(node, "TypeError", f"range {label} must be an integer")
-        return Range(*parts, node.line, node.col)
+    return lambda interp, scope: _range(
+        start(interp, scope), end(interp, scope), step(interp, scope), node
+    )
 
-    return range_lit
+
+def _range(start, end, step, node):
+    parts = start, end, step
+    for part, label in zip(parts, ("start", "end", "step")):
+        if not is_int_tier(part):
+            raise _error(node, "TypeError", f"range {label} must be an integer")
+    return Range(*parts, node.line, node.col)
 
 
 def _compile_ListLit(node):

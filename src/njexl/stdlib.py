@@ -5,7 +5,10 @@ script binding `min` or `size` shadows the builtin in its own scope without
 destroying it.  Every builtin has the native signature (interp, scope, args,
 named, block, node), which host modules passed as registry= share.  A
 builtin declares its shape, `@_builtin(name, count=..., block=...)`, and
-one check of named arguments, block and count runs before its body.
+one check of named arguments, block and count runs before its body.  A block
+given to a builtin is then told how many elements its first argument holds
+(which may tier the block up), and each run of it either returns a value or
+raises ContinueSignal or BreakSignal for the builtin to handle.
 """
 
 import datetime
@@ -15,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cmp_to_key, partial
 
-from .errors import NjexlError
+from .errors import BreakSignal, ContinueSignal, NjexlError
 from .values import (
     BigInt,
     LazySeq,
@@ -186,6 +189,8 @@ def _native(name, body, count=None, block="optional"):
         if low is not None and not low <= len(args) <= high:
             if given is not None or block != "maps":
                 _fail(node, "ArityError", f"{name} takes {wanted} arguments, got {len(args)}")
+        if given is not None:
+            given.expect(_size(args[0]) if args else 0)
         return body(interp, scope, args, given, node, name)
 
     return NativeFunction(name, fn)
@@ -203,6 +208,14 @@ def _builtin(name, count=None, block="optional"):
 
 def _fail(node, kind, message):
     raise NjexlError(kind, message, getattr(node, "line", None), getattr(node, "col", None))
+
+
+def _size(value):
+    """The number of elements in value; 0 for an iterator or a scalar."""
+    try:
+        return cardinality(value)
+    except NjexlError:
+        return 0
 
 
 def _iter_arg(node, name, value):
@@ -356,11 +369,13 @@ def b_index(interp, scope, args, block, node, name):
     """First index where the block is truthy; -1 when there is none."""
     source = args[0]
     for i, item in enumerate(_iter_arg(node, name, source)):
-        status, value = interp.invoke_block(block, item, i, source)
-        if status == "stop":
+        try:
+            if truthiness(interp.invoke_block(block, item, i, source)):
+                return i
+        except ContinueSignal:
+            continue
+        except BreakSignal:
             return -1
-        if status == "value" and truthiness(value):
-            return i
     return -1
 
 
@@ -388,21 +403,22 @@ def b_collect(interp, scope, args, block, node, name):
         return out
     source = args[0]
     for i, item in enumerate(_iter_arg(node, name, source)):
-        status, value = interp.invoke_block(block, item, i, source)
-        if status == "stop":
-            break
-        if status == "skip":
+        try:
+            sink(interp.invoke_block(block, item, i, source))
+        except ContinueSignal:
             continue
-        sink(value)
+        except BreakSignal:
+            break
     return out
 
 
 def _less(interp, node, block, a, b, source=None):
     if block is not None:
-        status, value = interp.invoke_block(block, Pair(a, b), 0, source)
-        if status != "value":
-            _fail(node, "TypeError", "break/continue not allowed in a comparator block")
-        return truthiness(value)
+        try:
+            return truthiness(interp.invoke_block(block, Pair(a, b), 0, source))
+        except (ContinueSignal, BreakSignal):
+            pass
+        _fail(node, "TypeError", "break/continue not allowed in a comparator block")
     return order_compare(a, b, getattr(node, "line", None), getattr(node, "col", None)) < 0
 
 
@@ -437,12 +453,12 @@ def b_fold(interp, scope, args, block, node, name):
         items.reverse()
     partial = args[1] if len(args) == 2 else None
     for i, item in enumerate(items):
-        status, value = interp.invoke_block(block, item, i, args[0], partial)
-        if status == "stop":
-            break
-        if status == "skip":
+        try:
+            partial = interp.invoke_block(block, item, i, args[0], partial)
+        except ContinueSignal:
             continue
-        partial = value
+        except BreakSignal:
+            break
     return partial
 
 
@@ -453,20 +469,18 @@ def b_join(interp, scope, args, block, node, name):
         _fail(node, "ArityError", "join needs at least one collection")
     pools = [list(_iter_arg(node, name, a)) for a in args]
     out = []
-    count = 0
-    for combo in itertools.product(*pools):
+    for count, combo in enumerate(itertools.product(*pools)):
         row = list(combo)
         if block is None:
             out.append(row)
             continue
-        status, value = interp.invoke_block(block, row, count, list(args), out)
-        count += 1
-        if status == "stop":
-            break
-        if status == "skip":
+        try:
+            if truthiness(interp.invoke_block(block, row, count, list(args), out)):
+                out.append(row)
+        except ContinueSignal:
             continue
-        if truthiness(value):
-            out.append(row)
+        except BreakSignal:
+            break
     return out
 
 

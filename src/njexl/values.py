@@ -521,9 +521,24 @@ def enumerate_value(v, line=None, col=None):
 # / keeps DEC_DIV_PRECISION digits in the default exponent range.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
 _DIVIDE = Context(prec=DEC_DIV_PRECISION, traps=[])
-_DEC_OPS = {"+": _EXACT.add, "-": _EXACT.subtract, "*": _EXACT.multiply}
-_DEC_OPS.update({"/": _DIVIDE.divide, "%": _EXACT.remainder})
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _dec_remainder(a, b):
+    """a % b on DECs, exact.  When a's exponent exceeds b's, the remainder is
+    taken on the coefficients through pow(10, gap, m): aligning a to b would
+    need a coefficient as long as the exponent gap."""
+    sign, digits, exp = a.as_tuple()
+    if not (a.is_finite() and b.is_finite()) or exp <= b.as_tuple().exponent:
+        return _EXACT.remainder(a, b)
+    _, divisor, low = b.as_tuple()
+    m = int(Decimal((0, divisor, 0)))
+    r = int(Decimal((0, digits, 0))) * pow(10, exp - low, m) % m
+    return Decimal((sign, Decimal(r).as_tuple().digits, low))
+
+
+_DEC_OPS = {"+": _EXACT.add, "-": _EXACT.subtract, "*": _EXACT.multiply}
+_DEC_OPS.update({"/": _DIVIDE.divide, "%": _dec_remainder})
 
 
 def as_decimal(v):
@@ -533,6 +548,15 @@ def as_decimal(v):
     if isinstance(v, float):
         return float_to_decimal(v)
     return Decimal(v)
+
+
+def _as_float(v):
+    """A number as a float: an int outside the float range is +-Infinity, as
+    in IEEE conversion (and Java's BigInteger.doubleValue)."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _trunc_div(a, b):
@@ -567,7 +591,7 @@ def arith(op, a, b, line=None, col=None):
             raise _by_zero("decimal", op, line, col)
         return _DEC_OPS[op](a, b)
     if isinstance(a, float) or isinstance(b, float):
-        a, b = float(a), float(b)
+        a, b = _as_float(a), _as_float(b)
         if op in _OPS:
             return _OPS[op](a, b)
         if op == "%":  # IEEE: NaN for a zero divisor or an infinite dividend

@@ -15,6 +15,24 @@ class Capture(io.StringIO):
     pass
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--tier-up-at", type=int, default=None, metavar="N",
+        help="tier a block or function body up after N elements or calls (0: at once)",
+    )
+
+
+@pytest.fixture(autouse=True)
+def _tier_up_threshold(request, monkeypatch):
+    """Apply --tier-up-at to both tier-up thresholds for the test."""
+    threshold = request.config.getoption("--tier-up-at")
+    if threshold is not None:
+        import njexl.interpreter
+
+        monkeypatch.setattr(njexl.interpreter, "BLOCK_TIER_UP_AT", threshold)
+        monkeypatch.setattr(njexl.interpreter, "FUNCTION_TIER_UP_AT", threshold)
+
+
 def run_source(source, *, args=(), loader=None, clock=None, env=None, scope=None):
     """Run a program in a fresh context; returns (value, stdout_text, scope)."""
     from njexl.interpreter import Interp, new_global_scope, run_on_deep_stack

@@ -351,17 +351,15 @@ def test_deterministic_given_fixed_ports():
 
 
 def test_invoke_block_with_explicit_context():
-    from njexl.interpreter import BlockClosure, compile_body
+    from njexl.interpreter import BlockClosure, Code
 
     program = parse_source("probe{ _ > 0 and $$[_-1] > $ }(xs)")
     block_node = program.body[0].block
     interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
     scope = new_global_scope()
-    closure = BlockClosure(block_node, scope, compile_body(block_node.body))
-    status, value = interp.invoke_block(closure, item=2, index=2, source=[1, 3, 2])
-    assert (status, value) == ("value", True)
-    status, value = interp.invoke_block(closure, item=3, index=1, source=[1, 3, 2])
-    assert (status, value) == ("value", False)
+    closure = BlockClosure(block_node, scope, Code(block_node.body))
+    assert interp.invoke_block(closure, item=2, index=2, source=[1, 3, 2]) is True
+    assert interp.invoke_block(closure, item=3, index=1, source=[1, 3, 2]) is False
 
 
 def test_block_implicit_variables():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from decimal import Decimal
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from njexl import create_context, evaluate
 from njexl.errors import NjexlError
 from njexl.values import (
+    _EXACT,
     BigInt,
     Pair,
     Range,
@@ -162,6 +164,65 @@ def test_non_finite_and_huge_operands_give_ieee_values(source, kind, text):
     value = evaluate(create_context(), source)
     assert type(value) is kind, value
     assert str(value) == text
+
+
+# x = 10^400 does not fit a float: next to a float it is +-Infinity, as IEEE
+# conversion gives it (it was InternalError: OverflowError, with no position)
+_HUGE = "lfold{ _$_ * 10 }([0:400], INT(1))"
+
+
+@pytest.mark.parametrize(
+    "source, text",
+    [
+        (f"x = {_HUGE}\nx + 1.5", "inf"),
+        (f"x = {_HUGE}\n1.5 + x", "inf"),
+        (f"x = {_HUGE}\nx - 1.5", "inf"),
+        (f"x = {_HUGE}\n1.5 - x", "-inf"),
+        (f"x = {_HUGE}\nx * 1.5", "inf"),
+        (f"x = {_HUGE}\n1.5 * x", "inf"),
+        (f"x = {_HUGE}\n(0 - x) * 1.5", "-inf"),
+        (f"x = {_HUGE}\nx * 0.0", "nan"),
+        (f"x = {_HUGE}\nx / 1.5", "inf"),
+        (f"x = {_HUGE}\n1.5 / x", "0.0"),
+        (f"x = {_HUGE}\n1.5 / (0 - x)", "-0.0"),
+        (f"x = {_HUGE}\nx % 1.5", "nan"),
+        (f"x = {_HUGE}\n1.5 % x", "1.5"),
+    ],
+)
+def test_int_past_the_float_range_is_infinite_next_to_a_float(source, text):
+    value = evaluate(create_context(), source)
+    assert type(value) is float, value
+    assert str(value) == text
+
+
+def _decimals(low):
+    """Finite DECs of either sign with coefficients from low up to 25 digits."""
+    return st.builds(
+        lambda sign, coefficient, exponent: Decimal((sign, tuple(map(int, str(coefficient))), exponent)),
+        st.integers(0, 1), st.integers(low, 10**25), st.integers(-30, 30),
+    )
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_decimals(0), _decimals(1))
+def test_decimal_remainder_across_exponent_gaps_matches_the_exact_context(a, b):
+    got, want = arith("%", a, b), _EXACT.remainder(a, b)
+    assert type(got) is type(want) is Decimal
+    assert str(got) == str(want)
+
+
+def test_decimal_remainder_past_the_int_text_limit_is_exact():
+    # a 4,898-digit remainder: more digits than Python turns an int into text
+    dividend, divisor = Decimal("7E+5003"), Decimal("1234567" * 700)
+    got = arith("%", dividend, divisor)
+    assert got.as_tuple() == _EXACT.remainder(dividend, divisor).as_tuple()
+
+
+def test_decimal_remainder_of_a_huge_exponent_is_fast():
+    started = time.perf_counter()
+    value = evaluate(create_context(), "DEC('1e1000000000') % 3")
+    assert time.perf_counter() - started < 0.1
+    assert type(value) is Decimal and str(value) == "1"
 
 
 def test_decimal_remainder_is_exact_past_the_division_precision():
