@@ -27,7 +27,7 @@ None.
 """
 
 from .ast import Binary, For, If, Index, Ternary, While
-from .values import INT_MAX, INT_MIN
+from .values import INT_LANE_LOW, INT_MAX, INT_MIN
 
 _MAX_NESTING = 12  # suite depth in one generated function before a helper takes over
 _NESTING = (If, Ternary, For, While, Binary)
@@ -372,7 +372,7 @@ class _Generator:
     def arith(self, op, a, b, out, node):
         """Emit out = a op b: the int and str lanes of tier 0, else arith()."""
         slow = f"{out} = arith({op!r}, {a}, {b}, {node.line}, {node.col})"
-        low = 0 if op in "/%" else INT_MIN
+        low = INT_LANE_LOW[op]
 
         def int_lane():
             self.emit(f"{out} = {a} {_ARITH[op]} {b}")

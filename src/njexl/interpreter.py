@@ -9,17 +9,16 @@ by reference counting alone.  An Interp caches the code of recent source
 texts: a repeated predicate skips the lexer, the parser and the compiler.
 
 Tier 1.  Each function body and each block body is a Code, shared by every
-Function or BlockClosure made from its FuncDef or call site.  It starts in
-tier 0.  A block body tiers up once the element counts that its builtins
-announce before their loops add up to BLOCK_TIER_UP_AT; a function body on
-its FUNCTION_TIER_UP_AT-th call.  Tier-up translates the body into one flat
-Python function (codegen.py) that runs in the same frames and raises the
-same errors; a body holding a node kind the generator does not cover stays
-in tier 0.  A loop already running keeps its tier: there is no on-stack
-replacement.  Program bodies and one-shot evaluations stay in tier 0.  Both
-tiers enter through Interp.invoke_block and Interp.call_function, and both
-look the value operations (arith, values_equal, ...) up in this module when
-they run.
+Function or BlockClosure made from its FuncDef or call site.  Nothing is
+built for it until it first runs, in tier 0.  A block body tiers up once the
+element counts that its builtins announce before their loops add up to
+BLOCK_TIER_UP_AT; a function body on its FUNCTION_TIER_UP_AT-th call.
+Tier-up translates the body into one flat Python function (codegen.py) that
+runs in the same frames and raises the same errors; a body holding a node
+kind the generator does not cover stays in tier 0.  Program bodies and
+one-shot evaluations stay in tier 0.  Both tiers enter through
+Interp.invoke_block and Interp.call_function, and both look the value
+operations (arith, values_equal, ...) up in this module when they run.
 
 One Interp + one global Scope + one IoPorts bundle form an evaluation
 context.  A context is strictly single-threaded; any number of contexts can
@@ -47,6 +46,7 @@ from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal, guest
 from .parser import parse_program
 from .lexer import tokenize
 from .values import (
+    INT_LANE_LOW,
     INT_MAX,
     INT_MIN,
     ErrorValue,
@@ -76,6 +76,8 @@ from .values import (
 
 MAX_CALL_DEPTH = 10_000
 CODE_CACHE_SIZE = 256  # compiled programs per Interp; least recently used dropped first
+# cold bodies stay in tier 0: compile() costs far more than building closures,
+# and tiering every body up on its first run made script_run about 22 % slower
 BLOCK_TIER_UP_AT = 128  # elements, summed over a block body's builtin calls
 FUNCTION_TIER_UP_AT = 32  # calls of a function body
 
@@ -228,42 +230,41 @@ class Scope:
 
 class Code:
     """A function's or block's body: tier-0 closures until hot, then tier-1
-    code if the generator covers it.  run(interp, frame) runs it."""
+    code if the generator covers it.  run(interp, frame) runs it once warm
+    has been called; a body that never runs is never compiled."""
 
     __slots__ = ("stmts", "params", "run", "heat")
 
     def __init__(self, stmts, params=None):
         self.stmts = stmts
         self.params = params  # a function's parameter names; None for a block
-        self.run = compile_body(stmts)
+        self.run = None
         self.heat = 0  # runs counted toward tier-up; -1 once it is decided
 
-    def warm(self, count, threshold):
-        """Count count more runs; the first time the count reaches threshold,
-        swap in tier-1 code.  Returns the code to run now."""
+    def warm(self, count):
+        """Count count more runs (elements for a block, calls for a function);
+        the first time the count reaches the body's tier-up threshold, swap
+        in tier-1 code.  Returns the code to run now."""
         if self.heat >= 0:
             self.heat += count
-            if self.heat >= threshold:
+            if self.heat >= (BLOCK_TIER_UP_AT if self.params is None else FUNCTION_TIER_UP_AT):
                 self.heat = -1
                 self.run = generate(self, globals()) or self.run
+            if self.run is None:
+                self.run = compile_body(self.stmts)
         return self.run
 
 
 class BlockClosure:
     """An anonymous block, its Code and the scope it was written in.
-    Builtins call expect once, then Interp.invoke_block per element."""
+    Builtins warm its Code once, then call Interp.invoke_block per element."""
 
-    __slots__ = ("block", "code", "scope", "run")
+    __slots__ = ("block", "code", "scope")
 
     def __init__(self, block, scope, code):
         self.block = block
         self.code = code
         self.scope = scope
-        self.run = code.run
-
-    def expect(self, count):
-        """Ready the block to run over count elements: it may tier up first."""
-        self.run = self.code.warm(count, BLOCK_TIER_UP_AT)
 
 
 class Interp:
@@ -359,7 +360,7 @@ class Interp:
             bindings[name] = value
         frame = Scope(fn.scope, bindings)
         code = fn.body
-        run = code.run if code.heat < 0 else code.warm(1, FUNCTION_TIER_UP_AT)
+        run = code.run if code.heat < 0 else code.warm(1)
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(node)
@@ -378,9 +379,9 @@ class Interp:
         return _error(node, "StackOverflowError", f"recursion deeper than {MAX_CALL_DEPTH} frames")
 
     def invoke_block(self, closure, item, index, source, partial=_MISSING):
-        """Run an anonymous block for one element in the block's tier; return
-        its value.  A continue or break in it raises ContinueSignal or
-        BreakSignal for the builtin to handle."""
+        """Run an anonymous block for one element; return its value.  A
+        continue or break in it raises ContinueSignal or BreakSignal for the
+        builtin to handle."""
         bindings = {"$": item, "_": index, "$$": source}
         if partial is not _MISSING:
             bindings["_$_"] = partial
@@ -389,7 +390,7 @@ class Interp:
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(closure.block)
         try:
-            return closure.run(self, frame)
+            return closure.code.run(self, frame)
         except RecursionError:
             raise _error(closure.block, "StackOverflowError", "call depth exceeded") from None
         finally:
@@ -460,7 +461,7 @@ def _compile_VarDecl(node):
 def _compile_Assign(node):
     value, target, add = _compile(node.value), node.target, node.op == "+="
     if isinstance(target, ast.Identifier):
-        name, line, col = target.name, node.line, node.col
+        name, line, col, low = target.name, node.line, node.col, INT_LANE_LOW["+"]
 
         def assign(interp, scope):
             result = value(interp, scope)
@@ -475,9 +476,9 @@ def _compile_Assign(node):
                 old = frame.bindings[name]
                 # a builtin's name is read from the builtins frame but bound here
                 bindings = (scope if frame.parent is None else frame).bindings
-            kind = type(old)  # the exact-type lane of compiled + (see _compile_Binary)
+            kind = type(old)  # the exact-type lanes of compiled + (see _compile_Binary)
             if kind is type(result) and (kind is str or (
-                kind is int and INT_MIN <= old <= INT_MAX and INT_MIN <= result <= INT_MAX
+                kind is int and low <= old <= INT_MAX and low < result <= INT_MAX
                 and INT_MIN <= old + result <= INT_MAX
             )):
                 result = old + result
@@ -676,8 +677,7 @@ def _compile_Binary(node):
 
         return member
     if op in _INT_OPS:
-        # low <= a and low < b: / and % need a >= 0 < b, where floor division truncates
-        fast, concat, low = _INT_OPS[op], op == "+", 0 if op in "/%" else INT_MIN
+        fast, concat, low = _INT_OPS[op], op == "+", INT_LANE_LOW[op]
 
         def arith_(interp, scope):
             a, b = lhs(interp, scope), const if rhs is None else rhs(interp, scope)

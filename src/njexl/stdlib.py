@@ -190,7 +190,7 @@ def _native(name, body, count=None, block="optional"):
             if given is not None or block != "maps":
                 _fail(node, "ArityError", f"{name} takes {wanted} arguments, got {len(args)}")
         if given is not None:
-            given.expect(_size(args[0]) if args else 0)
+            given.code.warm(_size(args[0]) if args else 0)
         return body(interp, scope, args, given, node, name)
 
     return NativeFunction(name, fn)

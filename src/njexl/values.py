@@ -24,6 +24,11 @@ from .errors import NjexlError
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
+# The int lane of a compiled + - * / %, in both tiers: plain ints a and b with
+# low <= a <= INT_MAX and low < b <= INT_MAX, low from this table (/ and %
+# need a >= 0 < b, where floor division truncates), and a result within
+# INT_MIN..INT_MAX.  Every other input goes through arith().
+INT_LANE_LOW = {"+": INT_MIN, "-": INT_MIN, "*": INT_MIN, "/": 0, "%": 0}
 # an integral float no larger than this in size has a repr that spells int(f)
 _FLOAT_EXACT_INT = 2**53
 

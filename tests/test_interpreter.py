@@ -358,6 +358,7 @@ def test_invoke_block_with_explicit_context():
     interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
     scope = new_global_scope()
     closure = BlockClosure(block_node, scope, Code(block_node.body))
+    closure.code.warm(3)  # as a builtin does before its loop
     assert interp.invoke_block(closure, item=2, index=2, source=[1, 3, 2]) is True
     assert interp.invoke_block(closure, item=3, index=1, source=[1, 3, 2]) is False
 

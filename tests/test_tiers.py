@@ -209,6 +209,32 @@ def test_errors_keep_their_positions_in_tier_1():
         assert hot == cold, source
 
 
+def test_int_lanes_take_the_same_operands_in_both_tiers(monkeypatch):
+    # both tiers read the int lanes' bounds from values.INT_LANE_LOW, so the
+    # same operands fall through to arith() in each
+    calls = Counter()
+    arith = interpreter.arith
+    monkeypatch.setattr(
+        interpreter, "arith", lambda op, *rest: calls.update([op]) or arith(op, *rest)
+    )
+    edges = "[m, m + 1, -2, -1, 0, 1, 2, 9223372036854775807]"
+    source = f"""
+m = -9223372036854775807 - 1
+def f(a, b){{
+  s = a ; s += b ; t = 'x' ; t += a
+  [a + b, a - b, a * b, b == 0 ? 0 : a / b, b == 0 ? 0 : a % b, s, t]
+}}
+list{{ a = $ ; list{{ f(a, $) }}({edges}) }}({edges})
+"""
+    counted = []
+    for threshold in (NEVER, 0):
+        set_tier(monkeypatch, threshold)
+        calls.clear()
+        counted.append((outcome(source), +calls))
+    assert counted[0] == counted[1]
+    assert counted[0][0][0][0] == "value" and all(counted[0][1][op] for op in "+-*/%")
+
+
 def count_entries(source):
     """Calls of Interp.invoke_block and Interp.call_function while source runs,
     wrapped on the class the way the benchmark's tracer wraps them."""
@@ -273,8 +299,10 @@ def test_tier_up_thresholds(monkeypatch):
     def run(source):
         return run_on_deep_stack(lambda: interp.run_source(source, scope))
 
-    # a block's element counts add up over its builtin calls
+    # a body that has not run yet has no code in either tier
     run("def m(l){ list{ $ + 1 }(l) }")
+    assert scope.bindings["m"].body.run is None
+    # a block's element counts add up over its builtin calls
     assert run("m([1, 2, 3, 4, 5])") == [2, 3, 4, 5, 6] and not generated
     assert run("m([1, 2, 3, 4, 5])") == [2, 3, 4, 5, 6] and len(generated) == 1
     assert is_tier_1(generated[0]) and generated[0].params is None
