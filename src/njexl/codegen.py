@@ -8,28 +8,49 @@ globals, so the value operations it calls (arith, values_equal,
 order_compare through _ordered, membership, sub_collection, ...) are looked
 up there at each call, as tier-0 code does.
 
-The function it returns, run(interp, frame), does what the body's tier-0
-closures do, in the same frame: names are read and written through
-frame.bindings and the parent chain, `var` writes the global frame, and
-nested blocks and functions get their own Code.  The exact-type lanes of
-tier 0's operators are inlined with the same fallbacks, a literal operand's
-type is decided here, and every error is raised with the kind, message,
-line and column that tier 0 gives it.  A guest loop is a Python loop, and
-`break` and `continue` inside it are Python's; `return` in a function body
-is Python's.  Everywhere else they raise the signal that tier 0 raises.
+The function it returns does what the body's tier-0 closures do.  A
+function body's is run(interp, frame), in the frame call_function built;
+names are read and written through frame.bindings and the parent chain,
+`var` writes the global frame, and nested blocks and functions get their
+own Code.  The exact-type lanes of tier 0's operators are inlined with the
+same fallbacks, a literal operand's type is decided here, and every error
+is raised with the kind, message, line and column that tier 0 gives it.  A
+guest loop is a Python loop, and `break` and `continue` inside it are
+Python's; `return` in a function body is Python's.  Everywhere else they
+raise the signal that tier 0 raises.
+
+A block body's is run(interp, parent, item, index, source, partial), the
+calling convention of all block code.  It builds the element's frame
+binding $, _, $$ and _$_, as tier 0 does, unless the body can do without
+one (_frameless): it holds no call, def, nested block, #clock, import, for
+or #(...) assignment, and assigns no name other than those four.  A call
+keeps the frame because a native callee receives its caller's frame (eval
+runs in it, and a def made there captures it); a def, a block or #clock
+captures it itself.  In a frameless body the four names are the Python
+locals item, index, source and partial, and every other name is read
+through parent.  partial is _MISSING when the builtin gives none; _$_ is
+then read and written through the frames, where tier 0 finds it.
 
 CPython allows 20 statically nested blocks and 100 indentation levels.  A
 construct that would open suites deeper than _MAX_NESTING is moved into a
 helper function of its own, where break, continue and return travel as
-signals.  A body holding a node kind this module does not cover (#clock,
+signals; a frameless body that needs one is generated again with a frame,
+which its helpers share.  A body holding a node kind this module does not cover (#clock,
 #(...) assignments, Alias:name calls) stays in tier 0: generate returns
 None.
 """
 
-from .ast import Binary, For, If, Index, Ternary, While
+from .ast import (
+    Assign, Binary, Call, ClockBlock, For, FuncDef, Identifier, If, Import, Index, MultiAssign,
+    Node, StaticCall, Ternary, While,
+)
 from .values import INT_LANE_LOW, INT_MAX, INT_MIN
 
 _MAX_NESTING = 12  # suite depth in one generated function before a helper takes over
+# a frameless block body's own names, as the Python locals of its run()
+_LOCALS = {"$": "item", "_": "index", "$$": "source", "_$_": "partial"}
+# nodes that capture or hand on the frame they run in, or bind a name in it
+_FRAMED = (Call, StaticCall, FuncDef, ClockBlock, Import, For, MultiAssign)
 _NESTING = (If, Ternary, For, While, Binary)
 _ORDER = {"<": "<", "lt": "<", "<=": "<=", "le": "<=", ">": ">", "gt": ">", ">=": ">="}
 _ORDER.update({"ge": ">=", "==": "==", "eq": "==", "!=": "!="})
@@ -40,14 +61,22 @@ class _Unsupported(Exception):
     """The body holds a node kind that tier 1 does not cover."""
 
 
+class _NeedsFrame(Exception):
+    """A frameless body is too deep for one function: its helpers need a frame."""
+
+
 def generate(code, namespace):
     """Tier-1 code for code (an interpreter.Code), run with namespace (the
     interpreter module's dict) as its globals; None if it stays in tier 0.
     Nothing here refers to the interpreter module itself, so a dropped copy
     of njexl is still freed by reference counting."""
-    gen = _Generator(code)
     try:
-        source = gen.module(code.stmts)
+        try:
+            gen = _Generator(code, code.params is None and _frameless(code.stmts))
+            source = gen.module(code.stmts)
+        except _NeedsFrame:
+            gen = _Generator(code, False)
+            source = gen.module(code.stmts)
     except (_Unsupported, RecursionError):
         return None
     made = {}
@@ -55,11 +84,34 @@ def generate(code, namespace):
     return made["_make"](*gen.consts)
 
 
+def _frameless(nodes):
+    """Whether a block body can run without a frame of its own: nothing in
+    it captures its frame or hands it on (a call passes it to a native
+    callee, a def or block keeps it), and it binds no name there other than
+    $, _, $$ and _$_."""
+    for node in nodes:
+        if isinstance(node, (list, tuple)):
+            if not _frameless(node):
+                return False
+        elif isinstance(node, Node):
+            if isinstance(node, _FRAMED) or (
+                isinstance(node, Assign)
+                and isinstance(node.target, Identifier)
+                and node.target.name not in _LOCALS
+            ):
+                return False
+            if not _frameless(vars(node).values()):
+                return False
+    return True
+
+
 class _Generator:
-    def __init__(self, code):
+    def __init__(self, code, frameless):
         params, self.Code = code.params, type(code)
         # names bound in the body's own frame whenever it runs
         self.own = frozenset(("$", "_", "$$") if params is None else params)
+        # a frameless block's own names are locals; its scope is the parent frame
+        self.frameless, self.locals = frameless, _LOCALS if frameless else {}
         self.function = params is not None
         self.consts = []  # values handed to _make as K0, K1, ...
         self.const_names = {}  # id(value) -> its K name
@@ -71,9 +123,18 @@ class _Generator:
     # --- output --------------------------------------------------------------
 
     def module(self, stmts):
-        self.lines, self.depth = ["def run(interp, scope):"], 1
-        self.loop, self.returns = False, self.function
-        self.emit("B = scope.bindings")
+        self.depth, self.loop, self.returns = 1, False, self.function
+        if self.function or self.frameless:
+            args = "scope" if self.function else "scope, item, index, source, partial"
+            self.lines = [f"def run(interp, {args}):"]
+            self.emit("B = scope.bindings")
+        else:  # a block's frame, as interpreter._framed_block builds it
+            self.lines = ["def run(interp, parent, item, index, source, partial):"]
+            self.emit("B = {'$': item, '_': index, '$$': source}")
+            self.open("if partial is not _MISSING:")
+            self.emit("B['_$_'] = partial")
+            self.close()
+            self.emit("scope = Scope(parent, B)")
         self.emit(f"return {self.body(stmts)}")
         params = ", ".join(f"K{i}" for i in range(len(self.consts)))
         out = [f"def _make({params}):"]
@@ -158,6 +219,8 @@ class _Generator:
 
     def hoist(self, handler, node):
         """Emit node as a helper function of its own; the operand of its value."""
+        if self.frameless:
+            raise _NeedsFrame
         name = self.new("h")
         saved = self.lines, self.depth, self.loop, self.returns
         self.lines, self.depth = [f"def {name}(interp, scope, B):"], 1
@@ -174,9 +237,25 @@ class _Generator:
 
     def _Identifier(self, node):
         out, name = self.new(), repr(node.name)
-        if node.name in self.own:
+        local = self.locals.get(node.name)
+        if local == "partial":  # _$_ is unbound when the builtin gives no partial
+            self.open("if partial is not _MISSING:")
+            self.emit(f"{out} = partial")
+            self.close()
+            self.open("else:")
+            self.lookup(out, node)
+            self.close()
+        elif local is not None:
+            self.emit(f"{out} = {local}")
+        elif node.name in self.own:
             self.emit(f"{out} = B[{name}]")
-            return out
+        else:
+            self.lookup(out, node)
+        return out
+
+    def lookup(self, out, node):
+        """Emit out = the value of node's name in the nearest frame binding it."""
+        name = repr(node.name)
         self.open(f"if {name} in B:")
         self.emit(f"{out} = B[{name}]")
         self.close()
@@ -190,7 +269,6 @@ class _Generator:
         self.close(2)
         self.emit(f"{out} = {out}.bindings[{name}]")
         self.close()
-        return out
 
     def _VarDecl(self, node):
         value = "None" if node.value is None else self.node(node.value)
@@ -208,6 +286,8 @@ class _Generator:
                 value = out
             self.emit(f"_index_set({obj}, {index}, {value}, {self.const(target)})")
             return value
+        if target.name in self.locals:
+            return self.assign_local(node, value)
         name = repr(target.name)
         if node.op == "=":
             if target.name in self.own:
@@ -236,6 +316,23 @@ class _Generator:
         self.arith("+", old, value, out, node)
         self.emit(f"{frame}[{name}] = {out}")
         return out
+
+    def assign_local(self, node, value):
+        """Emit `$ = value` or `$ += value` (or _, $$, _$_) in a frameless body."""
+        local = self.locals[node.target.name]
+        if node.op == "+=":
+            old, out = self._Identifier(node.target), self.new()
+            self.arith("+", old, value, out, node)
+            value = out
+        if local == "partial":  # given no partial, _$_ is written through the frames
+            self.open("if partial is _MISSING:")
+            self.emit(f"partial = _assign_partial(scope, {value})")
+            self.close()
+            self.open("else:")
+        self.emit(f"{local} = {value}")
+        if local == "partial":
+            self.close()
+        return value
 
     def _Import(self, node):
         module = f"interp.import_module({node.path!r}, {self.const(node)})"

@@ -10,15 +10,23 @@ texts: a repeated predicate skips the lexer, the parser and the compiler.
 
 Tier 1.  Each function body and each block body is a Code, shared by every
 Function or BlockClosure made from its FuncDef or call site.  Nothing is
-built for it until it first runs, in tier 0.  A block body tiers up once the
-element counts that its builtins announce before their loops add up to
-BLOCK_TIER_UP_AT; a function body on its FUNCTION_TIER_UP_AT-th call.
-Tier-up translates the body into one flat Python function (codegen.py) that
-runs in the same frames and raises the same errors; a body holding a node
-kind the generator does not cover stays in tier 0.  Program bodies and
+built for it until it first runs, in tier 0.  A block body tiers up once its
+builtins have run it on BLOCK_TIER_UP_AT elements; a function body on its
+FUNCTION_TIER_UP_AT-th call.  Tier-up translates the body into one flat
+Python function (codegen.py) that raises the same errors; a body holding a
+node kind the generator does not cover stays in tier 0.  Program bodies and
 one-shot evaluations stay in tier 0.  Both tiers enter through
 Interp.invoke_block and Interp.call_function, and both look the value
 operations (arith, values_equal, ...) up in this module when they run.
+
+Frames.  A function body runs in the frame call_function builds for its
+parameters.  Block code is run(interp, parent, item, index, source,
+partial), and each element runs in a frame binding $, _, $$ and _$_ that
+the code builds itself, except tier-1 code of a block body that nothing can
+capture a frame from and that binds no other name (codegen._frameless):
+there those four names are Python locals and every other name is read from
+parent.  A call keeps the frame because a builtin callee receives its
+caller's frame (eval runs in it, and a def made there captures it).
 
 One Interp + one global Scope + one IoPorts bundle form an evaluation
 context.  A context is strictly single-threaded; any number of contexts can
@@ -230,8 +238,10 @@ class Scope:
 
 class Code:
     """A function's or block's body: tier-0 closures until hot, then tier-1
-    code if the generator covers it.  run(interp, frame) runs it once warm
-    has been called; a body that never runs is never compiled."""
+    code if the generator covers it.  Once warm has been called, a
+    function body runs as run(interp, frame) and a block body as
+    run(interp, parent, item, index, source, partial); a body that never
+    runs is never compiled."""
 
     __slots__ = ("stmts", "params", "run", "heat")
 
@@ -241,23 +251,50 @@ class Code:
         self.run = None
         self.heat = 0  # runs counted toward tier-up; -1 once it is decided
 
-    def warm(self, count):
-        """Count count more runs (elements for a block, calls for a function);
+    def warm(self):
+        """Count one more run (an element for a block, a call for a function);
         the first time the count reaches the body's tier-up threshold, swap
         in tier-1 code.  Returns the code to run now."""
         if self.heat >= 0:
-            self.heat += count
+            self.heat += 1
             if self.heat >= (BLOCK_TIER_UP_AT if self.params is None else FUNCTION_TIER_UP_AT):
                 self.heat = -1
                 self.run = generate(self, globals()) or self.run
             if self.run is None:
-                self.run = compile_body(self.stmts)
+                body = compile_body(self.stmts)
+                self.run = body if self.params is not None else _framed_block(body)
         return self.run
+
+
+def _framed_block(body):
+    """Block code run(interp, parent, item, index, source, partial) that runs
+    body, tier-0 closures, in a frame of its own binding $, _, $$ and _$_."""
+
+    def run(interp, parent, item, index, source, partial):
+        bindings = {"$": item, "_": index, "$$": source}
+        if partial is not _MISSING:
+            bindings["_$_"] = partial
+        return body(interp, Scope(parent, bindings))
+
+    return run
+
+
+def _assign_partial(parent, value):
+    """Assign _$_ in frameless block code given no partial: write the nearest
+    frame binding _$_ below the builtins frame, as Scope.assign from the
+    block's own frame would, and return _MISSING; if there is none, return
+    value, which the block binds itself."""
+    while parent.parent is not None:
+        if "_$_" in parent.bindings:
+            parent.bindings["_$_"] = value
+            return _MISSING
+        parent = parent.parent
+    return value
 
 
 class BlockClosure:
     """An anonymous block, its Code and the scope it was written in.
-    Builtins warm its Code once, then call Interp.invoke_block per element."""
+    Builtins call Interp.invoke_block once per element."""
 
     __slots__ = ("block", "code", "scope")
 
@@ -360,7 +397,7 @@ class Interp:
             bindings[name] = value
         frame = Scope(fn.scope, bindings)
         code = fn.body
-        run = code.run if code.heat < 0 else code.warm(1)
+        run = code.run if code.heat < 0 else code.warm()
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(node)
@@ -381,16 +418,14 @@ class Interp:
     def invoke_block(self, closure, item, index, source, partial=_MISSING):
         """Run an anonymous block for one element; return its value.  A
         continue or break in it raises ContinueSignal or BreakSignal for the
-        builtin to handle."""
-        bindings = {"$": item, "_": index, "$$": source}
-        if partial is not _MISSING:
-            bindings["_$_"] = partial
-        frame = Scope(closure.scope, bindings)
+        builtin to handle.  The element counts toward the block's tier-up."""
+        code = closure.code
+        run = code.run if code.heat < 0 else code.warm()
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(closure.block)
         try:
-            return closure.code.run(self, frame)
+            return run(self, closure.scope, item, index, source, partial)
         except RecursionError:
             raise _error(closure.block, "StackOverflowError", "call depth exceeded") from None
         finally:

@@ -5,10 +5,10 @@ script binding `min` or `size` shadows the builtin in its own scope without
 destroying it.  Every builtin has the native signature (interp, scope, args,
 named, block, node), which host modules passed as registry= share.  A
 builtin declares its shape, `@_builtin(name, count=..., block=...)`, and
-one check of named arguments, block and count runs before its body.  A block
-given to a builtin is then told how many elements its first argument holds
-(which may tier the block up), and each run of it either returns a value or
-raises ContinueSignal or BreakSignal for the builtin to handle.
+one check of named arguments, block and count runs before its body.  Each
+run of a block given to a builtin, through Interp.invoke_block, counts
+toward the block's tier-up and either returns a value or raises
+ContinueSignal or BreakSignal for the builtin to handle.
 """
 
 import datetime
@@ -189,8 +189,6 @@ def _native(name, body, count=None, block="optional"):
         if low is not None and not low <= len(args) <= high:
             if given is not None or block != "maps":
                 _fail(node, "ArityError", f"{name} takes {wanted} arguments, got {len(args)}")
-        if given is not None:
-            given.code.warm(_size(args[0]) if args else 0)
         return body(interp, scope, args, given, node, name)
 
     return NativeFunction(name, fn)
@@ -208,14 +206,6 @@ def _builtin(name, count=None, block="optional"):
 
 def _fail(node, kind, message):
     raise NjexlError(kind, message, getattr(node, "line", None), getattr(node, "col", None))
-
-
-def _size(value):
-    """The number of elements in value; 0 for an iterator or a scalar."""
-    try:
-        return cardinality(value)
-    except NjexlError:
-        return 0
 
 
 def _iter_arg(node, name, value):

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import njexl.interpreter as interpreter
+from njexl.ast import dump
 from njexl.errors import NjexlError, guest_error
 from njexl.interpreter import Interp, new_global_scope, run_on_deep_stack
 from njexl.stdlib import FakeClock, default_io
 from njexl.values import stringify, tag
 
-from conftest import Capture
+from conftest import Capture, to_src
 from test_fuzz import ATOMS, OPS, structured_programs
 
 NEVER = float("inf")
@@ -53,6 +54,21 @@ def both_tiers(source):
 
 def is_tier_1(code):
     return code.run.__code__.co_filename == "<njexl tier 1>"
+
+
+def is_frameless(code):
+    """Whether code is tier-1 block code that builds no frame of its own."""
+    return is_tier_1(code) and "Scope" not in code.run.__code__.co_names
+
+
+def recording_generate(monkeypatch):
+    """The Codes that interpreter.generate is asked for, in order."""
+    generated = []
+    generate = interpreter.generate
+    monkeypatch.setattr(
+        interpreter, "generate", lambda code, ns: generated.append(code) or generate(code, ns)
+    )
+    return generated
 
 
 # globals that programs read and write, printed after the program has run
@@ -104,6 +120,9 @@ _STMTS = st.recursive(
     st.one_of(
         _EXPRS,
         st.builds("x = {}".format, _EXPRS),
+        st.builds("$ = {}".format, _EXPRS),
+        st.builds("_$_ = {}".format, _EXPRS),
+        st.builds("_$_ += {}".format, _EXPRS),
         st.builds("y += {}".format, _EXPRS),
         st.builds("xs[0] = {}".format, _EXPRS),
         st.builds("xs[1] += {}".format, _EXPRS),
@@ -164,6 +183,18 @@ def test_deeply_nested_body_compiles_and_runs_in_tier_1(monkeypatch, make, want)
     assert is_tier_1(scope.bindings["f"].body)
     set_tier(monkeypatch, NEVER)
     assert outcome(source)[0] == ("value", tag(value), want)
+
+
+def test_deep_frameless_block_body_runs_in_tier_1_with_a_frame(monkeypatch):
+    # helpers of a body too deep for one function share its names through a frame
+    body = "".join(f"if ($ > {i}) {{ " for i in range(40)) + "$ + n" + " }" * 40
+    source = f"n = 1\nlist{{ {body} }}([50, 3])"
+    cold, hot = both_tiers(source)
+    assert hot == cold and cold[0][0] == "value"
+    set_tier(monkeypatch, 0)
+    generated = recording_generate(monkeypatch)
+    outcome(source)
+    assert len(generated) == 1 and is_tier_1(generated[0]) and not is_frameless(generated[0])
 
 
 def test_loop_signals_cross_tiers():
@@ -286,11 +317,7 @@ def test_tier_1_code_looks_value_operations_up_in_the_interpreter(monkeypatch):
 
 
 def test_tier_up_thresholds(monkeypatch):
-    generated = []
-    generate = interpreter.generate
-    monkeypatch.setattr(
-        interpreter, "generate", lambda code, ns: generated.append(code) or generate(code, ns)
-    )
+    generated = recording_generate(monkeypatch)
     monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", 10)
     monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", 3)
     interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
@@ -306,11 +333,17 @@ def test_tier_up_thresholds(monkeypatch):
     assert run("m([1, 2, 3, 4, 5])") == [2, 3, 4, 5, 6] and not generated
     assert run("m([1, 2, 3, 4, 5])") == [2, 3, 4, 5, 6] and len(generated) == 1
     assert is_tier_1(generated[0]) and generated[0].params is None
+    # block code is called as Interp.invoke_block calls it: the frame the
+    # block was written in, then the element's $, _, $$ and _$_ (none here)
+    assert generated[0].run(interp, scope, 4, 0, [4], interpreter._MISSING) == 5
+    # an element counts when it runs: a block tiers up inside a builtin call
+    run("def m2(l){ list{ $ * 2 }(l) }")
+    assert run("m2([0:12].list())") == list(range(0, 24, 2)) and len(generated) == 2
     # a function's calls are counted on its body, across the Functions made from it
     run("def mk(){ def(x){ x * 2 } }\na = mk()\nb = mk()")
-    assert run("[a(1), b(2)]") == [2, 4] and len(generated) == 1
-    assert run("a(3)") == 6 and len(generated) == 2 and generated[1].params == ["x"]
-    assert run("b(4)") == 8 and len(generated) == 2
+    assert run("[a(1), b(2)]") == [2, 4] and len(generated) == 2
+    assert run("a(3)") == 6 and len(generated) == 3 and generated[2].params == ["x"]
+    assert run("b(4)") == 8 and len(generated) == 3
     # a body holding a node kind tier 1 does not cover stays in tier 0
     run("def t(){ #(o, :e) = 1 / 0 ; e.kind }")
     assert run("[t(), t(), t(), t()]") == ["DivideByZero"] * 4
@@ -331,3 +364,76 @@ def test_recursion_under_nested_operators_reaches_the_frame_cap():
     assert (error.kind, error.message) == (
         "StackOverflowError", f"recursion deeper than {interpreter.MAX_CALL_DEPTH} frames"
     )
+
+
+def test_blocks_over_sources_of_unknown_size_tier_up(monkeypatch, tmp_path):
+    # elements count as the block runs them, so a lazy source and join's
+    # combinations heat a block as a list of the same length does
+    monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", DEFAULTS[0])
+    generated = recording_generate(monkeypatch)
+    path = tmp_path / "lines.txt"
+    path.write_text("".join(f"{i}\n" for i in range(1000)), encoding="utf-8")
+    interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
+    scope = new_global_scope()
+
+    def run(source):
+        return run_on_deep_stack(lambda: interp.run_source(source, scope))
+
+    for _ in range(5):
+        assert run(f"#|list{{ $ + 'x' }}(lines({to_src(str(path))}))|") == 1000
+    assert len(generated) == 1 and is_tier_1(generated[0])
+    assert len(run("join{ $.0 < $.1 }([1, 2], [0:200])")) == 198 + 197
+    assert len(generated) == 2 and is_tier_1(generated[1])
+
+
+# (source, what it gives, whether a block in it runs frameless once tiered up)
+FRAMELESS_CASES = [
+    # a write to _$_ in a block given no partial goes to the outer fold's frame
+    ("lfold{ index{ _$_ = 7 }([1]) ; _$_ }([1, 2], 0)", ("value", "int", "7"), True),
+    ("lfold{ index{ _$_ += 1 }([1]) ; _$_ }([1, 2], 0)", ("value", "int", "2"), True),
+    ("index{ _$_ }([1])", ("error", "NameError", "'_$_' is not defined", 1, 8), True),
+    # a name assigned in a block does not leak out of it
+    ("index{ y = $; false }([1,2]); y", ("error", "NameError", "'y' is not defined", 1, 31),
+     False),
+    ("list{ $ = $ * 2 ; $ }([1,2])", ("value", "list", "[2, 4]"), True),
+    ("def f(){ list{ var g = $ * 10 ; $ }([1, 2]) }\nf()\ng", ("value", "int", "20"), True),
+    # a native callee gets the caller's frame: eval's def captures the block's $
+    ('fs = list{ eval("def(){ $ }") }([1,2,3]); list{ $() }(fs)',
+     ("value", "list", "[1, 2, 3]"), False),
+    # a frameless block entered past the frame cap; f(0, [0:200]) tiers it up
+    ("def f(n, l){ n == 0 ? index{ $ > 5 }(l) : f(n - 1, l) }\nf(0, [0:200])\nf(9999, [1])",
+     ("error", "StackOverflowError", "recursion deeper than 10000 frames", 1, 28), True),
+]
+
+
+@pytest.mark.parametrize("source, want, frameless", FRAMELESS_CASES)
+@pytest.mark.parametrize("threshold", [DEFAULTS, (0, 0)])
+def test_frameless_blocks_keep_the_semantics_of_a_frame(
+    monkeypatch, threshold, source, want, frameless
+):
+    monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", threshold[0])
+    monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", threshold[1])
+    generated = recording_generate(monkeypatch)
+    assert outcome(source)[0] == want
+    if threshold == (0, 0):
+        blocks = [code for code in generated if code.params is None]
+        assert any(map(is_frameless, blocks)) == frameless
+
+
+def test_frame_decision_on_the_paper_predicates(monkeypatch):
+    monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", DEFAULTS[0])
+    monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", DEFAULTS[1])
+    generated = recording_generate(monkeypatch)
+    source = """
+def sorted_check(l_o){ index{ _ > 0 and $$[_-1] > $ }(l_o) }
+def filter_check(P, l_F){ index{ not P($) }(l_F) }
+def table_check(l, I_l){ list{ t = $ ; lfold{ _$_ += (t[$] + '#') }(I_l, '') }(l) }
+xs = [0:300].list()
+[sorted_check(xs), filter_check(def(x){ x >= 0 }, xs), table_check(list{ [$, 'a'] }(xs), [1, 0])[299]]
+"""
+    assert outcome(source)[0] == ("value", "list", "[-1, -1, a#299#]")
+    # each block by its first statement, as the syntax-tree dump names it
+    first = {dump(code.stmts[0]).split("\n")[0].rsplit(" ", 1)[0]: code for code in generated}
+    assert all(map(is_tier_1, first.values()))
+    assert is_frameless(first["Binary and"]) and is_frameless(first["Assign +="])
+    assert not is_frameless(first["Unary not"]) and not is_frameless(first["Assign ="])
