@@ -188,14 +188,26 @@ class _Generator:
 
     def branch(self, conds, lane, fallback):
         """Emit `if all conds: lane() else: fallback()`, deciding known conds here."""
-        if False in conds:
+        self.cases([(conds, lane)], fallback)
+
+    def cases(self, cases, fallback):
+        """Emit an if/elif chain over cases, (conds, lane) pairs, and fallback
+        as its else; a lane whose conds are known false here is left out, and
+        one known true ends the chain."""
+        keyword = "if"
+        for conds, lane in cases:
+            if False in conds:
+                continue
+            conds = [c for c in conds if c is not True]
+            if not conds:
+                fallback = lane
+                break
+            self.open(f"{keyword} {' and '.join(conds)}:")
+            lane()
+            self.close()
+            keyword = "elif"
+        if keyword == "if":
             return fallback()
-        conds = [c for c in conds if c is not True]
-        if not conds:
-            return lane()
-        self.open(f"if {' and '.join(conds)}:")
-        lane()
-        self.close()
         self.open("else:")
         fallback()
         self.close()
@@ -467,27 +479,32 @@ class _Generator:
         return [f"type({a}) is type({b})", f"(type({a}) is int or type({a}) is str)"]
 
     def arith(self, op, a, b, out, node):
-        """Emit out = a op b: the int and str lanes of tier 0, else arith()."""
-        slow = f"{out} = arith({op!r}, {a}, {b}, {node.line}, {node.col})"
+        """Emit out = a op b: the exact-type lanes of tier 0, else arith()."""
         low = INT_LANE_LOW[op]
+
+        def slow():
+            self.emit(f"{out} = arith({op!r}, {a}, {b}, {node.line}, {node.col})")
+
+        def lane(text):
+            return lambda: self.emit(f"{out} = {text}")
 
         def int_lane():
             self.emit(f"{out} = {a} {_ARITH[op]} {b}")
             self.open(f"if not {INT_MIN} <= {out} <= {INT_MAX}:")
-            self.emit(slow)
+            slow()
             self.close()
 
-        def other():
-            if op != "+":
-                return self.emit(slow)
-            self.branch([self.test(a, str), self.test(b, str)],
-                        lambda: self.emit(f"{out} = {a} + {b}"), lambda: self.emit(slow))
-
-        self.branch(
-            [self.test(a, int), self.test(b, int), self.bound(a, low, False),
-             self.bound(b, low, True)],
-            int_lane, other,
-        )
+        cases = [([self.test(a, int), self.test(b, int), self.bound(a, low, False),
+                   self.bound(b, low, True)], int_lane)]
+        if op == "+":  # two strs, or a str and an int that stringify spells as str() does
+            cases += [
+                ([self.test(a, str), self.test(b, str)], lane(f"{a} + {b}")),
+                ([self.test(a, str), self.test(b, int), self.bound(b, INT_MIN, False)],
+                 lane(f"{a} + str({b})")),
+                ([self.test(a, int), self.bound(a, INT_MIN, False), self.test(b, str)],
+                 lane(f"str({a}) + {b}")),
+            ]
+        self.cases(cases, slow)
 
     def bound(self, operand, low, strict):
         """The text of `low <= operand <= INT_MAX` (`<` when strict), or a

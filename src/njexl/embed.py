@@ -16,6 +16,7 @@ from decimal import Decimal
 
 from .errors import guest_error
 from .interpreter import Interp, new_global_scope, run_on_deep_stack
+from .lexer import KEYWORDS
 from .stdlib import default_io
 from .values import (
     ErrorValue,
@@ -27,9 +28,10 @@ from .values import (
 )
 
 _MAX_BRIDGE_DEPTH = 64
-# exact types whose values cross the bridge unchanged both ways, so list elements
-# of these types are copied inline (bool and the INT tag BigInt are int
-# subclasses, not these types, and take the general path)
+# exact types whose values cross the bridge unchanged both ways, so elements of
+# a plain list below the depth cap are copied inline, and the list itself is
+# tested for before any other type: a table row costs one comprehension (bool
+# and the INT tag BigInt are int subclasses, not these types, and recurse)
 _SAME = (int, str)
 
 
@@ -65,7 +67,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 def bind(ctx, name, value):
     """Deep-copy a host datum into the context's global scope."""
-    if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
+    if not isinstance(name, str) or not _IDENT_RE.fullmatch(name) or name in KEYWORDS:
         raise ConversionError(f"invalid identifier: {name!r}")
     ctx.scope.bindings[name] = _to_value(value, 0)
     return None
@@ -97,6 +99,8 @@ def evaluate(ctx, source):
 
 
 def _to_value(value, depth):
+    if type(value) is list and depth < _MAX_BRIDGE_DEPTH:
+        return [v if type(v) in _SAME else _to_value(v, depth + 1) for v in value]
     if depth > _MAX_BRIDGE_DEPTH:
         raise ConversionError("host data nested too deeply")
     if value is None or isinstance(value, (int, str, float, Decimal)):  # bool is an int
@@ -107,9 +111,8 @@ def _to_value(value, depth):
         return Pair(_to_value(value[0], depth + 1), _to_value(value[1], depth + 1))
     if isinstance(value, range):
         return Range(value.start, value.stop, value.step)
-    if isinstance(value, (list, tuple)):
-        inline = depth < _MAX_BRIDGE_DEPTH  # past the cap every element must raise
-        return [v if inline and type(v) in _SAME else _to_value(v, depth + 1) for v in value]
+    if isinstance(value, (list, tuple)):  # a subclass, a tuple, or a list at the cap
+        return [_to_value(v, depth + 1) for v in value]
     if isinstance(value, (set, frozenset)):
         return XSet(_to_value(v, depth + 1) for v in value)
     if isinstance(value, dict):
@@ -121,6 +124,8 @@ def _to_value(value, depth):
 
 
 def _from_value(value, depth):
+    if type(value) is list and depth < _MAX_BRIDGE_DEPTH:
+        return [v if type(v) in _SAME else _from_value(v, depth + 1) for v in value]
     if depth > _MAX_BRIDGE_DEPTH:
         raise ConversionError("script data nested too deeply")
     if type(value) in _SAME or value is None or isinstance(value, (bool, str)):
@@ -133,9 +138,8 @@ def _from_value(value, depth):
         return (_from_value(value.first, depth + 1), _from_value(value.second, depth + 1))
     if isinstance(value, Range):
         return range(value.start, value.end, value.step)
-    if isinstance(value, list):
-        inline = depth < _MAX_BRIDGE_DEPTH
-        return [v if inline and type(v) in _SAME else _from_value(v, depth + 1) for v in value]
+    if isinstance(value, (list, LazySeq)):  # an iterator, or a list at the cap
+        return [_from_value(v, depth + 1) for v in value]
     if isinstance(value, XSet):
         try:
             return {_from_value(v, depth + 1) for v in value}
@@ -146,8 +150,6 @@ def _from_value(value, depth):
             _as_host_key(_from_value(k, depth + 1)): _from_value(v, depth + 1)
             for k, v in value.items()
         }
-    if isinstance(value, LazySeq):
-        return [_from_value(v, depth + 1) for v in value]
     if isinstance(value, ErrorValue):
         return StructuredError(value.kind, value.message)
     raise ConversionError(f"cannot bridge a {type(value).__name__} value back to the host")

@@ -511,12 +511,16 @@ def _compile_Assign(node):
                 old = frame.bindings[name]
                 # a builtin's name is read from the builtins frame but bound here
                 bindings = (scope if frame.parent is None else frame).bindings
-            kind = type(old)  # the exact-type lanes of compiled + (see _compile_Binary)
-            if kind is type(result) and (kind is str or (
+            kind, other = type(old), type(result)  # the lanes of compiled + (_compile_Binary)
+            if kind is other and (kind is str or (
                 kind is int and low <= old <= INT_MAX and low < result <= INT_MAX
                 and INT_MIN <= old + result <= INT_MAX
             )):
                 result = old + result
+            elif kind is str and other is int and INT_MIN <= result <= INT_MAX:
+                result = old + str(result)
+            elif kind is int and other is str and INT_MIN <= old <= INT_MAX:
+                result = str(old) + result
             else:
                 result = arith("+", old, result, line, col)
             bindings[name] = result
@@ -674,9 +678,10 @@ def _compile_Return(node):
     return return_
 
 
-# exact-type lanes: on same-type plain int or str operands a compiled operator
-# answers itself, with the value function's answer; every other input falls
-# through to that function.  bool and BigInt are int subclasses, never plain int.
+# exact-type lanes: on same-type plain int or str operands, and for + on a str
+# and a plain int in the 64-bit range, a compiled operator answers itself, with
+# the value function's answer; every other input falls through to that
+# function.  bool and BigInt are int subclasses, never plain int.
 _TESTS = {"==": operator.eq, "eq": operator.eq, "!=": operator.ne}
 _TESTS.update({"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge})
 _TESTS.update(lt=operator.lt, le=operator.le, gt=operator.gt, ge=operator.ge)
@@ -716,13 +721,19 @@ def _compile_Binary(node):
 
         def arith_(interp, scope):
             a, b = lhs(interp, scope), const if rhs is None else rhs(interp, scope)
-            if type(a) is int and type(b) is int:
+            kind, other = type(a), type(b)
+            if kind is int and other is int:
                 if low <= a <= INT_MAX and low < b <= INT_MAX:
                     result = fast(a, b)
                     if INT_MIN <= result <= INT_MAX:
                         return result
-            elif concat and type(a) is str and type(b) is str:
-                return a + b
+            elif concat and kind is str:
+                if other is str:
+                    return a + b
+                if other is int and INT_MIN <= b <= INT_MAX:  # stringify's own text
+                    return a + str(b)
+            elif concat and kind is int and other is str and INT_MIN <= a <= INT_MAX:
+                return str(a) + b
             return arith(op, a, b, node.line, node.col)
 
         return arith_

@@ -515,10 +515,13 @@ def default_io(out=None, err=None, loader=None, clock=None, env=None):
     import os
     import sys
 
+    if env is None:  # NJEXL_PATH is the one variable read: take it as it is now
+        path = os.environ.get("NJEXL_PATH")
+        env = {} if path is None else {"NJEXL_PATH": path}
     return IoPorts(
         out=out if out is not None else sys.stdout,
         err=err if err is not None else sys.stderr,
         loader=loader if loader is not None else ResourceLoader(),
         clock=clock if clock is not None else time.perf_counter_ns,
-        env=dict(os.environ) if env is None else env,
+        env=env,
     )

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from njexl import ConversionError, StructuredError, bind, create_context, evaluate, get
+from njexl.lexer import KEYWORDS
+from njexl.values import BigInt
 from njexl.stdlib import FakeClock
 
 from conftest import Capture
@@ -109,6 +111,29 @@ def test_bind_rejects_unbridgeable_host_data():
         bind(ctx, "not an identifier", 1)
 
 
+def test_bind_refuses_keywords_as_names():
+    ctx = fresh()
+    for name in sorted(KEYWORDS):
+        with pytest.raises(ConversionError, match=f"invalid identifier: '{name}'"):
+            bind(ctx, name, 7)
+        assert name not in ctx.scope.bindings
+    bind(ctx, "nulls", 7)
+    assert evaluate(ctx, "nulls") == 7
+
+
+def test_environment_is_read_when_the_context_is_made(tmp_path, monkeypatch):
+    (tmp_path / "mathy.njxl").write_text("def triple(x){ x * 3 }\n")
+    monkeypatch.setenv("NJEXL_PATH", str(tmp_path))
+    ctx = fresh()
+    monkeypatch.delenv("NJEXL_PATH")
+    assert evaluate(ctx, "import 'mathy.njxl' as M\nM:triple(5)") == 15
+    assert evaluate(fresh(), "import 'mathy.njxl' as M").kind == "ModuleNotFound"
+    env = {"NJEXL_PATH": str(tmp_path), "OTHER": "kept"}
+    ctx = fresh(env=env)
+    assert ctx.io.env is env and env == {"NJEXL_PATH": str(tmp_path), "OTHER": "kept"}
+    assert evaluate(ctx, "import 'mathy.njxl' as M\nM:triple(2)") == 6
+
+
 def test_get_round_trip_and_missing():
     ctx = fresh()
     bind(ctx, "payload", {"k": [1, 2], "j": {3, 4}})
@@ -164,6 +189,70 @@ def test_round_trip_sets_and_tuples():
     assert get(ctx, "t") == (1, 2)
     bind(ctx, "d", Decimal("1.50"))
     assert get(ctx, "d") == Decimal("1.50")
+
+
+def _nest(levels):
+    value = 1
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+def test_nesting_65_is_refused_and_64_crosses_both_ways():
+    ctx = fresh()
+    bind(ctx, "v", _nest(64))
+    assert get(ctx, "v") == _nest(64)
+    with pytest.raises(ConversionError, match="host data nested too deeply"):
+        bind(ctx, "w", _nest(65))
+    assert "w" not in ctx.scope.bindings
+    evaluate(ctx, "w = " + "[" * 65 + "1" + "]" * 65)
+    with pytest.raises(ConversionError, match="script data nested too deeply"):
+        get(ctx, "w")
+    assert evaluate(ctx, "w") == StructuredError("ConversionError", "script data nested too deeply")
+
+
+def test_bool_and_int_tagged_elements_keep_their_types_in_lists():
+    ctx = fresh()
+    bind(ctx, "l", [True, 2**70, 3, "a", [False, 1]])
+    held = ctx.scope.bindings["l"]
+    assert [type(v) for v in held[:4]] == [bool, int, int, str] and type(held[4][0]) is bool
+    assert evaluate(ctx, "true @ l and !(1 @ [true])") is True
+    evaluate(ctx, "m = [true, INT(5), 6, [INT(7)]]")
+    assert type(ctx.scope.bindings["m"][1]) is BigInt
+    got = get(ctx, "m")
+    assert got == [True, 5, 6, [7]]
+    assert [type(v) for v in got[:3]] == [bool, int, int] and type(got[3][0]) is int
+
+
+def test_tuples_cross_as_pairs_only_at_length_two():
+    ctx = fresh()
+    bind(ctx, "p", (1, "a"))
+    bind(ctx, "t", (1, "a", [2]))
+    assert evaluate(ctx, "p.1") == "a"
+    assert get(ctx, "p") == (1, "a")
+    assert type(ctx.scope.bindings["t"]) is list
+    assert get(ctx, "t") == [1, "a", [2]]
+
+
+def test_list_subclasses_cross_as_lists():
+    class Row(list):
+        pass
+
+    ctx = fresh()
+    bind(ctx, "r", Row([1, "a", Row([2])]))
+    held = ctx.scope.bindings["r"]
+    assert type(held) is list and type(held[2]) is list
+    got = get(ctx, "r")
+    assert got == [1, "a", [2]] and type(got) is list
+
+
+def test_an_aliased_guest_list_reads_back_as_independent_copies():
+    ctx = fresh()
+    evaluate(ctx, "a = [1, 'x'] ; b = [a, a]")
+    got = get(ctx, "b")
+    assert got == [[1, "x"], [1, "x"]] and got[0] is not got[1]
+    got[0].append(2)
+    assert got[1] == [1, "x"] and get(ctx, "a") == [1, "x"]
 
 
 def _garbage(rng):

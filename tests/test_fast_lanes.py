@@ -1,10 +1,13 @@
 """Differential properties of the exact-type fast lanes.
 
 Lane A: a compiled operator answers same-type plain int or str operands
-itself.  For every such operator, the compiled `a OP b` (operands bound as
-names, or the right one written as a literal) must give what the value
-function it falls back to gives: the same value of the same exact type, or
-the same error kind, message, line and column.
+itself, and + a str and a plain int in the 64-bit range.  For every such
+operator, the compiled `a OP b` (operands bound as names, or the right one
+written as a literal) must give what the value function it falls back to
+gives: the same value of the same exact type, or the same error kind,
+message, line and column.  Each source runs in both tiers: as tier-0
+closures over a program body, and as tier-1 code that codegen.generate makes
+at once for the same statements as a function body.
 
 Lane B: list equality, containment, membership, blockless sorts and
 blockless minmax compare all-plain-int or all-plain-str lists by Python's own
@@ -22,9 +25,10 @@ from functools import cache, cmp_to_key, partial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from njexl import ast
+from njexl import ast, interpreter
+from njexl.codegen import generate
 from njexl.errors import NjexlError
-from njexl.interpreter import Interp, _index_get, compile_body, new_global_scope
+from njexl.interpreter import Code, Interp, Scope, _index_get, compile_body, new_global_scope
 from njexl.stdlib import default_io
 from njexl.values import (
     INT_MAX,
@@ -116,7 +120,7 @@ def _literal_source(v):
         return "null"
     if isinstance(v, bool) or (isinstance(v, str) and "\\" not in v):
         return to_src(v)
-    if type(v) is int and v >= 0:
+    if type(v) is int and 0 <= v < 10**4300:  # a longer literal is a NumberFormatError
         return str(v)
     if isinstance(v, (float, Decimal)) and math.isfinite(v) and not str(v).startswith("-"):
         return str(v)
@@ -124,18 +128,26 @@ def _literal_source(v):
 
 
 @cache
-def _compile(source):
+def _compile(source, params):
+    """The source's tier-0 code as a program body, its tier-1 code as the body
+    of a function taking params, and its first statement."""
     program = parse_source(source)
-    return compile_body(program.body), program.body[0]
+    tier_1 = generate(Code(program.body, params), vars(interpreter))
+    assert tier_1 is not None, source
+    return compile_body(program.body), tier_1, program.body[0]
 
 
 def _compiled(source, **names):
-    """(outcome, node) of source run as compiled code with names bound."""
-    code, node = _compile(source)
+    """((tier-0 outcome, tier-1 outcome), node) of source run with names bound:
+    in tier 0 in the global frame, in tier 1 in a function's frame.  Each tier
+    gets its own deep copy of each value."""
+    tier_0, tier_1, node = _compile(source, tuple(names))
     interp = Interp(default_io(out=Capture(), err=Capture()))
     scope = new_global_scope()
-    scope.bindings.update(names)
-    return _outcome(lambda: code(interp, scope)), node
+    scope.bindings.update({name: copy.deepcopy(v) for name, v in names.items()})
+    got = _outcome(lambda: tier_0(interp, scope))
+    frame = Scope(new_global_scope(), {name: copy.deepcopy(v) for name, v in names.items()})
+    return (got, _outcome(lambda: tier_1(interp, frame))), node
 
 
 def _order(op):
@@ -164,16 +176,16 @@ _GENERIC = {
 
 
 def _check_binary(op, a, b):
-    got, node = _compiled(f"a {op} b", a=copy.deepcopy(a), b=copy.deepcopy(b))
+    got, node = _compiled(f"a {op} b", a=a, b=b)
     a2, b2 = copy.deepcopy(a), copy.deepcopy(b)
-    assert got == _outcome(lambda: _GENERIC[op](a2, b2, node.line, node.col)), (op, a, b)
+    assert got == (_outcome(lambda: _GENERIC[op](a2, b2, node.line, node.col)),) * 2, (op, a, b)
     text = _literal_source(b)
     if text is not None:
-        got, node = _compiled(f"a {op} {text}", a=copy.deepcopy(a))
+        got, node = _compiled(f"a {op} {text}", a=a)
         assert isinstance(node.right, ast.Literal)
         const = node.right.value
         want = _outcome(lambda: _GENERIC[op](copy.deepcopy(a), const, node.line, node.col))
-        assert got == want, (op, a, text)
+        assert got == (want, want), (op, a, text)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -216,7 +228,7 @@ def test_compiled_indexing_agrees_with_the_generic_read(v, i):
     for source in ["v[i]"] + ([f"v[{text}]"] if text else []):
         got, node = _compiled(source, v=v, i=i)
         key = i if isinstance(node.index, ast.Identifier) else node.index.value
-        assert got == _outcome(lambda: _index_get(v, key, node)), (source, v, i)
+        assert got == (_outcome(lambda: _index_get(v, key, node)),) * 2, (source, v, i)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -224,9 +236,37 @@ def test_compiled_indexing_agrees_with_the_generic_read(v, i):
 def test_compiled_plus_assign_agrees_with_arith(x, y):
     """x += y in the frame binding x, and from a child frame (eval's)."""
     for source in ("x += y\nx", "eval('x += y')\nx"):
-        got, _ = _compiled(source, x=copy.deepcopy(x), y=copy.deepcopy(y))
+        got, _ = _compiled(source, x=x, y=y)
         x2, y2 = copy.deepcopy(x), copy.deepcopy(y)
-        assert got == _outcome(lambda: arith("+", x2, y2, 1, 1)), (source, x, y)
+        assert got == (_outcome(lambda: arith("+", x2, y2, 1, 1)),) * 2, (source, x, y)
+
+
+# + on a str and anything: the str/int concatenation lane takes a plain int
+# in the 64-bit range only; bool, INT, ints past either edge, one too long for
+# str(), NaN, null and a list (which appends) go through arith()
+_CONCAT_PARTNERS = [0, -7, INT_MAX, INT_MIN, 2**63, -(2**63), 2**63 + 1, -(2**63) - 1,
+                    10**4300, -(10**4300), True, False, BigInt(5), BigInt(2**70), math.nan,
+                    1.5, Decimal("2.5"), None, [1], ["a"], "", "b"]
+
+
+def _check_concat(s, x):
+    for a, b in ((s, x), (x, s)):
+        _check_binary("+", a, b)
+        got, _ = _compiled("a += b\na", a=a, b=b)
+        a2, b2 = copy.deepcopy(a), copy.deepcopy(b)
+        assert got == (_outcome(lambda: arith("+", a2, b2, 1, 1)),) * 2, (a, b)
+
+
+def test_str_and_int_concatenate_as_arith_does_in_both_tiers():
+    for s in ("", "x#", "é"):
+        for x in _CONCAT_PARTNERS:
+            _check_concat(s, x)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.text(alphabet="ab#", max_size=3), st.one_of(_ints, _scalars, _lists))
+def test_concatenation_lane_agrees_with_arith(s, x):
+    _check_concat(s, x)
 
 
 # --- lane B: the canonical-key and comparator paths it replaces -------------------
@@ -273,16 +313,16 @@ def _check_lists(a, b, x):
             assert _outcome(lambda: lane(a, other, 2, 3)) == want, (lane, a, other)
     for c in (a, b):
         got, node = _compiled("x @ c", x=x, c=c)
-        assert got == _outcome(lambda: _member_by_keys(x, c, node.line, node.col)), (x, c)
+        assert got == (_outcome(lambda: _member_by_keys(x, c, node.line, node.col)),) * 2, (x, c)
 
 
 def _check_sorts(items):
     for name in ("sorta", "sortd"):
         got, node = _compiled(f"{name}(l)", l=items)
         want = _outcome(lambda: _sorted_by_comparator(items, name == "sortd", node.line, node.col))
-        assert got == want, (name, items)
+        assert got == (want, want), (name, items)
     got, node = _compiled("minmax(l)", l=items)
-    assert got == _outcome(lambda: _minmax_by_comparator(items, node.line, node.col)), items
+    assert got == (_outcome(lambda: _minmax_by_comparator(items, node.line, node.col)),) * 2, items
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
