@@ -31,38 +31,31 @@ locals item, index, source and partial, and every other name is read
 through parent.  partial is _MISSING when the builtin gives none; _$_ is
 then read and written through the frames, where tier 0 finds it.
 
-CPython allows 20 statically nested blocks and 100 indentation levels.  A
-construct that would open suites deeper than _MAX_NESTING is moved into a
-helper function of its own, where break, continue and return travel as
-signals; a frameless body that needs one is generated again with a frame,
-which its helpers share.  A body holding a node kind this module does not cover (#clock,
-#(...) assignments, Alias:name calls) stays in tier 0: generate returns
-None.
+A body that cannot be one Python function stays in tier 0: generate
+returns None.  That is a body holding a node kind this module does not
+cover (#clock, #(...) assignments, Alias:name calls), and a body nested too
+deep: CPython refuses more than 20 statically nested blocks (a loop and
+its try each take one), so no suite is opened at _MAX_NESTING or deeper.
 """
 
-from .ast import (
-    Assign, Binary, Call, ClockBlock, For, FuncDef, Identifier, If, Import, Index, MultiAssign,
-    Node, StaticCall, Ternary, While,
-)
+from .ast import Assign, Call, ClockBlock, For, FuncDef, Identifier, Import, Index, MultiAssign
+from .ast import Node, StaticCall
 from .values import INT_LANE_LOW, INT_MAX, INT_MIN
 
-_MAX_NESTING = 12  # suite depth in one generated function before a helper takes over
+# no suite opens this deep in run(), so a line is inside at most 19 suites: within
+# CPython's 20 statically nested blocks, counting the two of an except clause
+_MAX_NESTING = 20
 # a frameless block body's own names, as the Python locals of its run()
 _LOCALS = {"$": "item", "_": "index", "$$": "source", "_$_": "partial"}
 # nodes that capture or hand on the frame they run in, or bind a name in it
 _FRAMED = (Call, StaticCall, FuncDef, ClockBlock, Import, For, MultiAssign)
-_NESTING = (If, Ternary, For, While, Binary)
 _ORDER = {"<": "<", "lt": "<", "<=": "<=", "le": "<=", ">": ">", "gt": ">", ">=": ">="}
 _ORDER.update({"ge": ">=", "==": "==", "eq": "==", "!=": "!="})
 _ARITH = {"+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
 
 
 class _Unsupported(Exception):
-    """The body holds a node kind that tier 1 does not cover."""
-
-
-class _NeedsFrame(Exception):
-    """A frameless body is too deep for one function: its helpers need a frame."""
+    """The body holds a node kind that tier 1 does not cover, or nests too deep."""
 
 
 def generate(code, namespace):
@@ -71,12 +64,8 @@ def generate(code, namespace):
     Nothing here refers to the interpreter module itself, so a dropped copy
     of njexl is still freed by reference counting."""
     try:
-        try:
-            gen = _Generator(code, code.params is None and _frameless(code.stmts))
-            source = gen.module(code.stmts)
-        except _NeedsFrame:
-            gen = _Generator(code, False)
-            source = gen.module(code.stmts)
+        gen = _Generator(code, code.params is None and _frameless(code.stmts))
+        source = gen.module(code.stmts)
     except (_Unsupported, RecursionError):
         return None
     made = {}
@@ -117,13 +106,12 @@ class _Generator:
         self.const_names = {}  # id(value) -> its K name
         self.kinds = {}  # literal operand text -> its exact Python type
         self.bools = set()  # temporaries known to hold a bool
-        self.helpers = []  # finished helper functions, as lists of lines
         self.count = 0
 
     # --- output --------------------------------------------------------------
 
     def module(self, stmts):
-        self.depth, self.loop, self.returns = 1, False, self.function
+        self.depth, self.loop = 1, False
         if self.function or self.frameless:
             args = "scope" if self.function else "scope, item, index, source, partial"
             self.lines = [f"def run(interp, {args}):"]
@@ -137,25 +125,24 @@ class _Generator:
             self.emit("scope = Scope(parent, B)")
         self.emit(f"return {self.body(stmts)}")
         params = ", ".join(f"K{i}" for i in range(len(self.consts)))
-        out = [f"def _make({params}):"]
-        for lines in self.helpers + [self.lines]:
-            out.extend("    " + line for line in lines)
-        out.append("    return run")
-        return "\n".join(out) + "\n"
+        body = "".join(f"    {line}\n" for line in self.lines)
+        return f"def _make({params}):\n{body}    return run\n"
 
     def emit(self, line):
         self.lines.append("    " * self.depth + line)
 
     def open(self, header):
+        if self.depth >= _MAX_NESTING:
+            raise _Unsupported("nested too deep")
         self.emit(header)
         self.depth += 1
 
     def close(self, count=1):
         self.depth -= count
 
-    def new(self, prefix="v"):
+    def new(self):
         self.count += 1
-        return f"{prefix}{self.count}"
+        return f"v{self.count}"
 
     def const(self, value):
         name = self.const_names.get(id(value))
@@ -185,10 +172,6 @@ class _Generator:
         """The text of `type(operand) is kind`, or True/False when known here."""
         known = self.kinds.get(operand)
         return f"type({operand}) is {kind.__name__}" if known is None else known is kind
-
-    def branch(self, conds, lane, fallback):
-        """Emit `if all conds: lane() else: fallback()`, deciding known conds here."""
-        self.cases([(conds, lane)], fallback)
 
     def cases(self, cases, fallback):
         """Emit an if/elif chain over cases, (conds, lane) pairs, and fallback
@@ -225,24 +208,7 @@ class _Generator:
         handler = getattr(self, "_" + type(node).__name__, None)
         if handler is None:
             raise _Unsupported(type(node).__name__)
-        if self.depth >= _MAX_NESTING and isinstance(node, _NESTING):
-            return self.hoist(handler, node)
         return handler(node)
-
-    def hoist(self, handler, node):
-        """Emit node as a helper function of its own; the operand of its value."""
-        if self.frameless:
-            raise _NeedsFrame
-        name = self.new("h")
-        saved = self.lines, self.depth, self.loop, self.returns
-        self.lines, self.depth = [f"def {name}(interp, scope, B):"], 1
-        self.loop = self.returns = False  # signals carry break, continue and return out
-        self.emit(f"return {handler(node)}")
-        self.helpers.append(self.lines)
-        self.lines, self.depth, self.loop, self.returns = saved
-        out = self.new()
-        self.emit(f"{out} = {name}(interp, scope, B)")
-        return out
 
     def _Literal(self, node):
         return self.literal(node.value)
@@ -427,7 +393,7 @@ class _Generator:
 
     def _Return(self, node):
         value = "None" if node.value is None else self.node(node.value)
-        self.emit(f"return {value}" if self.returns else f"raise ReturnSignal({value})")
+        self.emit(f"return {value}" if self.function else f"raise ReturnSignal({value})")
         return "None"
 
     def _Binary(self, node):
@@ -450,10 +416,9 @@ class _Generator:
             self.arith(op, a, b, out, node)
         elif op == "@":
             self.bools.add(out)
-            self.branch(
-                [self.test(b, list), f"(type({a}) is int or type({a}) is str)",
-                 f"native_kind({b}) is type({a})"],
-                lambda: self.emit(f"{out} = {a} in {b}"),
+            self.cases(
+                [([self.test(b, list), f"(type({a}) is int or type({a}) is str)",
+                   f"native_kind({b}) is type({a})"], lambda: self.emit(f"{out} = {a} in {b}"))],
                 lambda: self.emit(f"{out} = membership({a}, {b}, {node.line}, {node.col})"),
             )
         else:
@@ -463,9 +428,8 @@ class _Generator:
                 slow = f"values_equal({a}, {b}, {node.line}, {node.col}) is not {negated}"
             else:
                 slow = f"_ordered({a}, {b}, {self.const(node)})"
-            self.branch(
-                self.same_plain_type(a, b),
-                lambda: self.emit(f"{out} = {a} {_ORDER[op]} {b}"),
+            self.cases(
+                [(self.same_plain_type(a, b), lambda: self.emit(f"{out} = {a} {_ORDER[op]} {b}"))],
                 lambda: self.emit(f"{out} = {slow}"),
             )
         return out
@@ -559,9 +523,9 @@ class _Generator:
 
     def _Index(self, node):
         obj, index, out = self.node(node.obj), self.node(node.index), self.new()
-        self.branch(
-            [self.test(obj, list), self.test(index, int), f"0 <= {index} < len({obj})"],
-            lambda: self.emit(f"{out} = {obj}[{index}]"),
+        self.cases(
+            [([self.test(obj, list), self.test(index, int), f"0 <= {index} < len({obj})"],
+              lambda: self.emit(f"{out} = {obj}[{index}]"))],
             lambda: self.emit(f"{out} = _index_get({obj}, {index}, {self.const(node)})"),
         )
         return out

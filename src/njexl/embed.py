@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .errors import guest_error
+from .errors import NjexlError, guest_error
 from .interpreter import Interp, new_global_scope, run_on_deep_stack
 from .lexer import KEYWORDS
 from .stdlib import default_io
@@ -25,6 +25,7 @@ from .values import (
     Range,
     XMap,
     XSet,
+    tag,
 )
 
 _MAX_BRIDGE_DEPTH = 64
@@ -118,7 +119,12 @@ def _to_value(value, depth):
     if isinstance(value, dict):
         out = XMap()
         for k, v in value.items():
-            out.set(_to_value(k, depth + 1), _to_value(v, depth + 1))
+            key, v = _to_value(k, depth + 1), _to_value(v, depth + 1)
+            try:
+                out.set(key, v)
+            except NjexlError:
+                message = f"host dict key becomes a {tag(key)}, which cannot be a map key"
+                raise ConversionError(message) from None
         return out
     raise ConversionError(f"cannot bridge host {type(value).__name__} into a script value")
 

@@ -111,6 +111,17 @@ def test_bind_rejects_unbridgeable_host_data():
         bind(ctx, "not an identifier", 1)
 
 
+@pytest.mark.parametrize(
+    "key, kind", [((1, 2, 3), "list"), (frozenset([1]), "set"), ((1, (2, 3, 4)), "pair")]
+)
+def test_bind_rejects_host_dict_keys_the_guest_cannot_key_a_map_by(key, kind):
+    ctx = fresh()
+    message = f"host dict key becomes a {kind}, which cannot be a map key"
+    with pytest.raises(ConversionError, match=f"^{message}$"):
+        bind(ctx, "m", {key: 1})
+    assert "m" not in ctx.scope.bindings
+
+
 def test_bind_refuses_keywords_as_names():
     ctx = fresh()
     for name in sorted(KEYWORDS):

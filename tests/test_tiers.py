@@ -11,13 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import njexl.interpreter as interpreter
+from njexl import ast, codegen
 from njexl.ast import dump
+from njexl.codegen import generate
 from njexl.errors import NjexlError, guest_error
 from njexl.interpreter import Interp, new_global_scope, run_on_deep_stack
 from njexl.stdlib import FakeClock, default_io
 from njexl.values import stringify, tag
 
-from conftest import Capture, to_src
+from conftest import Capture, corpus_path, parse_source, to_src
 from test_fuzz import ATOMS, OPS, structured_programs
 
 NEVER = float("inf")
@@ -155,46 +157,142 @@ def test_generated_programs_agree_in_both_tiers(program):
 
 
 @pytest.mark.parametrize(
-    "make, want",
+    "make, want, tier_1",
     [
         # if statements nested 200 deep
-        (lambda d: "".join(f"if (n > {i}) {{ " for i in range(d)) + "n" + " }" * d, "200"),
+        (lambda d: "".join(f"if (n > {i}) {{ " for i in range(d)) + "n" + " }" * d, "200", False),
         # a chain of and operators nested 200 deep on the right
-        (lambda d: "".join(f"n > {i} and (" for i in range(d)) + "true" + ")" * d, "true"),
+        (lambda d: "".join(f"n > {i} and (" for i in range(d)) + "true" + ")" * d, "true",
+         False),
         # ternaries nested 200 deep
-        (lambda d: "".join(f"n > {i} ? (" for i in range(d)) + "n" + f") : -1" * d, "200"),
-        # arithmetic nested 200 deep
-        (lambda d: "(1 + " * d + "n" + ")" * d, "400"),
+        (lambda d: "".join(f"n > {i} ? (" for i in range(d)) + "n" + ") : -1" * d, "200",
+         False),
+        # arithmetic nested 200 deep: its lanes open no nested suites
+        (lambda d: "(1 + " * d + "n" + ")" * d, "400", True),
         # ifs nested 40 deep in a loop, around its break and continue
         (lambda d: "c = 0\nfor (j : [0:9]) { " + "if (j > 0) { " * 40
-         + "continue(j == 2) ; c += j ; break(j > 3)" + " }" * 40 + " }\nc", "8"),
+         + "continue(j == 2) ; c += j ; break(j > 3)" + " }" * 40 + " }\nc", "8", False),
         # loops nested 30 deep: past CPython's 20 statically nested blocks
         (lambda d: "c = 0\n" + "".join(f"for (i{i} : [0:1]) {{ " for i in range(30))
-         + "c += 1 ; continue ; c += 10" + " }" * 30 + "\nc", "1"),
+         + "c += 1 ; continue ; c += 10" + " }" * 30 + "\nc", "1", False),
     ],
 )
-def test_deeply_nested_body_compiles_and_runs_in_tier_1(monkeypatch, make, want):
-    set_tier(monkeypatch, 0)
-    scope = new_global_scope()
-    interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
-    source = f"def f(n){{\n{make(200)}\n}}\nf(200)"
-    value = run_on_deep_stack(lambda: interp.run_source(source, scope))
-    assert stringify(value) == want
-    assert is_tier_1(scope.bindings["f"].body)
-    set_tier(monkeypatch, NEVER)
-    assert outcome(source)[0] == ("value", tag(value), want)
+def test_deeply_nested_body_gives_its_value_in_either_tier(monkeypatch, make, want, tier_1):
+    # a body too deep for one generated function keeps its tier-0 code
+    generated = recording_generate(monkeypatch)
+    cold, hot = both_tiers(f"def f(n){{\n{make(200)}\n}}\nf(200)")
+    assert hot == cold and cold[0][0] == "value" and cold[0][2] == want
+    assert len(generated) == 1 and is_tier_1(generated[0]) == tier_1 and generated[0].heat == -1
 
 
-def test_deep_frameless_block_body_runs_in_tier_1_with_a_frame(monkeypatch):
-    # helpers of a body too deep for one function share its names through a frame
-    body = "".join(f"if ($ > {i}) {{ " for i in range(40)) + "$ + n" + " }" * 40
-    source = f"n = 1\nlist{{ {body} }}([50, 3])"
-    cold, hot = both_tiers(source)
-    assert hot == cold and cold[0][0] == "value"
+def test_deep_block_body_stays_in_tier_0(monkeypatch):
+    for inner, kind in (("$", "value"), ("$ / 0", "error")):
+        body = "".join(f"if ($ > {i}) {{ " for i in range(40)) + inner + " + n" + " }" * 40
+        source = f"n = 1\nlist{{ {body} }}([50, 3])"
+        cold, hot = both_tiers(source)
+        assert hot == cold and cold[0][0] == kind
     set_tier(monkeypatch, 0)
     generated = recording_generate(monkeypatch)
     outcome(source)
-    assert len(generated) == 1 and is_tier_1(generated[0]) and not is_frameless(generated[0])
+    assert len(generated) == 1 and not is_tier_1(generated[0]) and generated[0].heat == -1
+
+
+# each construct nested as deep as one generated function allows
+NESTINGS = {
+    "for": (lambda d: "c = 0\n" + "".join(f"for (i{i} : [0:2]) {{ " for i in range(d))
+            + "c += 1" + " }" * d + "\nc", 8),
+    # loops around a constant: ten would be past CPython's 20 nested blocks
+    "for, bare": (lambda d: "".join(f"for (i{i} : [0:2]) {{ " for i in range(d)) + "1"
+                  + " }" * d, 9),
+    "while": (lambda d: "c = 0\n" + "".join(f"w{i} = 0\nwhile (w{i} < 2) {{ w{i} += 1\n"
+                                            for i in range(d)) + "c += 1" + " }" * d + "\nc", 8),
+    "if": (lambda d: "".join(f"if (n > {i}) {{ " for i in range(d)) + "n" + " }" * d, 19),
+    "and": (lambda d: "".join(f"n > {i} and (" for i in range(d)) + "true" + ")" * d, 19),
+    "ternary": (lambda d: "".join(f"n > {i} ? (" for i in range(d)) + "n" + ") : -1" * d, 19),
+}
+
+
+@pytest.mark.parametrize("construct", NESTINGS)
+def test_nesting_bound(monkeypatch, construct):
+    make, deepest = NESTINGS[construct]
+    generated = recording_generate(monkeypatch)
+    for depth in (deepest, deepest + 1):
+        source = f"def f(n){{\n{make(depth)}\n}}"
+        func = parse_source(source).body[0]
+        code = generate(interpreter.Code(func.body, func.params), vars(interpreter))
+        assert (code is None) == (depth > deepest), depth
+        cold, hot = both_tiers(f"{source}\nf({depth})")
+        assert hot == cold and cold[0][0] == "value"
+        assert is_tier_1(generated[-1]) == (depth == deepest) and generated[-1].heat == -1
+
+
+def test_import_in_a_hot_function_body(monkeypatch):
+    generated = recording_generate(monkeypatch)
+    source = """Int = null
+def load(){ import 'java.lang.Integer' as Int ; 1 }
+n = 0
+for (k : [0:40]) { n += load() }
+[n, Int:parseInt('41')]"""
+    cold, hot = both_tiers(source)
+    assert hot == cold == (("value", "list", "[40, 41]"), "")
+    cold, hot = both_tiers("def load(){ import 'no.such.Module' as M }\nload()")
+    assert hot == cold and cold[0][:2] == ("error", "ModuleNotFound")
+    assert len(generated) == 2 and all(map(is_tier_1, generated))
+
+
+def test_each_tier_covers_the_node_kinds():
+    kinds = {
+        name for name, kind in vars(ast).items()
+        if isinstance(kind, type) and issubclass(kind, ast.Node) and kind is not ast.Node
+    }
+    compiled = {kind.__name__ for kind in interpreter._COMPILERS}
+    assert compiled == kinds - {"Program", "AnonBlock"}
+    handlers = {name[1:] for name in vars(codegen._Generator) if name[1:2].isupper()}
+    assert handlers == compiled - {"ClockBlock", "MultiAssign", "StaticCall"}
+
+
+def dump_body(stmts):
+    return "\n".join(map(dump, stmts))
+
+
+def bodies(node):
+    """Dumps of the function and block bodies in node, a syntax tree or a list."""
+    found = []
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            found += bodies(item)
+    elif isinstance(node, ast.Node):
+        if isinstance(node, ast.FuncDef):
+            found.append(dump_body(node.body))
+        elif isinstance(node, ast.Call) and node.block is not None:
+            found.append(dump_body(node.block.body))
+        found += bodies(list(vars(node).values()))
+    return found
+
+
+# calls of each corpus predicate script's definitions, past the tier-up thresholds
+PREDICATE_CALLS = {
+    "sorted_check.njxl": "xs = [0:300].list()\n"
+                         "for (k : [0:40]) { is_sorted_permutation(xs, xs) }",
+    "filter_check.njxl": "xs = [0:300].list()\nys = list{ $ * 2 }(xs)\n"
+                         "for (k : [0:40]) { verify_applied_filter(evens, xs, ys) }",
+    "table_check.njxl": "rows = list{ [$, 'a', $ * 2] }([0:200])\n"
+                        "for (k : [0:40]) { verify_tables(rows, rows, [0, 1, 2], [2, 0, 1]) }",
+}
+
+
+@pytest.mark.parametrize("script", PREDICATE_CALLS)
+def test_paper_predicates_run_in_tier_1_once_hot(monkeypatch, script):
+    # every function and block body of the paper's predicates fits one generated function
+    monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", DEFAULTS[0])
+    monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", DEFAULTS[1])
+    generated = recording_generate(monkeypatch)
+    with open(corpus_path(script), encoding="utf-8") as fh:
+        source = fh.read()
+    assert outcome(source + "\n" + PREDICATE_CALLS[script])[0][0] == "value"
+    assert all(map(is_tier_1, generated))
+    wanted = bodies(parse_source(source).body)
+    assert len(wanted) >= 2 and set(wanted) <= {dump_body(code.stmts) for code in generated}
 
 
 def test_loop_signals_cross_tiers():
@@ -350,11 +448,12 @@ def test_tier_up_thresholds(monkeypatch):
     assert not is_tier_1(generated[-1]) and generated[-1].heat == -1
 
 
-def test_recursion_under_nested_operators_reaches_the_frame_cap():
+def test_recursion_under_nested_operators_reaches_the_frame_cap(monkeypatch):
     # each guest call takes a bounded number of Python frames once its body
     # runs in tier 1, so the 10,000-frame cap is reached before Python's limit
     from njexl import create_context, evaluate
 
+    set_tier(monkeypatch, DEFAULTS[1])  # f tiers up as at the default threshold
     body = "f(n - 1)"
     for _ in range(15):
         body = f"1 + ({body})"
