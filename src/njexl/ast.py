@@ -50,11 +50,16 @@ class FuncDef(Node):
     name: object  # str or None for anonymous function expressions
     params: list
     body: list
+    # the body's tier state (interpreter.warm); class attributes, not fields
+    run = None
+    heat = 0
 
 
 @_node
 class AnonBlock(Node):
     body: list
+    run = None
+    heat = 0
 
 
 @_node

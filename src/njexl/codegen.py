@@ -1,23 +1,25 @@
 """Tier 1: a hot function or block body as one flat Python function.
 
-Code.warm calls generate() once a body is hot.  The body's syntax tree is
-translated into three-address Python source: each operation is one
-statement on local names and constants, so expressions never nest.  The
-source is compiled once and run with the interpreter module's dict as its
-globals, so the value operations it calls (arith, values_equal,
-order_compare through _ordered, membership, sub_collection, ...) are looked
-up there at each call, as tier-0 code does.
+interpreter.warm calls generate() once a body is hot, with the body's
+syntax node (an ast.FuncDef or ast.AnonBlock), which keeps the body's tier
+state.  The body's syntax tree is translated into three-address Python
+source: each operation is one statement on local names and constants, so
+expressions never nest.  The source is compiled once and run with the
+interpreter module's dict as its globals, so the value operations it calls
+(arith, values_equal, order_compare through _ordered, membership,
+sub_collection, ...) are looked up there at each call, as tier-0 code does.
 
 The function it returns does what the body's tier-0 closures do.  A
 function body's is run(interp, frame), in the frame call_function built;
 names are read and written through frame.bindings and the parent chain,
-`var` writes the global frame, and nested blocks and functions get their
-own Code.  The exact-type lanes of tier 0's operators are inlined with the
-same fallbacks, a literal operand's type is decided here, and every error
-is raised with the kind, message, line and column that tier 0 gives it.  A
-guest loop is a Python loop, and `break` and `continue` inside it are
-Python's; `return` in a function body is Python's.  Everywhere else they
-raise the signal that tier 0 raises.
+`var` writes the global frame, and a nested def or block gets its own
+syntax node as a constant, so it shares one tier state with the tier-0
+code of this body.  The exact-type lanes of tier 0's operators are inlined
+with the same fallbacks, a literal operand's type is decided here, and
+every error is raised with the kind, message, line and column that tier 0
+gives it.  A guest loop is a Python loop, and `break` and `continue` inside
+it are Python's; `return` in a function body is Python's.  Everywhere else
+they raise the signal that tier 0 raises.
 
 A block body's is run(interp, parent, item, index, source, partial), the
 calling convention of all block code.  It builds the element's frame
@@ -58,14 +60,15 @@ class _Unsupported(Exception):
     """The body holds a node kind that tier 1 does not cover, or nests too deep."""
 
 
-def generate(code, namespace):
-    """Tier-1 code for code (an interpreter.Code), run with namespace (the
-    interpreter module's dict) as its globals; None if it stays in tier 0.
-    Nothing here refers to the interpreter module itself, so a dropped copy
-    of njexl is still freed by reference counting."""
+def generate(node, namespace):
+    """Tier-1 code for the body of node (an ast.FuncDef or ast.AnonBlock),
+    run with namespace (the interpreter module's dict) as its globals; None
+    if it stays in tier 0.  Nothing here refers to the interpreter module
+    itself, so a dropped copy of njexl is still freed by reference counting."""
+    params = node.params if isinstance(node, FuncDef) else None
     try:
-        gen = _Generator(code, code.params is None and _frameless(code.stmts))
-        source = gen.module(code.stmts)
+        gen = _Generator(params, params is None and _frameless(node.body))
+        source = gen.module(node.body)
     except (_Unsupported, RecursionError):
         return None
     made = {}
@@ -95,8 +98,7 @@ def _frameless(nodes):
 
 
 class _Generator:
-    def __init__(self, code, frameless):
-        params, self.Code = code.params, type(code)
+    def __init__(self, params, frameless):
         # names bound in the body's own frame whenever it runs
         self.own = frozenset(("$", "_", "$$") if params is None else params)
         # a frameless block's own names are locals; its scope is the parent frame
@@ -318,8 +320,8 @@ class _Generator:
         return "None"
 
     def _FuncDef(self, node):
-        out, code = self.new(), self.const(self.Code(node.body, node.params))
-        self.emit(f"{out} = Function({node.name!r}, {self.const(node.params)}, {code}, scope)")
+        out, params = self.new(), self.const(node.params)
+        self.emit(f"{out} = Function({node.name!r}, {params}, {self.const(node)}, scope)")
         if node.name is None:
             return out
         self.emit(f"B[{node.name!r}] = {out}")
@@ -506,8 +508,8 @@ class _Generator:
             self.emit(f"{values} = list({splat})")
         block = "None"
         if node.block is not None:
-            block, code = self.new(), self.const(self.Code(node.block.body))
-            self.emit(f"{block} = BlockClosure({self.const(node.block)}, scope, {code})")
+            block = self.new()
+            self.emit(f"{block} = BlockClosure({self.const(node.block)}, scope)")
         else:
             self.open(f"if isinstance({callee}, Function):")
             self.emit(f"{out} = interp.call_function({callee}, {values}, {keywords}, {where})")

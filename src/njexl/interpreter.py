@@ -4,18 +4,22 @@ Tier 0.  A Program is compiled once into nested closures
 code(interp, scope) -> value (Feeley & Lapalme, "Using closures for code
 generation", 1987), with operators, literals, comparison directions and
 call shapes fixed when the code is built.  Compiled code never holds an
-Interp and nothing is written onto syntax-tree nodes, so contexts are freed
-by reference counting alone.  An Interp caches the code of recent source
+Interp, a Scope or a Function, and neither does the one state written onto
+syntax-tree nodes (a body's tier state, below), so contexts are freed by
+reference counting alone.  An Interp caches the code of recent source
 texts: a repeated predicate skips the lexer, the parser and the compiler.
 
-Tier 1.  Each function body and each block body is a Code, shared by every
-Function or BlockClosure made from its FuncDef or call site.  Nothing is
-built for it until it first runs, in tier 0.  A block body tiers up once its
-builtins have run it on BLOCK_TIER_UP_AT elements; a function body on its
-FUNCTION_TIER_UP_AT-th call.  Tier-up translates the body into one flat
-Python function (codegen.py) that raises the same errors; a body holding a
-node kind the generator does not cover stays in tier 0.  Program bodies and
-one-shot evaluations stay in tier 0.  Both tiers enter through
+Tier 1.  Each function body and each block body keeps its tier state on its
+syntax node, an ast.FuncDef or ast.AnonBlock: node.run is its code and
+node.heat its runs counted toward tier-up (see warm).  Every Function or
+BlockClosure made from the node shares that state, whichever tier the code
+around it runs in.  Nothing is built for a body until it first runs, in
+tier 0.  A block body tiers up once its builtins have run it on
+BLOCK_TIER_UP_AT elements; a function body on its FUNCTION_TIER_UP_AT-th
+call.  Tier-up translates the body into one flat Python function
+(codegen.py) that raises the same errors; a body holding a node kind the
+generator does not cover stays in tier 0.  Program bodies and one-shot
+evaluations stay in tier 0.  Both tiers enter through
 Interp.invoke_block and Interp.call_function, and both look the value
 operations (arith, values_equal, ...) up in this module when they run.
 
@@ -225,10 +229,11 @@ class Scope:
         scope.bindings[name] = value
 
     def module_aliases(self):
-        """Names bound to modules anywhere in the chain (for re-parsing)."""
+        """Names bound to modules anywhere in the chain (for re-parsing).  The
+        builtins frame binds none, and nothing writes it, so it is not read."""
         found = set()
         scope = self
-        while scope is not None:
+        while scope.parent is not None:
             for name, value in scope.bindings.items():
                 if isinstance(value, Module):
                     found.add(name)
@@ -236,34 +241,24 @@ class Scope:
         return found
 
 
-class Code:
-    """A function's or block's body: tier-0 closures until hot, then tier-1
-    code if the generator covers it.  Once warm has been called, a
-    function body runs as run(interp, frame) and a block body as
-    run(interp, parent, item, index, source, partial); a body that never
-    runs is never compiled."""
-
-    __slots__ = ("stmts", "params", "run", "heat")
-
-    def __init__(self, stmts, params=None):
-        self.stmts = stmts
-        self.params = params  # a function's parameter names; None for a block
-        self.run = None
-        self.heat = 0  # runs counted toward tier-up; -1 once it is decided
-
-    def warm(self):
-        """Count one more run (an element for a block, a call for a function);
-        the first time the count reaches the body's tier-up threshold, swap
-        in tier-1 code.  Returns the code to run now."""
-        if self.heat >= 0:
-            self.heat += 1
-            if self.heat >= (BLOCK_TIER_UP_AT if self.params is None else FUNCTION_TIER_UP_AT):
-                self.heat = -1
-                self.run = generate(self, globals()) or self.run
-            if self.run is None:
-                body = compile_body(self.stmts)
-                self.run = body if self.params is not None else _framed_block(body)
-        return self.run
+def warm(node):
+    """Count one more run of node's body (a call for an ast.FuncDef, an
+    element for an ast.AnonBlock) in node.heat; the first time the count
+    reaches the body's tier-up threshold, set it to -1 and swap in tier-1
+    code if the generator covers the body.  Returns node.run, the code to
+    run now: run(interp, frame) for a function body, run(interp, parent,
+    item, index, source, partial) for a block body.  A body that never runs
+    is never compiled."""
+    function = isinstance(node, ast.FuncDef)
+    if node.heat >= 0:
+        node.heat += 1
+        if node.heat >= (FUNCTION_TIER_UP_AT if function else BLOCK_TIER_UP_AT):
+            node.heat = -1
+            node.run = generate(node, globals()) or node.run
+        if node.run is None:
+            body = compile_body(node.body)
+            node.run = body if function else _framed_block(body)
+    return node.run
 
 
 def _framed_block(body):
@@ -293,14 +288,13 @@ def _assign_partial(parent, value):
 
 
 class BlockClosure:
-    """An anonymous block, its Code and the scope it was written in.
+    """An anonymous block (its ast.AnonBlock) and the scope it was written in.
     Builtins call Interp.invoke_block once per element."""
 
-    __slots__ = ("block", "code", "scope")
+    __slots__ = ("block", "scope")
 
-    def __init__(self, block, scope, code):
+    def __init__(self, block, scope):
         self.block = block
-        self.code = code
         self.scope = scope
 
 
@@ -396,8 +390,8 @@ class Interp:
                 )
             bindings[name] = value
         frame = Scope(fn.scope, bindings)
-        code = fn.body
-        run = code.run if code.heat < 0 else code.warm()
+        body = fn.node
+        run = body.run if body.heat < 0 else warm(body)
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(node)
@@ -419,15 +413,15 @@ class Interp:
         """Run an anonymous block for one element; return its value.  A
         continue or break in it raises ContinueSignal or BreakSignal for the
         builtin to handle.  The element counts toward the block's tier-up."""
-        code = closure.code
-        run = code.run if code.heat < 0 else code.warm()
+        block = closure.block
+        run = block.run if block.heat < 0 else warm(block)
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
-            raise self._too_deep(closure.block)
+            raise self._too_deep(block)
         try:
             return run(self, closure.scope, item, index, source, partial)
         except RecursionError:
-            raise _error(closure.block, "StackOverflowError", "call depth exceeded") from None
+            raise _error(block, "StackOverflowError", "call depth exceeded") from None
         finally:
             self.depth -= 1
 
@@ -599,12 +593,12 @@ def _compile_Import(node):
 
 
 def _compile_FuncDef(node):
-    name, params, body = node.name, node.params, Code(node.body, node.params)
+    name, params = node.name, node.params
     if name is None:
-        return lambda interp, scope: Function(None, params, body, scope)
+        return lambda interp, scope: Function(None, params, node, scope)
 
     def func_def(interp, scope):
-        scope.bindings[name] = Function(name, params, body, scope)
+        scope.bindings[name] = Function(name, params, node, scope)
 
     return func_def
 
@@ -813,7 +807,6 @@ def _call(node, callee, args, named, splat, block):
     args = tuple(_compile(arg) for arg in args)
     named = tuple((name, _compile(arg)) for name, arg in named)
     splat = None if splat is None else _compile(splat)
-    code = None if block is None else Code(block.body)
 
     def call(interp, scope):
         fn = callee(interp, scope)
@@ -824,7 +817,7 @@ def _call(node, callee, args, named, splat, block):
             if not isinstance(spread, list):
                 raise _error(node, "TypeError", f"__args__ must be a list, got {tag(spread)}")
             values = list(spread)
-        closure = None if block is None else BlockClosure(block, scope, code)
+        closure = None if block is None else BlockClosure(block, scope)
         if isinstance(fn, NativeFunction):
             return fn.fn(interp, scope, values, keywords, closure, node)
         if isinstance(fn, Function) and closure is None:

@@ -162,12 +162,12 @@ class LazySeq:
 
 
 class Function:
-    __slots__ = ("name", "params", "body", "scope")
+    __slots__ = ("name", "params", "node", "scope")
 
-    def __init__(self, name, params, body, scope):
+    def __init__(self, name, params, node, scope):
         self.name = name
         self.params = params
-        self.body = body
+        self.node = node  # the ast.FuncDef, which keeps its body's tier state
         self.scope = scope
 
 
@@ -282,8 +282,6 @@ def float_to_decimal(f):
 
 def _exact_value(v):
     """Exact rational for cross-tag numeric equality/order (floats via repr)."""
-    if isinstance(v, bool):
-        raise TypeError("bool is not numeric")
     if isinstance(v, int):
         return v
     if isinstance(v, float):

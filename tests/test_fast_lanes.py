@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from njexl import ast, interpreter
 from njexl.codegen import generate
 from njexl.errors import NjexlError
-from njexl.interpreter import Code, Interp, Scope, _index_get, compile_body, new_global_scope
+from njexl.interpreter import Interp, Scope, _index_get, compile_body, new_global_scope
 from njexl.stdlib import default_io
 from njexl.values import (
     INT_MAX,
@@ -132,7 +132,8 @@ def _compile(source, params):
     """The source's tier-0 code as a program body, its tier-1 code as the body
     of a function taking params, and its first statement."""
     program = parse_source(source)
-    tier_1 = generate(Code(program.body, params), vars(interpreter))
+    body = ast.FuncDef(program.line, program.col, None, list(params), program.body)
+    tier_1 = generate(body, vars(interpreter))
     assert tier_1 is not None, source
     return compile_body(program.body), tier_1, program.body[0]
 

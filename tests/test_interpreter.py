@@ -351,18 +351,18 @@ def test_deterministic_given_fixed_ports():
 
 
 def test_invoke_block_with_explicit_context():
-    from njexl.interpreter import _MISSING, BlockClosure, Code
+    from njexl.interpreter import _MISSING, BlockClosure
 
     program = parse_source("probe{ _ > 0 and $$[_-1] > $ }(xs)")
     block_node = program.body[0].block
     interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
     scope = new_global_scope()
-    closure = BlockClosure(block_node, scope, Code(block_node.body))
+    closure = BlockClosure(block_node, scope)
     assert interp.invoke_block(closure, item=2, index=2, source=[1, 3, 2]) is True
     assert interp.invoke_block(closure, item=3, index=1, source=[1, 3, 2]) is False
-    # block code takes the frame the block was written in and the element's
-    # names; no partial (_$_) is given here
-    run = closure.code.run
+    # block code, kept on the block's node, takes the frame the block was
+    # written in and the element's names; no partial (_$_) is given here
+    run = block_node.run
     assert run(interp, scope, 2, 2, [1, 3, 2], _MISSING) is True
     assert run(interp, scope, 3, 1, [1, 3, 2], _MISSING) is False
 

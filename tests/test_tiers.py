@@ -54,21 +54,22 @@ def both_tiers(source):
         return cold, outcome(source)
 
 
-def is_tier_1(code):
-    return code.run.__code__.co_filename == "<njexl tier 1>"
+def is_tier_1(node):
+    """Whether the body of node, a FuncDef or AnonBlock, runs in tier 1."""
+    return node.run.__code__.co_filename == "<njexl tier 1>"
 
 
-def is_frameless(code):
-    """Whether code is tier-1 block code that builds no frame of its own."""
-    return is_tier_1(code) and "Scope" not in code.run.__code__.co_names
+def is_frameless(node):
+    """Whether node's body runs as tier-1 block code that builds no frame of its own."""
+    return is_tier_1(node) and "Scope" not in node.run.__code__.co_names
 
 
 def recording_generate(monkeypatch):
-    """The Codes that interpreter.generate is asked for, in order."""
+    """The FuncDef and AnonBlock nodes that interpreter.generate is asked for, in order."""
     generated = []
     generate = interpreter.generate
     monkeypatch.setattr(
-        interpreter, "generate", lambda code, ns: generated.append(code) or generate(code, ns)
+        interpreter, "generate", lambda node, ns: generated.append(node) or generate(node, ns)
     )
     return generated
 
@@ -219,8 +220,7 @@ def test_nesting_bound(monkeypatch, construct):
     for depth in (deepest, deepest + 1):
         source = f"def f(n){{\n{make(depth)}\n}}"
         func = parse_source(source).body[0]
-        code = generate(interpreter.Code(func.body, func.params), vars(interpreter))
-        assert (code is None) == (depth > deepest), depth
+        assert (generate(func, vars(interpreter)) is None) == (depth > deepest), depth
         cold, hot = both_tiers(f"{source}\nf({depth})")
         assert hot == cold and cold[0][0] == "value"
         assert is_tier_1(generated[-1]) == (depth == deepest) and generated[-1].heat == -1
@@ -292,7 +292,7 @@ def test_paper_predicates_run_in_tier_1_once_hot(monkeypatch, script):
     assert outcome(source + "\n" + PREDICATE_CALLS[script])[0][0] == "value"
     assert all(map(is_tier_1, generated))
     wanted = bodies(parse_source(source).body)
-    assert len(wanted) >= 2 and set(wanted) <= {dump_body(code.stmts) for code in generated}
+    assert len(wanted) >= 2 and set(wanted) <= {dump_body(node.body) for node in generated}
 
 
 def test_loop_signals_cross_tiers():
@@ -410,7 +410,7 @@ def test_tier_1_code_looks_value_operations_up_in_the_interpreter(monkeypatch):
     interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
     source = "def same(a, b){ a == b }\nlist{ same($, [1]) }([[1], [2]])"
     assert run_on_deep_stack(lambda: interp.run_source(source, scope)) == [True, False]
-    assert is_tier_1(scope.bindings["same"].body)
+    assert is_tier_1(scope.bindings["same"].node)
     assert len(calls) == 2
 
 
@@ -426,18 +426,18 @@ def test_tier_up_thresholds(monkeypatch):
 
     # a body that has not run yet has no code in either tier
     run("def m(l){ list{ $ + 1 }(l) }")
-    assert scope.bindings["m"].body.run is None
+    assert scope.bindings["m"].node.run is None
     # a block's element counts add up over its builtin calls
     assert run("m([1, 2, 3, 4, 5])") == [2, 3, 4, 5, 6] and not generated
     assert run("m([1, 2, 3, 4, 5])") == [2, 3, 4, 5, 6] and len(generated) == 1
-    assert is_tier_1(generated[0]) and generated[0].params is None
+    assert is_tier_1(generated[0]) and isinstance(generated[0], ast.AnonBlock)
     # block code is called as Interp.invoke_block calls it: the frame the
     # block was written in, then the element's $, _, $$ and _$_ (none here)
     assert generated[0].run(interp, scope, 4, 0, [4], interpreter._MISSING) == 5
     # an element counts when it runs: a block tiers up inside a builtin call
     run("def m2(l){ list{ $ * 2 }(l) }")
     assert run("m2([0:12].list())") == list(range(0, 24, 2)) and len(generated) == 2
-    # a function's calls are counted on its body, across the Functions made from it
+    # a function's calls are counted on its FuncDef, across the Functions made from it
     run("def mk(){ def(x){ x * 2 } }\na = mk()\nb = mk()")
     assert run("[a(1), b(2)]") == [2, 4] and len(generated) == 2
     assert run("a(3)") == 6 and len(generated) == 3 and generated[2].params == ["x"]
@@ -463,6 +463,57 @@ def test_recursion_under_nested_operators_reaches_the_frame_cap(monkeypatch):
     assert (error.kind, error.message) == (
         "StackOverflowError", f"recursion deeper than {interpreter.MAX_CALL_DEPTH} frames"
     )
+
+
+def nested_ternaries(body, depth):
+    """body under depth nested `true ? (...) : 0`."""
+    for _ in range(depth):
+        body = f"true ? ({body}) : 0"
+    return body
+
+
+# recursion through a body too deep for tier 1 that exhausts Python's stack
+# before the frame cap.  The innermost call_function or invoke_block maps the
+# RecursionError, so the function case is placed at the call.  In the block
+# case no function is called: every Python frame on eval's path is inside a
+# block's run, and the error is placed at that block's { in the eval'd text.
+RECURSION_ERROR_CASES = {
+    "function": ("def f(n){ n == 0 ? 0 : %s }\nf(10000)"
+                 % nested_ternaries("f(n - 1) + 1", 20), 184),
+    "block": ('s = "lfold{ %s }([1], 0)"\neval(s)' % nested_ternaries("eval(s)", 300), 6),
+}
+
+
+@pytest.mark.parametrize("case", RECURSION_ERROR_CASES)
+@pytest.mark.parametrize("threshold", [DEFAULTS, (0, 0)])
+def test_python_recursion_error_is_a_stack_overflow(monkeypatch, threshold, case):
+    from njexl import create_context, evaluate
+
+    monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", threshold[0])
+    monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", threshold[1])
+    source, col = RECURSION_ERROR_CASES[case]
+    ctx = create_context()
+    error = evaluate(ctx, source)
+    assert (error.kind, error.message, error.line, error.col) == (
+        "StackOverflowError", "call depth exceeded", 1, col
+    )
+    # every frame entered was left: the context runs a recursion as before
+    assert ctx.interp.depth == 0
+    assert evaluate(ctx, "def g(n){ n == 0 ? 0 : g(n - 1) + 1 }\ng(50)") == 50
+
+
+def test_each_body_is_generated_once(monkeypatch):
+    # a body nested in a hot body keeps one tier state, whichever tier of
+    # the enclosing body made its Function or BlockClosure
+    monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", DEFAULTS[0])
+    monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", DEFAULTS[1])
+    generated = recording_generate(monkeypatch)
+    interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
+    scope = new_global_scope()
+    source = "def f(l){ list{ t = $ ; lfold{ _$_ + t[$] }([0, 1], 0) }(l) }"
+    source += "\nl = list{ [$, 1] }([0:10])\nfor (k : [0:100]) { r = f(l) }\nr"
+    assert run_on_deep_stack(lambda: interp.run_source(source, scope)) == list(range(1, 11))
+    assert len(generated) == len(set(generated)) == 3 and all(map(is_tier_1, generated))
 
 
 def test_blocks_over_sources_of_unknown_size_tier_up(monkeypatch, tmp_path):
@@ -491,6 +542,13 @@ FRAMELESS_CASES = [
     ("lfold{ index{ _$_ = 7 }([1]) ; _$_ }([1, 2], 0)", ("value", "int", "7"), True),
     ("lfold{ index{ _$_ += 1 }([1]) ; _$_ }([1, 2], 0)", ("value", "int", "2"), True),
     ("index{ _$_ }([1])", ("error", "NameError", "'_$_' is not defined", 1, 8), True),
+    # given no partial and with no _$_ in the frames, a block binds _$_ in its own frame
+    ("r = index{ _$_ = $ * 10 ; _$_ > 15 }([1, 2, 3])\nr", ("value", "int", "1"), True),
+    ("r = index{ _$_ = $ * 10 ; _$_ > 15 }([1, 2, 3])\n_$_",
+     ("error", "NameError", "'_$_' is not defined", 2, 1), True),
+    # the write walks up past a block's frame to the outer fold's
+    ("lfold{ list{ index{ _$_ += $ ; false }([1, 2]) }([7]) ; _$_ }([1, 1], 100)",
+     ("value", "int", "106"), True),
     # a name assigned in a block does not leak out of it
     ("index{ y = $; false }([1,2]); y", ("error", "NameError", "'y' is not defined", 1, 31),
      False),
@@ -506,7 +564,7 @@ FRAMELESS_CASES = [
 
 
 @pytest.mark.parametrize("source, want, frameless", FRAMELESS_CASES)
-@pytest.mark.parametrize("threshold", [DEFAULTS, (0, 0)])
+@pytest.mark.parametrize("threshold", [(NEVER, NEVER), DEFAULTS, (0, 0)])
 def test_frameless_blocks_keep_the_semantics_of_a_frame(
     monkeypatch, threshold, source, want, frameless
 ):
@@ -515,7 +573,7 @@ def test_frameless_blocks_keep_the_semantics_of_a_frame(
     generated = recording_generate(monkeypatch)
     assert outcome(source)[0] == want
     if threshold == (0, 0):
-        blocks = [code for code in generated if code.params is None]
+        blocks = [node for node in generated if isinstance(node, ast.AnonBlock)]
         assert any(map(is_frameless, blocks)) == frameless
 
 
@@ -532,7 +590,7 @@ xs = [0:300].list()
 """
     assert outcome(source)[0] == ("value", "list", "[-1, -1, a#299#]")
     # each block by its first statement, as the syntax-tree dump names it
-    first = {dump(code.stmts[0]).split("\n")[0].rsplit(" ", 1)[0]: code for code in generated}
+    first = {dump(node.body[0]).split("\n")[0].rsplit(" ", 1)[0]: node for node in generated}
     assert all(map(is_tier_1, first.values()))
     assert is_frameless(first["Binary and"]) and is_frameless(first["Assign +="])
     assert not is_frameless(first["Unary not"]) and not is_frameless(first["Assign ="])
