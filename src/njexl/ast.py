@@ -53,6 +53,7 @@ class FuncDef(Node):
     # the body's tier state (interpreter.warm); class attributes, not fields
     run = None
     heat = 0
+    tier_1 = None
 
 
 @_node
@@ -60,6 +61,7 @@ class AnonBlock(Node):
     body: list
     run = None
     heat = 0
+    tier_1 = None
 
 
 @_node

@@ -2,12 +2,14 @@
 
 interpreter.warm calls generate() once a body is hot, with the body's
 syntax node (an ast.FuncDef or ast.AnonBlock), which keeps the body's tier
-state.  The body's syntax tree is translated into three-address Python
-source: each operation is one statement on local names and constants, so
-expressions never nest.  The source is compiled once and run with the
-interpreter module's dict as its globals, so the value operations it calls
-(arith, values_equal, order_compare through _ordered, membership,
-sub_collection, ...) are looked up there at each call, as tier-0 code does.
+state, and the use to generate for: a call of a function body, one element
+of a block body, or a block-taking builtin's whole loop (a STEPS key).  The
+body's syntax tree is translated into three-address Python source: each
+operation is one statement on local names and constants, so expressions
+never nest.  The source is compiled once and run with the interpreter
+module's dict as its globals, so the value operations it calls (arith,
+values_equal, order_compare through _ordered, membership, sub_collection,
+...) are looked up there at each call, as tier-0 code does.
 
 The function it returns does what the body's tier-0 closures do.  A
 function body's is run(interp, frame), in the frame call_function built;
@@ -21,23 +23,33 @@ gives it.  A guest loop is a Python loop, and `break` and `continue` inside
 it are Python's; `return` in a function body is Python's.  Everywhere else
 they raise the signal that tier 0 raises.
 
-A block body's is run(interp, parent, item, index, source, partial), the
-calling convention of all block code.  It builds the element's frame
-binding $, _, $$ and _$_, as tier 0 does, unless the body can do without
-one (_frameless): it holds no call, def, nested block, #clock, import, for
-or #(...) assignment, and assigns no name other than those four.  A call
-keeps the frame because a native callee receives its caller's frame (eval
-runs in it, and a def made there captures it); a def, a block or #clock
-captures it itself.  In a frameless body the four names are the Python
-locals item, index, source and partial, and every other name is read
-through parent.  partial is _MISSING when the builtin gives none; _$_ is
-then read and written through the frames, where tier 0 finds it.
+A block body's code for one element is run(interp, parent, item, index,
+source, partial), the calling convention of all per-element block code.
+Its code for a builtin's loop, one function per (node, step), is
+run(interp, parent, items, source, partial, sink): `for index, item in
+enumerate(items):` around the inlined body, then the step's rule on the
+body's value (STEPS), the same rule that tier_0_loop wraps around tier-0
+code.  There a guest `continue` or `break` in the body is Python's.
+Either kind of code builds each element's frame binding $, _, $$ and _$_,
+as tier 0 does, unless the body can do without one (_own_writes): it holds
+no call, def, nested block, #clock, import, for or #(...) assignment, and
+assigns no name other than those four.  A call keeps the frame because a
+native callee receives its caller's frame (eval runs in it, and a def made
+there captures it); a def, a block or #clock captures it itself.  In a
+frameless body the four names are the Python locals item, index, source
+and partial (each name the body assigns gets a fresh copy per element in a
+loop), and every other name is read through parent.  In a loop, index is
+then known to be a plain int in 0..INT_MAX unless the body assigns _, so
+its type and range tests go.  partial is _MISSING when the builtin gives
+none; _$_ is then read and written through the frames, where tier 0 finds
+it.
 
 A body that cannot be one Python function stays in tier 0: generate
 returns None.  That is a body holding a node kind this module does not
 cover (#clock, #(...) assignments, Alias:name calls), and a body nested too
 deep: CPython refuses more than 20 statically nested blocks (a loop and
-its try each take one), so no suite is opened at _MAX_NESTING or deeper.
+its try each take one, a builtin's loop included), so no suite is opened at
+_MAX_NESTING or deeper.
 """
 
 from .ast import Assign, Call, ClockBlock, For, FuncDef, Identifier, Import, Index, MultiAssign
@@ -54,20 +66,33 @@ _FRAMED = (Call, StaticCall, FuncDef, ClockBlock, Import, For, MultiAssign)
 _ORDER = {"<": "<", "lt": "<", "<=": "<=", "le": "<=", ">": ">", "gt": ">", ">=": ">="}
 _ORDER.update({"ge": ">=", "==": "==", "eq": "==", "!=": "!="})
 _ARITH = {"+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
+# a block-taking builtin's loop step: the statement run on each element's
+# value (unless a continue skips it), and the one that ends the loop once
+# the items run out or a break stops it.  index: the first index whose value
+# is truthy, else -1; map: each value to sink; fold: each value is the next
+# element's partial (_$_), and the last is the result
+STEPS = {
+    "index": ("if {truth}: return index", "return -1"),
+    "map": ("sink({value})", "return None"),
+    "fold": ("partial = {value}", "return partial"),
+}
 
 
 class _Unsupported(Exception):
     """The body holds a node kind that tier 1 does not cover, or nests too deep."""
 
 
-def generate(node, namespace):
+def generate(node, namespace, step=None):
     """Tier-1 code for the body of node (an ast.FuncDef or ast.AnonBlock),
     run with namespace (the interpreter module's dict) as its globals; None
-    if it stays in tier 0.  Nothing here refers to the interpreter module
-    itself, so a dropped copy of njexl is still freed by reference counting."""
+    if it stays in tier 0.  For a block body, step None gives its code for
+    one element and a STEPS key its code for that builtin's loop.  Nothing
+    here refers to the interpreter module itself, so a dropped copy of
+    njexl is still freed by reference counting."""
     params = node.params if isinstance(node, FuncDef) else None
     try:
-        gen = _Generator(params, params is None and _frameless(node.body))
+        writes = None if params is not None else _own_writes(node.body, set())
+        gen = _Generator(params, writes, step)
         source = gen.module(node.body)
     except (_Unsupported, RecursionError):
         return None
@@ -76,48 +101,83 @@ def generate(node, namespace):
     return made["_make"](*gen.consts)
 
 
-def _frameless(nodes):
-    """Whether a block body can run without a frame of its own: nothing in
-    it captures its frame or hands it on (a call passes it to a native
-    callee, a def or block keeps it), and it binds no name there other than
-    $, _, $$ and _$_."""
+def tier_0_loop(step, namespace):
+    """The loop of step (a STEPS key) for a block body in tier 0, made once
+    with namespace as its globals: loop(run, interp, parent, items, source,
+    partial, sink) calls the body's code for one element, run(interp,
+    parent, item, index, source, partial), as the step's rule needs."""
+    gen = _Generator(None, None, step)
+    gen.lines = ["def loop(run, interp, parent, items, source, partial, sink):"]
+
+    def element():
+        gen.emit("value = run(interp, parent, item, index, source, partial)")
+        return "value"
+
+    gen.fused(element)
+    made = {}
+    exec(compile("".join(f"{line}\n" for line in gen.lines), "<njexl tier 0>", "exec"),
+         namespace, made)
+    return made["loop"]
+
+
+def _own_writes(nodes, writes):
+    """The names among $, _, $$ and _$_ that a block body assigns, added to
+    writes; None if the body needs a frame of its own: something in it
+    captures its frame or hands it on (a call passes it to a native callee,
+    a def or block keeps it), or it binds another name there."""
     for node in nodes:
         if isinstance(node, (list, tuple)):
-            if not _frameless(node):
-                return False
+            if _own_writes(node, writes) is None:
+                return None
         elif isinstance(node, Node):
-            if isinstance(node, _FRAMED) or (
-                isinstance(node, Assign)
-                and isinstance(node.target, Identifier)
-                and node.target.name not in _LOCALS
-            ):
-                return False
-            if not _frameless(vars(node).values()):
-                return False
-    return True
+            if isinstance(node, _FRAMED):
+                return None
+            if isinstance(node, Assign) and isinstance(node.target, Identifier):
+                if node.target.name not in _LOCALS:
+                    return None
+                writes.add(node.target.name)
+            if _own_writes(vars(node).values(), writes) is None:
+                return None
+    return writes
 
 
 class _Generator:
-    def __init__(self, params, frameless):
+    def __init__(self, params, writes, step):
+        self.function, self.step = params is not None, step
         # names bound in the body's own frame whenever it runs
-        self.own = frozenset(("$", "_", "$$") if params is None else params)
-        # a frameless block's own names are locals; its scope is the parent frame
-        self.frameless, self.locals = frameless, _LOCALS if frameless else {}
-        self.function = params is not None
+        own = ("$", "_", "$$", "_$_") if step == "fold" else ("$", "_", "$$")
+        self.own = frozenset(own if params is None else params)
+        # a frameless block's own names are locals, each one it writes a fresh
+        # copy per element of a loop; its scope is the parent frame
+        self.frameless, self.writes = writes is not None, writes or set()
+        self.locals = dict(_LOCALS) if self.frameless else {}
+        if step is not None:
+            self.locals.update({name: f"{self.locals[name]}_" for name in self.writes - {"$"}})
         self.consts = []  # values handed to _make as K0, K1, ...
         self.const_names = {}  # id(value) -> its K name
         self.kinds = {}  # literal operand text -> its exact Python type
         self.bools = set()  # temporaries known to hold a bool
+        # operands known to hold a plain int, and its bounds: a loop's own index
+        # (a list is shorter than INT_MAX), and int-lane results computed from those
+        natural = self.frameless and step is not None and "_" not in self.writes
+        self.spans = {"index": (0, INT_MAX - 1)} if natural else {}
         self.count = 0
+        self.depth, self.loop, self.lines = 1, False, []
 
     # --- output --------------------------------------------------------------
 
     def module(self, stmts):
-        self.depth, self.loop = 1, False
-        if self.function or self.frameless:
+        if self.step is not None:
+            scope = "scope" if self.frameless else "parent"
+            self.lines = [f"def run(interp, {scope}, items, source, partial, sink):"]
+            if self.frameless:
+                self.emit("B = scope.bindings")
+            self.fused(lambda: self.element(stmts))
+        elif self.function or self.frameless:
             args = "scope" if self.function else "scope, item, index, source, partial"
             self.lines = [f"def run(interp, {args}):"]
             self.emit("B = scope.bindings")
+            self.emit(f"return {self.body(stmts)}")
         else:  # a block's frame, as interpreter._framed_block builds it
             self.lines = ["def run(interp, parent, item, index, source, partial):"]
             self.emit("B = {'$': item, '_': index, '$$': source}")
@@ -125,10 +185,32 @@ class _Generator:
             self.emit("B['_$_'] = partial")
             self.close()
             self.emit("scope = Scope(parent, B)")
-        self.emit(f"return {self.body(stmts)}")
+            self.emit(f"return {self.body(stmts)}")
         params = ", ".join(f"K{i}" for i in range(len(self.consts)))
         body = "".join(f"    {line}\n" for line in self.lines)
         return f"def _make({params}):\n{body}    return run\n"
+
+    def fused(self, element):
+        """Emit the loop of the builtin's step (STEPS) around element(),
+        which emits one element's code and returns the operand of its value."""
+        rule, end = STEPS[self.step]
+        self.open("for index, item in enumerate(items):")
+        value = self.loop_body(element)
+        self.emit(rule.format(value=value, truth=self.truth(value)))
+        self.close()
+        self.emit(end)
+
+    def element(self, stmts):
+        """Emit one element's run of the body in a builtin's loop: its frame,
+        or fresh copies of the own names it writes; the operand of its value."""
+        if self.frameless:
+            for name in sorted(self.writes - {"$"}):
+                self.emit(f"{self.locals[name]} = {_LOCALS[name]}")
+        else:
+            partial = ", '_$_': partial" if self.step == "fold" else ""
+            self.emit(f"B = {{'$': item, '_': index, '$$': source{partial}}}")
+            self.emit("scope = Scope(parent, B)")
+        return self.body(stmts)
 
     def emit(self, line):
         self.lines.append("    " * self.depth + line)
@@ -170,9 +252,19 @@ class _Generator:
         """A condition true when operand is truthy."""
         return operand if operand in self.bools else f"truthiness({operand})"
 
+    def kind(self, operand):
+        """The exact Python type operand is known to hold here, or None."""
+        return int if operand in self.spans else self.kinds.get(operand)
+
+    def span(self, operand):
+        """The bounds of the plain int operand is known to hold here, or None."""
+        if self.kinds.get(operand) is int:
+            return int(operand), int(operand)
+        return self.spans.get(operand)
+
     def test(self, operand, kind):
         """The text of `type(operand) is kind`, or True/False when known here."""
-        known = self.kinds.get(operand)
+        known = self.kind(operand)
         return f"type({operand}) is {kind.__name__}" if known is None else known is kind
 
     def cases(self, cases, fallback):
@@ -218,13 +310,16 @@ class _Generator:
     def _Identifier(self, node):
         out, name = self.new(), repr(node.name)
         local = self.locals.get(node.name)
-        if local == "partial":  # _$_ is unbound when the builtin gives no partial
-            self.open("if partial is not _MISSING:")
-            self.emit(f"{out} = partial")
+        if node.name == "_$_" and local is not None and self.step != "fold":
+            # _$_ is unbound when the builtin gives no partial
+            self.open(f"if {local} is not _MISSING:")
+            self.emit(f"{out} = {local}")
             self.close()
             self.open("else:")
             self.lookup(out, node)
             self.close()
+        elif local is not None and node.name not in self.writes:
+            return local  # it holds this value all through the body
         elif local is not None:
             self.emit(f"{out} = {local}")
         elif node.name in self.own:
@@ -304,13 +399,14 @@ class _Generator:
             old, out = self._Identifier(node.target), self.new()
             self.arith("+", old, value, out, node)
             value = out
-        if local == "partial":  # given no partial, _$_ is written through the frames
-            self.open("if partial is _MISSING:")
-            self.emit(f"partial = _assign_partial(scope, {value})")
+        missing = node.target.name == "_$_" and self.step != "fold"
+        if missing:  # given no partial, _$_ is written through the frames
+            self.open(f"if {local} is _MISSING:")
+            self.emit(f"{local} = _assign_partial(scope, {value})")
             self.close()
             self.open("else:")
         self.emit(f"{local} = {value}")
-        if local == "partial":
+        if missing:
             self.close()
         return value
 
@@ -346,11 +442,12 @@ class _Generator:
     def _Ternary(self, node):
         return self.choice(node.cond, lambda: self.node(node.then), lambda: self.node(node.orelse))
 
-    def loop_body(self, stmts):
-        """Emit a loop's body, where continue and break are Python's own."""
+    def loop_body(self, body):
+        """Emit a loop's body, body(), where continue and break are Python's
+        own; the operand of its value."""
         saved, self.loop = self.loop, True
         self.open("try:")
-        self.body(stmts)
+        value = body()
         self.emit("pass")  # the body may be empty
         self.close()
         self.open("except ContinueSignal:")
@@ -360,12 +457,13 @@ class _Generator:
         self.emit("break")
         self.close()
         self.loop = saved
+        return value
 
     def _For(self, node):
         items, item = self.node(node.iterable), self.new()
         self.open(f"for {item} in enumerate_value({items}, {node.line}, {node.col}):")
         self.emit(f"B[{node.var!r}] = {item}")
-        self.loop_body(node.body)
+        self.loop_body(lambda: self.body(node.body))
         self.close()
         return "None"
 
@@ -375,7 +473,7 @@ class _Generator:
         self.open(f"if not {self.truth(cond)}:")
         self.emit("break")
         self.close()
-        self.loop_body(node.body)
+        self.loop_body(lambda: self.body(node.body))
         self.close()
         return "None"
 
@@ -439,7 +537,7 @@ class _Generator:
     def same_plain_type(self, a, b):
         """Conditions under which a and b are both plain ints or both plain strs."""
         for x, y in ((a, b), (b, a)):
-            kind = self.kinds.get(y)
+            kind = self.kind(y)
             if kind is not None:
                 return [self.test(x, kind)] if kind in (int, str) else [False]
         return [f"type({a}) is type({b})", f"(type({a}) is int or type({a}) is str)"]
@@ -456,9 +554,18 @@ class _Generator:
 
         def int_lane():
             self.emit(f"{out} = {a} {_ARITH[op]} {b}")
+            if exact is not None:  # the operands' bounds keep the result in range
+                self.spans[out] = exact
+                return
             self.open(f"if not {INT_MIN} <= {out} <= {INT_MAX}:")
             slow()
             self.close()
+
+        x, y, exact = self.span(a), self.span(b), None
+        if op in ("+", "-") and x and y and y[0] > INT_MIN:  # the lane's bounds hold
+            exact = (x[0] + y[0], x[1] + y[1]) if op == "+" else (x[0] - y[1], x[1] - y[0])
+            if not (INT_MIN <= exact[0] and exact[1] <= INT_MAX):
+                exact = None
 
         cases = [([self.test(a, int), self.test(b, int), self.bound(a, low, False),
                    self.bound(b, low, True)], int_lane)]
@@ -478,6 +585,9 @@ class _Generator:
         if self.kinds.get(operand) is int:
             value = int(operand)
             return (low < value if strict else low <= value) and value <= INT_MAX
+        span = self.spans.get(operand)
+        if span is not None and (low < span[0] if strict else low <= span[0]):
+            return True
         return f"{low} {'<' if strict else '<='} {operand} <= {INT_MAX}"
 
     def _Unary(self, node):

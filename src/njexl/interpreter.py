@@ -10,27 +10,36 @@ reference counting alone.  An Interp caches the code of recent source
 texts: a repeated predicate skips the lexer, the parser and the compiler.
 
 Tier 1.  Each function body and each block body keeps its tier state on its
-syntax node, an ast.FuncDef or ast.AnonBlock: node.run is its code and
-node.heat its runs counted toward tier-up (see warm).  Every Function or
-BlockClosure made from the node shares that state, whichever tier the code
-around it runs in.  Nothing is built for a body until it first runs, in
-tier 0.  A block body tiers up once its builtins have run it on
-BLOCK_TIER_UP_AT elements; a function body on its FUNCTION_TIER_UP_AT-th
-call.  Tier-up translates the body into one flat Python function
-(codegen.py) that raises the same errors; a body holding a node kind the
-generator does not cover stays in tier 0.  Program bodies and one-shot
-evaluations stay in tier 0.  Both tiers enter through
+syntax node, an ast.FuncDef or ast.AnonBlock: node.run is its code for one
+call or element, node.heat its runs counted toward tier-up, and
+node.tier_1 its tier-1 code for each use once hot (see warm).  Every
+Function or BlockClosure made from the node shares that state, whichever
+tier the code around it runs in.  Nothing is built for a body until it
+first runs, in tier 0.  A block body tiers up once its builtins have given
+it BLOCK_TIER_UP_AT elements, before the loop that reaches that count when
+its source's length is known; a function body on its
+FUNCTION_TIER_UP_AT-th call.  Tier-up translates the body into one flat
+Python function (codegen.py) that raises the same errors; a body holding a
+node kind the generator does not cover stays in tier 0.  Program bodies and
+one-shot evaluations stay in tier 0.  Both tiers enter through
 Interp.invoke_block and Interp.call_function, and both look the value
 operations (arith, values_equal, ...) up in this module when they run.
 
+Blocks.  The builtins index, list, set, lfold and rfold enter a block once
+per loop: Interp.invoke_block runs the builtin's whole loop, its step
+(codegen.STEPS) around the body.  In tier 0 that is the step's loop around
+the body's closures (_LOOPS); in tier 1 one generated function per body and
+step, with the body inlined in the loop.  join, minmax and the sort
+comparators enter it once per element.
+
 Frames.  A function body runs in the frame call_function builds for its
-parameters.  Block code is run(interp, parent, item, index, source,
-partial), and each element runs in a frame binding $, _, $$ and _$_ that
-the code builds itself, except tier-1 code of a block body that nothing can
-capture a frame from and that binds no other name (codegen._frameless):
-there those four names are Python locals and every other name is read from
-parent.  A call keeps the frame because a builtin callee receives its
-caller's frame (eval runs in it, and a def made there captures it).
+parameters.  Each element of a block runs in a frame binding $, _, $$ and
+_$_ that the block code builds itself, except in tier-1 code of a block
+body that nothing can capture a frame from and that binds no other name
+(codegen._own_writes): there those four names are Python locals and every
+other name is read from the block's parent frame.  A call keeps the frame
+because a builtin callee receives its caller's frame (eval runs in it, and
+a def made there captures it).
 
 One Interp + one global Scope + one IoPorts bundle form an evaluation
 context.  A context is strictly single-threaded; any number of contexts can
@@ -53,7 +62,7 @@ import threading
 import weakref
 
 from . import ast
-from .codegen import generate
+from .codegen import STEPS, generate, tier_0_loop
 from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal, guest_error
 from .parser import parse_program
 from .lexer import tokenize
@@ -90,7 +99,7 @@ MAX_CALL_DEPTH = 10_000
 CODE_CACHE_SIZE = 256  # compiled programs per Interp; least recently used dropped first
 # cold bodies stay in tier 0: compile() costs far more than building closures,
 # and tiering every body up on its first run made script_run about 22 % slower
-BLOCK_TIER_UP_AT = 128  # elements, summed over a block body's builtin calls
+BLOCK_TIER_UP_AT = 128  # elements, summed over a block body's builtin loops
 FUNCTION_TIER_UP_AT = 32  # calls of a function body
 
 _DEEP_STACK_BYTES = 512 * 1024 * 1024
@@ -241,24 +250,52 @@ class Scope:
         return found
 
 
-def warm(node):
-    """Count one more run of node's body (a call for an ast.FuncDef, an
-    element for an ast.AnonBlock) in node.heat; the first time the count
-    reaches the body's tier-up threshold, set it to -1 and swap in tier-1
-    code if the generator covers the body.  Returns node.run, the code to
-    run now: run(interp, frame) for a function body, run(interp, parent,
-    item, index, source, partial) for a block body.  A body that never runs
-    is never compiled."""
+def warm(node, step=None, count=1):
+    """Count count more runs of node's body (calls of an ast.FuncDef,
+    elements of an ast.AnonBlock) in node.heat, and return the code to run
+    now.  For step None that is node.run: run(interp, frame) for a function
+    body, run(interp, parent, item, index, source, partial) for one element
+    of a block body.  For a builtin's step (a codegen.STEPS key) it is that
+    step's loop over a block body's elements, run(interp, parent, items,
+    source, partial, sink).
+
+    The first time the count reaches the body's tier-up threshold, heat is
+    set to -1: the body is hot.  Each use of a hot body (None or a step)
+    gets its tier-1 code the first time it runs, kept in node.tier_1, and
+    node.run becomes the tier-1 code for step None.  A use the generator
+    does not cover stays in tier 0.  The tier-0 closures are built the
+    first time tier-0 code runs: a body that never runs is never compiled,
+    and neither is the tier-0 code of a body hot before its first run."""
     function = isinstance(node, ast.FuncDef)
     if node.heat >= 0:
-        node.heat += 1
+        node.heat += count
         if node.heat >= (FUNCTION_TIER_UP_AT if function else BLOCK_TIER_UP_AT):
-            node.heat = -1
-            node.run = generate(node, globals()) or node.run
-        if node.run is None:
-            body = compile_body(node.body)
-            node.run = body if function else _framed_block(body)
-    return node.run
+            node.heat, node.tier_1 = -1, {}
+    if node.heat < 0:
+        if step not in node.tier_1:
+            node.tier_1[step] = generate(node, globals(), step)
+        code = node.tier_1[step]
+        if code is not None:
+            if step is None:
+                node.run = code
+            return code
+    if node.run is None:
+        body = compile_body(node.body)
+        node.run = body if function else _framed_block(body)
+    return node.run if step is None else functools.partial(_LOOPS[step], node.run)
+
+
+# each builtin step's loop around a block body's tier-0 code (codegen.tier_0_loop)
+_LOOPS = {step: tier_0_loop(step, globals()) for step in STEPS}
+
+
+def _counted(block, items):
+    """items, each counted toward block's tier-up as the loop takes it: a
+    lazy source's length is known only as it runs."""
+    for item in items:
+        if block.heat >= 0:
+            block.heat += 1
+        yield item
 
 
 def _framed_block(body):
@@ -289,7 +326,8 @@ def _assign_partial(parent, value):
 
 class BlockClosure:
     """An anonymous block (its ast.AnonBlock) and the scope it was written in.
-    Builtins call Interp.invoke_block once per element."""
+    Builtins call Interp.invoke_block once per loop (index, list, set, lfold,
+    rfold) or once per element (join, minmax, the sort comparators)."""
 
     __slots__ = ("block", "scope")
 
@@ -409,17 +447,43 @@ class Interp:
         self.depth -= 1
         return _error(node, "StackOverflowError", f"recursion deeper than {MAX_CALL_DEPTH} frames")
 
-    def invoke_block(self, closure, item, index, source, partial=_MISSING):
-        """Run an anonymous block for one element; return its value.  A
-        continue or break in it raises ContinueSignal or BreakSignal for the
-        builtin to handle.  The element counts toward the block's tier-up."""
+    def invoke_block(
+        self, closure, item=None, index=0, source=None, partial=_MISSING, *,
+        step=None, items=None, sink=None,
+    ):
+        """Run an anonymous block for a builtin; return what it gives.
+
+        Given no step, run it on one element (item, at index) and return its
+        value.  A continue or break in it raises ContinueSignal or
+        BreakSignal for the builtin to handle.  The element counts toward
+        the block's tier-up.
+
+        Given a step (a codegen.STEPS key), run the builtin's whole loop over
+        items, an iterable, in this one entry: "index" gives the first index
+        whose value is truthy, or -1; "map" passes each value to sink;
+        "fold" gives each value to the next element as its partial and
+        returns the last.  A continue or break in the body skips the element
+        or ends the loop.  The loop enters the block once, so it takes one
+        frame of MAX_CALL_DEPTH.  The elements count toward the block's
+        tier-up before the loop when items knows its length, else as they
+        run."""
         block = closure.block
-        run = block.run if block.heat < 0 else warm(block)
+        if step is None:
+            run = block.run if block.heat < 0 and None in block.tier_1 else warm(block)
+        else:
+            run = block.tier_1.get(step) if block.heat < 0 else None
+            if run is None:
+                count = operator.length_hint(items)
+                run = warm(block, step, count)
+                if count == 0 and block.heat >= 0:
+                    items = _counted(block, items)
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(block)
         try:
-            return run(self, closure.scope, item, index, source, partial)
+            if step is None:
+                return run(self, closure.scope, item, index, source, partial)
+            return run(self, closure.scope, items, source, partial, sink)
         except RecursionError:
             raise _error(block, "StackOverflowError", "call depth exceeded") from None
         finally:

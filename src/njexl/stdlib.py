@@ -5,10 +5,13 @@ script binding `min` or `size` shadows the builtin in its own scope without
 destroying it.  Every builtin has the native signature (interp, scope, args,
 named, block, node), which host modules passed as registry= share.  A
 builtin declares its shape, `@_builtin(name, count=..., block=...)`, and
-one check of named arguments, block and count runs before its body.  Each
-run of a block given to a builtin, through Interp.invoke_block, counts
-toward the block's tier-up and either returns a value or raises
-ContinueSignal or BreakSignal for the builtin to handle.
+one check of named arguments, block and count runs before its body.  A
+builtin runs a block given to it through Interp.invoke_block: index, list,
+set, lfold and rfold hand it their whole loop (a codegen.STEPS step), which
+handles continue and break itself; join, minmax and the sort comparators
+run one element per call, which returns a value or raises ContinueSignal or
+BreakSignal for the builtin to handle.  Either way each element counts
+toward the block's tier-up.
 """
 
 import datetime
@@ -357,16 +360,8 @@ def b_size(interp, scope, args, block, node, name):
 @_builtin("index", count=1, block="needed")
 def b_index(interp, scope, args, block, node, name):
     """First index where the block is truthy; -1 when there is none."""
-    source = args[0]
-    for i, item in enumerate(_iter_arg(node, name, source)):
-        try:
-            if truthiness(interp.invoke_block(block, item, i, source)):
-                return i
-        except ContinueSignal:
-            continue
-        except BreakSignal:
-            return -1
-    return -1
+    items = _iter_arg(node, name, args[0])
+    return interp.invoke_block(block, source=args[0], step="index", items=items)
 
 
 @_builtin("list", count=1, block="maps")
@@ -391,14 +386,8 @@ def b_collect(interp, scope, args, block, node, name):
         for v in items:
             sink(v)
         return out
-    source = args[0]
-    for i, item in enumerate(_iter_arg(node, name, source)):
-        try:
-            sink(interp.invoke_block(block, item, i, source))
-        except ContinueSignal:
-            continue
-        except BreakSignal:
-            break
+    items = _iter_arg(node, name, args[0])
+    interp.invoke_block(block, source=args[0], step="map", items=items, sink=sink)
     return out
 
 
@@ -442,14 +431,7 @@ def b_fold(interp, scope, args, block, node, name):
     if name == "rfold":
         items.reverse()
     partial = args[1] if len(args) == 2 else None
-    for i, item in enumerate(items):
-        try:
-            partial = interp.invoke_block(block, item, i, args[0], partial)
-        except ContinueSignal:
-            continue
-        except BreakSignal:
-            break
-    return partial
+    return interp.invoke_block(block, source=args[0], partial=partial, step="fold", items=items)
 
 
 @_builtin("join")

@@ -89,12 +89,6 @@ class Pair:
             return self.first == a and self.second == b
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.first, self.second))
-
-    def __repr__(self):
-        return f"Pair({self.first!r}, {self.second!r})"
-
 
 class XSet:
     """Insertion-order set deduplicating by guest value equality."""

@@ -54,23 +54,36 @@ def both_tiers(source):
         return cold, outcome(source)
 
 
+def tier_1_code(node):
+    """The code generated for each use of node's body (a FuncDef or
+    AnonBlock) since it tiered up, None for a use that stays in tier 0."""
+    return list(node.tier_1.values()) if node.heat < 0 else []
+
+
 def is_tier_1(node):
-    """Whether the body of node, a FuncDef or AnonBlock, runs in tier 1."""
-    return node.run.__code__.co_filename == "<njexl tier 1>"
+    """Whether every use of the body of node, a FuncDef or AnonBlock, runs in tier 1."""
+    codes = tier_1_code(node)
+    return bool(codes) and all(
+        code is not None and code.__code__.co_filename == "<njexl tier 1>" for code in codes
+    )
 
 
 def is_frameless(node):
     """Whether node's body runs as tier-1 block code that builds no frame of its own."""
-    return is_tier_1(node) and "Scope" not in node.run.__code__.co_names
+    return is_tier_1(node) and all("Scope" not in code.__code__.co_names
+                                   for code in tier_1_code(node))
 
 
 def recording_generate(monkeypatch):
     """The FuncDef and AnonBlock nodes that interpreter.generate is asked for, in order."""
     generated = []
     generate = interpreter.generate
-    monkeypatch.setattr(
-        interpreter, "generate", lambda node, ns: generated.append(node) or generate(node, ns)
-    )
+
+    def recorded(node, *args):
+        generated.append(node)
+        return generate(node, *args)
+
+    monkeypatch.setattr(interpreter, "generate", recorded)
     return generated
 
 
@@ -198,32 +211,49 @@ def test_deep_block_body_stays_in_tier_0(monkeypatch):
     assert len(generated) == 1 and not is_tier_1(generated[0]) and generated[0].heat == -1
 
 
-# each construct nested as deep as one generated function allows
+# each construct nested as deep as one generated function allows: in a
+# function body, and in a block body under a builtin's loop, whose own for
+# and try suites count too
 NESTINGS = {
     "for": (lambda d: "c = 0\n" + "".join(f"for (i{i} : [0:2]) {{ " for i in range(d))
-            + "c += 1" + " }" * d + "\nc", 8),
+            + "c += 1" + " }" * d + "\nc", 8, 7),
     # loops around a constant: ten would be past CPython's 20 nested blocks
     "for, bare": (lambda d: "".join(f"for (i{i} : [0:2]) {{ " for i in range(d)) + "1"
-                  + " }" * d, 9),
+                  + " }" * d, 9, 8),
     "while": (lambda d: "c = 0\n" + "".join(f"w{i} = 0\nwhile (w{i} < 2) {{ w{i} += 1\n"
-                                            for i in range(d)) + "c += 1" + " }" * d + "\nc", 8),
-    "if": (lambda d: "".join(f"if (n > {i}) {{ " for i in range(d)) + "n" + " }" * d, 19),
-    "and": (lambda d: "".join(f"n > {i} and (" for i in range(d)) + "true" + ")" * d, 19),
-    "ternary": (lambda d: "".join(f"n > {i} ? (" for i in range(d)) + "n" + ") : -1" * d, 19),
+                                            for i in range(d)) + "c += 1" + " }" * d + "\nc", 8,
+              7),
+    # in a block body, n is read through the frames, which opens suites of its own
+    "if": (lambda d: "".join(f"if (n > {i}) {{ " for i in range(d)) + "n" + " }" * d, 19, 14),
+    "and": (lambda d: "".join(f"n > {i} and (" for i in range(d)) + "true" + ")" * d, 19, 15),
+    "ternary": (lambda d: "".join(f"n > {i} ? (" for i in range(d)) + "n" + ") : -1" * d, 19,
+                14),
+}
+# where a nested construct runs: the source around it, its node, and the use generated
+NESTING_SITES = {
+    "def": ("def f(n){{\n{}\n}}\nf({})", lambda program: program.body[0], None),
+    "index": ("n = {1}\nindex{{\n{0}\n}}([1])", lambda program: program.body[1].block, "index"),
+    "list": ("n = {1}\nlist{{\n{0}\n}}([1])", lambda program: program.body[1].block, "map"),
+    "lfold": ("n = {1}\nlfold{{\n{0}\n}}([1], 0)", lambda program: program.body[1].block,
+              "fold"),
 }
 
 
 @pytest.mark.parametrize("construct", NESTINGS)
 def test_nesting_bound(monkeypatch, construct):
-    make, deepest = NESTINGS[construct]
+    make, in_function, in_loop = NESTINGS[construct]
     generated = recording_generate(monkeypatch)
-    for depth in (deepest, deepest + 1):
-        source = f"def f(n){{\n{make(depth)}\n}}"
-        func = parse_source(source).body[0]
-        assert (generate(func, vars(interpreter)) is None) == (depth > deepest), depth
-        cold, hot = both_tiers(f"{source}\nf({depth})")
-        assert hot == cold and cold[0][0] == "value"
-        assert is_tier_1(generated[-1]) == (depth == deepest) and generated[-1].heat == -1
+    for site, (template, body_node, step) in NESTING_SITES.items():
+        deepest = in_function if site == "def" else in_loop
+        for depth in (deepest, deepest + 1):
+            source = template.format(make(depth), depth)
+            node = body_node(parse_source(source))
+            # never a SyntaxError from CPython: the body generates or stays in tier 0
+            generated_none = generate(node, vars(interpreter), step) is None
+            assert generated_none == (depth > deepest), (site, depth)
+            cold, hot = both_tiers(source)
+            assert hot == cold and cold[0][0] == "value"
+            assert is_tier_1(generated[-1]) == (depth == deepest) and generated[-1].heat == -1
 
 
 def test_import_in_a_hot_function_body(monkeypatch):
@@ -313,6 +343,72 @@ def ret(l){ lfold{ return 99 }(l, 0) }
     assert cold[0] == ("value", "list", "[[0, 2, 3], [1, 3, 5], 1, 99]")
 
 
+# each block-taking builtin that runs its whole loop in one entry, called on l
+STEP_CALLS = {
+    "index": "index{{ {} }}(l)",
+    "list": "list{{ {} }}(l)",
+    "set": "set{{ {} }}(l)",
+    "lfold": "lfold{{ {} }}(l, 0)",
+    "rfold": "rfold{{ {} }}(l, 0)",
+}
+# the value each builtin's block body ends with
+STEP_VALUES = {"index": "$ > 150", "list": "$ % 7", "set": "$ % 7", "lfold": "_$_ + $",
+               "rfold": "_$_ + $"}
+# what the block body runs before that value
+STEP_KINDS = {
+    "plain": "",
+    "continue": "continue($ % 3 == 0) ; ",
+    "break": "break($ == 120 or $ == 200) ; ",
+    "error": "$ == 140 ? $ / 0 : 0 ; ",
+    # a signal raised in a called function reaches the builtin's loop
+    "continue from a call": "skip($) ; ",
+    "break from a call": "stop($) ; ",
+}
+
+
+@pytest.mark.parametrize("framed", [False, True], ids=["frameless", "framed"])
+@pytest.mark.parametrize("kind", STEP_KINDS)
+@pytest.mark.parametrize("builtin", STEP_CALLS)
+@pytest.mark.parametrize("threshold", [(NEVER, NEVER), DEFAULTS, (0, 0)])
+def test_builtin_loop_steps_agree_in_both_tiers(monkeypatch, threshold, builtin, kind, framed):
+    # the loops of index, list, set, lfold and rfold give the same values and
+    # errors whichever tier runs them, tiering up before a loop or not at all
+    body = ("y = $ ; " if framed else "") + STEP_KINDS[kind] + STEP_VALUES[builtin]
+    source = f"""def skip(x){{ continue(x % 3 == 0) }}
+def stop(x){{ break(x == 120 or x == 200) }}
+def f(l){{ {STEP_CALLS[builtin].format(body)} }}
+[f([0:5].list()), f([0:100].list()), f([0:300].list()), f([300:0:-1]), f([])]"""
+    with pytest.MonkeyPatch.context() as patch:
+        set_tier(patch, NEVER)
+        want = outcome(source)
+    monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", threshold[0])
+    monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", threshold[1])
+    assert outcome(source) == want
+    assert want[0][0] == ("error" if kind == "error" else "value")
+
+
+@pytest.mark.parametrize("threshold", [(NEVER, NEVER), DEFAULTS, (0, 0)])
+def test_framed_builtin_loop_keeps_one_frame_per_element(monkeypatch, threshold):
+    monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", threshold[0])
+    monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", threshold[1])
+    assert outcome("fs = list{ def(){ $ } }([1,2,3]); list{ $() }(fs)")[0] == (
+        "value", "list", "[1, 2, 3]"
+    )
+    source = "fs = list{ def(){ [$, _] } }([0:300])\nlist{ $() }([fs[0], fs[299]])"
+    assert outcome(source)[0] == ("value", "list", "[[0, 0], [299, 299]]")
+
+
+@pytest.mark.parametrize("call", ["index{ $ < 0 }(xs)", "list{ $ + 1 }(xs)", "set{ $ % 3 }(xs)",
+                                  "lfold{ _$_ + $ }(xs, 0)", "rfold{ _$_ + $ }(xs, 0)"])
+def test_a_block_over_a_long_list_runs_no_element_in_tier_0(monkeypatch, call):
+    # the list's length counts before the loop: the block is hot before it runs
+    monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", DEFAULTS[0])
+    generated = recording_generate(monkeypatch)
+    assert outcome(f"xs = [0:1000].list()\n{call}")[0][0] == "value"
+    [block] = generated
+    assert is_tier_1(block) and block.run is None  # no tier-0 code was ever built
+
+
 def test_errors_keep_their_positions_in_tier_1():
     cases = [
         "def f(a){\n  a + 1\n}\nf('x') ; f(null)",
@@ -364,6 +460,17 @@ list{{ a = $ ; list{{ f(a, $) }}({edges}) }}({edges})
     assert counted[0][0][0][0] == "value" and all(counted[0][1][op] for op in "+-*/%")
 
 
+def test_a_loop_index_at_the_int_lane_bounds_agrees_in_both_tiers():
+    # a builtin loop's _ is a plain int with known bounds in tier 1, and so is
+    # _ plus or minus a literal while the bounds stay inside the int lanes
+    m = "9223372036854775807"
+    parts = ["_ - 1", "_ + 1", "1 - _", f"_ + {m}", f"_ - {m}", f"_ - {m} - 1", f"_ - {m} - 2",
+             f"_ * {m}", "_ / 2", "_ % 2", "(_ - 1) - 1", "_ > 0 and $$[_ - 1] > $"]
+    for call in ("list{{ [{}] }}([4, 5, 6])", "lfold{{ _$_ + [{}] }}([4, 5, 6], [])"):
+        cold, hot = both_tiers(call.format(", ".join(parts)))
+        assert hot == cold and cold[0][0] == "value", call
+
+
 def count_entries(source):
     """Calls of Interp.invoke_block and Interp.call_function while source runs,
     wrapped on the class the way the benchmark's tracer wraps them."""
@@ -396,7 +503,9 @@ rows = list{ [$, $ + 1] }([0:300])
     at_defaults = count_entries(source)
     set_tier(monkeypatch, 0)
     assert count_entries(source) == at_defaults
-    assert at_defaults["invoke_block"] > 1000 and at_defaults["call_function"] > 1000
+    # one entry per builtin loop: the two list{}s over [0:...], index{}, pick's
+    # list{} and one lfold{} for each of its 300 rows
+    assert at_defaults["invoke_block"] == 304 and at_defaults["call_function"] > 1000
 
 
 def test_tier_1_code_looks_value_operations_up_in_the_interpreter(monkeypatch):
@@ -431,10 +540,12 @@ def test_tier_up_thresholds(monkeypatch):
     assert run("m([1, 2, 3, 4, 5])") == [2, 3, 4, 5, 6] and not generated
     assert run("m([1, 2, 3, 4, 5])") == [2, 3, 4, 5, 6] and len(generated) == 1
     assert is_tier_1(generated[0]) and isinstance(generated[0], ast.AnonBlock)
-    # block code is called as Interp.invoke_block calls it: the frame the
-    # block was written in, then the element's $, _, $$ and _$_ (none here)
-    assert generated[0].run(interp, scope, 4, 0, [4], interpreter._MISSING) == 5
-    # an element counts when it runs: a block tiers up inside a builtin call
+    # a builtin's loop is called as Interp.invoke_block calls it: the frame
+    # the block was written in, the items, $$, _$_ (none here) and the sink
+    out, loop = [], generated[0].tier_1["map"]
+    loop(interp, scope, iter([4, 7]), [4, 7], interpreter._MISSING, out.append)
+    assert out == [5, 8] and list(generated[0].tier_1) == ["map"]
+    # a list's elements count before its loop: the block tiers up before it runs
     run("def m2(l){ list{ $ * 2 }(l) }")
     assert run("m2([0:12].list())") == list(range(0, 24, 2)) and len(generated) == 2
     # a function's calls are counted on its FuncDef, across the Functions made from it
