@@ -2,8 +2,8 @@
 
 interpreter.warm calls generate() once a body is hot, with the body's
 syntax node (an ast.FuncDef or ast.AnonBlock), which keeps the body's tier
-state, and the use to generate for: a call of a function body, one element
-of a block body, or a block-taking builtin's whole loop (a STEPS key).  The
+state, and the use to generate for: a call of a function body, or a
+block-taking builtin's whole loop (a STEPS key) around a block body.  The
 body's syntax tree is translated into three-address Python source: each
 operation is one statement on local names and constants, so expressions
 never nest.  The source is compiled once and run with the interpreter
@@ -23,26 +23,24 @@ gives it.  A guest loop is a Python loop, and `break` and `continue` inside
 it are Python's; `return` in a function body is Python's.  Everywhere else
 they raise the signal that tier 0 raises.
 
-A block body's code for one element is run(interp, parent, item, index,
-source, partial), the calling convention of all per-element block code.
-Its code for a builtin's loop, one function per (node, step), is
-run(interp, parent, items, source, partial, sink): `for index, item in
-enumerate(items):` around the inlined body, then the step's rule on the
-body's value (STEPS), the same rule that tier_0_loop wraps around tier-0
-code.  There a guest `continue` or `break` in the body is Python's.
-Either kind of code builds each element's frame binding $, _, $$ and _$_,
-as tier 0 does, unless the body can do without one (_own_writes): it holds
-no call, def, nested block, #clock, import, for or #(...) assignment, and
-assigns no name other than those four.  A call keeps the frame because a
-native callee receives its caller's frame (eval runs in it, and a def made
-there captures it); a def, a block or #clock captures it itself.  In a
-frameless body the four names are the Python locals item, index, source
-and partial (each name the body assigns gets a fresh copy per element in a
-loop), and every other name is read through parent.  In a loop, index is
-then known to be a plain int in 0..INT_MAX unless the body assigns _, so
-its type and range tests go.  partial is _MISSING when the builtin gives
-none; _$_ is then read and written through the frames, where tier 0 finds
-it.
+A block body's code, one function per (node, step), is run(interp, parent,
+items, source, partial, sink): `for index, item in enumerate(items):`
+around the inlined body, then the step's rule on the body's value (STEPS),
+the same loop that tier_0_loop wraps around tier-0 code.  There a guest
+`continue` or `break` in the body is Python's.  Each element runs in a
+frame binding $, _, $$ and, when the step gives a partial, _$_, built by
+the same line in both tiers, unless the body can do without one
+(_own_writes): it holds no call, def, nested block, #clock, import, for or
+#(...) assignment, and assigns no name other than those four.  A call
+keeps the frame because a native callee receives its caller's frame (eval
+runs in it, and a def made there captures it); a def, a block or #clock
+captures it itself.  In a frameless body the four names are the Python
+locals item, index, source and partial (each name the body assigns gets a
+fresh copy per element, so a filter still sinks the row as given), and
+every other name is read through parent.  index is then known to be a
+plain int in 0..INT_MAX unless the body assigns _, so its type and range
+tests go.  partial is _MISSING when the step gives none; _$_ is then read
+and written through the frames, where tier 0 finds it.
 
 A body that cannot be one Python function stays in tier 0: generate
 returns None.  That is a body holding a node kind this module does not
@@ -70,12 +68,18 @@ _ARITH = {"+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
 # value (unless a continue skips it), and the one that ends the loop once
 # the items run out or a break stops it.  index: the first index whose value
 # is truthy, else -1; map: each value to sink; fold: each value is the next
-# element's partial (_$_), and the last is the result
+# element's partial (_$_), and the last is the result; filter: each element
+# whose value is truthy to sink; compare: the truth of the first value, None
+# if a continue or break skipped it
 STEPS = {
     "index": ("if {truth}: return index", "return -1"),
     "map": ("sink({value})", "return None"),
     "fold": ("partial = {value}", "return partial"),
+    "filter": ("if {truth}: sink(item)", "return None"),
+    "compare": ("return {truth}", "return None"),
 }
+# the steps whose builtin gives a partial, bound as _$_
+_PARTIAL = ("fold", "filter")
 
 
 class _Unsupported(Exception):
@@ -85,10 +89,10 @@ class _Unsupported(Exception):
 def generate(node, namespace, step=None):
     """Tier-1 code for the body of node (an ast.FuncDef or ast.AnonBlock),
     run with namespace (the interpreter module's dict) as its globals; None
-    if it stays in tier 0.  For a block body, step None gives its code for
-    one element and a STEPS key its code for that builtin's loop.  Nothing
-    here refers to the interpreter module itself, so a dropped copy of
-    njexl is still freed by reference counting."""
+    if it stays in tier 0.  A block body's step (a STEPS key) is the
+    builtin's loop its code runs.  Nothing here refers to the interpreter
+    module itself, so a dropped copy of njexl is still freed by reference
+    counting."""
     params = node.params if isinstance(node, FuncDef) else None
     try:
         writes = None if params is not None else _own_writes(node.body, set())
@@ -104,13 +108,14 @@ def generate(node, namespace, step=None):
 def tier_0_loop(step, namespace):
     """The loop of step (a STEPS key) for a block body in tier 0, made once
     with namespace as its globals: loop(run, interp, parent, items, source,
-    partial, sink) calls the body's code for one element, run(interp,
-    parent, item, index, source, partial), as the step's rule needs."""
+    partial, sink) runs the body's tier-0 code, run(interp, frame), in each
+    element's frame, as the step's rule needs."""
     gen = _Generator(None, None, step)
     gen.lines = ["def loop(run, interp, parent, items, source, partial, sink):"]
 
     def element():
-        gen.emit("value = run(interp, parent, item, index, source, partial)")
+        gen.frame()
+        gen.emit("value = run(interp, scope)")
         return "value"
 
     gen.fused(element)
@@ -143,23 +148,22 @@ def _own_writes(nodes, writes):
 
 class _Generator:
     def __init__(self, params, writes, step):
-        self.function, self.step = params is not None, step
+        self.function, self.step, self.partial = params is not None, step, step in _PARTIAL
         # names bound in the body's own frame whenever it runs
-        own = ("$", "_", "$$", "_$_") if step == "fold" else ("$", "_", "$$")
+        own = ("$", "_", "$$", "_$_") if self.partial else ("$", "_", "$$")
         self.own = frozenset(own if params is None else params)
         # a frameless block's own names are locals, each one it writes a fresh
-        # copy per element of a loop; its scope is the parent frame
+        # copy per element; its scope is the parent frame
         self.frameless, self.writes = writes is not None, writes or set()
         self.locals = dict(_LOCALS) if self.frameless else {}
-        if step is not None:
-            self.locals.update({name: f"{self.locals[name]}_" for name in self.writes - {"$"}})
+        self.locals.update({name: f"{self.locals[name]}_" for name in self.writes})
         self.consts = []  # values handed to _make as K0, K1, ...
         self.const_names = {}  # id(value) -> its K name
         self.kinds = {}  # literal operand text -> its exact Python type
         self.bools = set()  # temporaries known to hold a bool
         # operands known to hold a plain int, and its bounds: a loop's own index
         # (a list is shorter than INT_MAX), and int-lane results computed from those
-        natural = self.frameless and step is not None and "_" not in self.writes
+        natural = self.frameless and "_" not in self.writes
         self.spans = {"index": (0, INT_MAX - 1)} if natural else {}
         self.count = 0
         self.depth, self.loop, self.lines = 1, False, []
@@ -167,25 +171,21 @@ class _Generator:
     # --- output --------------------------------------------------------------
 
     def module(self, stmts):
-        if self.step is not None:
+        if self.function:
+            self.lines = ["def run(interp, scope):"]
+            self.emit("B = scope.bindings")
+            self.emit(f"return {self.body(stmts)}")
+        else:
             scope = "scope" if self.frameless else "parent"
             self.lines = [f"def run(interp, {scope}, items, source, partial, sink):"]
             if self.frameless:
                 self.emit("B = scope.bindings")
-            self.fused(lambda: self.element(stmts))
-        elif self.function or self.frameless:
-            args = "scope" if self.function else "scope, item, index, source, partial"
-            self.lines = [f"def run(interp, {args}):"]
-            self.emit("B = scope.bindings")
-            self.emit(f"return {self.body(stmts)}")
-        else:  # a block's frame, as interpreter._framed_block builds it
-            self.lines = ["def run(interp, parent, item, index, source, partial):"]
-            self.emit("B = {'$': item, '_': index, '$$': source}")
-            self.open("if partial is not _MISSING:")
-            self.emit("B['_$_'] = partial")
-            self.close()
-            self.emit("scope = Scope(parent, B)")
-            self.emit(f"return {self.body(stmts)}")
+
+            def element():
+                self.frame()
+                return self.body(stmts)
+
+            self.fused(element)
         params = ", ".join(f"K{i}" for i in range(len(self.consts)))
         body = "".join(f"    {line}\n" for line in self.lines)
         return f"def _make({params}):\n{body}    return run\n"
@@ -200,17 +200,16 @@ class _Generator:
         self.close()
         self.emit(end)
 
-    def element(self, stmts):
-        """Emit one element's run of the body in a builtin's loop: its frame,
-        or fresh copies of the own names it writes; the operand of its value."""
+    def frame(self):
+        """Emit the start of one element's run of the body in a builtin's
+        loop: its frame, or fresh copies of the own names it writes."""
         if self.frameless:
-            for name in sorted(self.writes - {"$"}):
+            for name in sorted(self.writes):
                 self.emit(f"{self.locals[name]} = {_LOCALS[name]}")
         else:
-            partial = ", '_$_': partial" if self.step == "fold" else ""
+            partial = ", '_$_': partial" if self.partial else ""
             self.emit(f"B = {{'$': item, '_': index, '$$': source{partial}}}")
             self.emit("scope = Scope(parent, B)")
-        return self.body(stmts)
 
     def emit(self, line):
         self.lines.append("    " * self.depth + line)
@@ -310,7 +309,7 @@ class _Generator:
     def _Identifier(self, node):
         out, name = self.new(), repr(node.name)
         local = self.locals.get(node.name)
-        if node.name == "_$_" and local is not None and self.step != "fold":
+        if node.name == "_$_" and local is not None and not self.partial:
             # _$_ is unbound when the builtin gives no partial
             self.open(f"if {local} is not _MISSING:")
             self.emit(f"{out} = {local}")
@@ -399,7 +398,7 @@ class _Generator:
             old, out = self._Identifier(node.target), self.new()
             self.arith("+", old, value, out, node)
             value = out
-        missing = node.target.name == "_$_" and self.step != "fold"
+        missing = node.target.name == "_$_" and not self.partial
         if missing:  # given no partial, _$_ is written through the frames
             self.open(f"if {local} is _MISSING:")
             self.emit(f"{local} = _assign_partial(scope, {value})")

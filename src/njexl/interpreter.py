@@ -10,32 +10,32 @@ reference counting alone.  An Interp caches the code of recent source
 texts: a repeated predicate skips the lexer, the parser and the compiler.
 
 Tier 1.  Each function body and each block body keeps its tier state on its
-syntax node, an ast.FuncDef or ast.AnonBlock: node.run is its code for one
-call or element, node.heat its runs counted toward tier-up, and
-node.tier_1 its tier-1 code for each use once hot (see warm).  Every
-Function or BlockClosure made from the node shares that state, whichever
-tier the code around it runs in.  Nothing is built for a body until it
-first runs, in tier 0.  A block body tiers up once its builtins have given
-it BLOCK_TIER_UP_AT elements, before the loop that reaches that count when
-its source's length is known; a function body on its
-FUNCTION_TIER_UP_AT-th call.  Tier-up translates the body into one flat
+syntax node, an ast.FuncDef or ast.AnonBlock: node.run is a function
+body's code for one call or a block body's tier-0 code, node.heat its runs
+counted toward tier-up, and node.tier_1 its tier-1 code for each use once
+hot (see warm).  Every Function or BlockClosure made from the node shares
+that state, whichever tier the code around it runs in.  Nothing is built
+for a body until it first runs, in tier 0.  A block body tiers up once its
+builtins have given it BLOCK_TIER_UP_AT elements, before the loop that
+reaches that count when its source's length is known; a function body on
+its FUNCTION_TIER_UP_AT-th call.  Tier-up translates the body into one flat
 Python function (codegen.py) that raises the same errors; a body holding a
 node kind the generator does not cover stays in tier 0.  Program bodies and
 one-shot evaluations stay in tier 0.  Both tiers enter through
 Interp.invoke_block and Interp.call_function, and both look the value
 operations (arith, values_equal, ...) up in this module when they run.
 
-Blocks.  The builtins index, list, set, lfold and rfold enter a block once
-per loop: Interp.invoke_block runs the builtin's whole loop, its step
-(codegen.STEPS) around the body.  In tier 0 that is the step's loop around
-the body's closures (_LOOPS); in tier 1 one generated function per body and
-step, with the body inlined in the loop.  join, minmax and the sort
-comparators enter it once per element.
+Blocks.  A builtin enters a block once per call: Interp.invoke_block runs
+the builtin's whole loop, its step (codegen.STEPS) around the body.  The
+sort comparators and minmax run a one-element loop per comparison.  In
+tier 0 that is the step's loop around the body's closures (_LOOPS); in
+tier 1 one generated function per body and step, with the body inlined in
+the loop.
 
 Frames.  A function body runs in the frame call_function builds for its
 parameters.  Each element of a block runs in a frame binding $, _, $$ and
-_$_ that the block code builds itself, except in tier-1 code of a block
-body that nothing can capture a frame from and that binds no other name
+_$_ that the step's loop builds, except in tier-1 code of a block body that
+nothing can capture a frame from and that binds no other name
 (codegen._own_writes): there those four names are Python locals and every
 other name is read from the block's parent frame.  A call keeps the frame
 because a builtin callee receives its caller's frame (eval runs in it, and
@@ -253,19 +253,19 @@ class Scope:
 def warm(node, step=None, count=1):
     """Count count more runs of node's body (calls of an ast.FuncDef,
     elements of an ast.AnonBlock) in node.heat, and return the code to run
-    now.  For step None that is node.run: run(interp, frame) for a function
-    body, run(interp, parent, item, index, source, partial) for one element
-    of a block body.  For a builtin's step (a codegen.STEPS key) it is that
-    step's loop over a block body's elements, run(interp, parent, items,
-    source, partial, sink).
+    now.  For a function body (step None) that is node.run, run(interp,
+    frame).  For a block body it is the loop of a builtin's step (a
+    codegen.STEPS key) over its elements, run(interp, parent, items, source,
+    partial, sink).
 
     The first time the count reaches the body's tier-up threshold, heat is
-    set to -1: the body is hot.  Each use of a hot body (None or a step)
-    gets its tier-1 code the first time it runs, kept in node.tier_1, and
-    node.run becomes the tier-1 code for step None.  A use the generator
-    does not cover stays in tier 0.  The tier-0 closures are built the
-    first time tier-0 code runs: a body that never runs is never compiled,
-    and neither is the tier-0 code of a body hot before its first run."""
+    set to -1: the body is hot.  Each use of a hot body (a call or a step)
+    gets its tier-1 code the first time it runs, kept in node.tier_1, and a
+    function's node.run becomes its tier-1 code.  A use the generator does
+    not cover stays in tier 0.  The tier-0 closures, a block body's
+    node.run, are built the first time tier-0 code runs: a body that never
+    runs is never compiled, and neither is the tier-0 code of a body hot
+    before its first run."""
     function = isinstance(node, ast.FuncDef)
     if node.heat >= 0:
         node.heat += count
@@ -276,13 +276,12 @@ def warm(node, step=None, count=1):
             node.tier_1[step] = generate(node, globals(), step)
         code = node.tier_1[step]
         if code is not None:
-            if step is None:
+            if function:
                 node.run = code
             return code
     if node.run is None:
-        body = compile_body(node.body)
-        node.run = body if function else _framed_block(body)
-    return node.run if step is None else functools.partial(_LOOPS[step], node.run)
+        node.run = compile_body(node.body)
+    return node.run if function else functools.partial(_LOOPS[step], node.run)
 
 
 # each builtin step's loop around a block body's tier-0 code (codegen.tier_0_loop)
@@ -296,19 +295,6 @@ def _counted(block, items):
         if block.heat >= 0:
             block.heat += 1
         yield item
-
-
-def _framed_block(body):
-    """Block code run(interp, parent, item, index, source, partial) that runs
-    body, tier-0 closures, in a frame of its own binding $, _, $$ and _$_."""
-
-    def run(interp, parent, item, index, source, partial):
-        bindings = {"$": item, "_": index, "$$": source}
-        if partial is not _MISSING:
-            bindings["_$_"] = partial
-        return body(interp, Scope(parent, bindings))
-
-    return run
 
 
 def _assign_partial(parent, value):
@@ -326,8 +312,7 @@ def _assign_partial(parent, value):
 
 class BlockClosure:
     """An anonymous block (its ast.AnonBlock) and the scope it was written in.
-    Builtins call Interp.invoke_block once per loop (index, list, set, lfold,
-    rfold) or once per element (join, minmax, the sort comparators)."""
+    A builtin runs it through Interp.invoke_block, once per loop."""
 
     __slots__ = ("block", "scope")
 
@@ -447,42 +432,30 @@ class Interp:
         self.depth -= 1
         return _error(node, "StackOverflowError", f"recursion deeper than {MAX_CALL_DEPTH} frames")
 
-    def invoke_block(
-        self, closure, item=None, index=0, source=None, partial=_MISSING, *,
-        step=None, items=None, sink=None,
-    ):
-        """Run an anonymous block for a builtin; return what it gives.
-
-        Given no step, run it on one element (item, at index) and return its
-        value.  A continue or break in it raises ContinueSignal or
-        BreakSignal for the builtin to handle.  The element counts toward
-        the block's tier-up.
-
-        Given a step (a codegen.STEPS key), run the builtin's whole loop over
-        items, an iterable, in this one entry: "index" gives the first index
-        whose value is truthy, or -1; "map" passes each value to sink;
-        "fold" gives each value to the next element as its partial and
-        returns the last.  A continue or break in the body skips the element
-        or ends the loop.  The loop enters the block once, so it takes one
-        frame of MAX_CALL_DEPTH.  The elements count toward the block's
-        tier-up before the loop when items knows its length, else as they
-        run."""
+    def invoke_block(self, closure, step, items, source, partial=_MISSING, sink=None):
+        """Run a builtin's whole loop over items, an iterable, with its step
+        (a codegen.STEPS key) around an anonymous block; return what it
+        gives.  Each element's $$ is source, and its _$_ the partial (none
+        by default): "index" gives the first index whose value is truthy,
+        or -1; "map" passes each value to sink; "fold" gives each value to
+        the next element as its partial and returns the last; "filter"
+        passes each element whose value is truthy to sink; "compare" gives
+        the truth of the first value.  A continue or break in the body skips
+        the element or ends the loop.  The loop enters the block once, so
+        it takes one frame of MAX_CALL_DEPTH.  The elements count toward the
+        block's tier-up before the loop when items knows its length, else as
+        they run."""
         block = closure.block
-        if step is None:
-            run = block.run if block.heat < 0 and None in block.tier_1 else warm(block)
-        else:
-            run = block.tier_1.get(step) if block.heat < 0 else None
-            if run is None:
-                count = operator.length_hint(items)
-                run = warm(block, step, count)
-                if count == 0 and block.heat >= 0:
-                    items = _counted(block, items)
+        run = block.tier_1.get(step) if block.heat < 0 else None
+        if run is None:
+            count = operator.length_hint(items)
+            run = warm(block, step, count)
+            if count == 0 and block.heat >= 0:
+                items = _counted(block, items)
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(block)
         try:
-            if step is None:
-                return run(self, closure.scope, item, index, source, partial)
             return run(self, closure.scope, items, source, partial, sink)
         except RecursionError:
             raise _error(block, "StackOverflowError", "call depth exceeded") from None

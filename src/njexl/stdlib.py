@@ -6,12 +6,11 @@ destroying it.  Every builtin has the native signature (interp, scope, args,
 named, block, node), which host modules passed as registry= share.  A
 builtin declares its shape, `@_builtin(name, count=..., block=...)`, and
 one check of named arguments, block and count runs before its body.  A
-builtin runs a block given to it through Interp.invoke_block: index, list,
-set, lfold and rfold hand it their whole loop (a codegen.STEPS step), which
-handles continue and break itself; join, minmax and the sort comparators
-run one element per call, which returns a value or raises ContinueSignal or
-BreakSignal for the builtin to handle.  Either way each element counts
-toward the block's tier-up.
+builtin runs a block given to it through Interp.invoke_block, which runs
+the builtin's whole loop (a codegen.STEPS step) and handles continue and
+break itself: index, list, set, lfold, rfold and join once per call, minmax
+and the sort comparators once per comparison, over the one pair compared.
+Each element counts toward the block's tier-up.
 """
 
 import datetime
@@ -21,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cmp_to_key, partial
 
-from .errors import BreakSignal, ContinueSignal, NjexlError
+from .errors import NjexlError
 from .values import (
     BigInt,
     LazySeq,
@@ -38,7 +37,6 @@ from .values import (
     order_compare,
     stringify,
     tag,
-    truthiness,
 )
 
 
@@ -361,7 +359,7 @@ def b_size(interp, scope, args, block, node, name):
 def b_index(interp, scope, args, block, node, name):
     """First index where the block is truthy; -1 when there is none."""
     items = _iter_arg(node, name, args[0])
-    return interp.invoke_block(block, source=args[0], step="index", items=items)
+    return interp.invoke_block(block, "index", items, args[0])
 
 
 @_builtin("list", count=1, block="maps")
@@ -387,17 +385,16 @@ def b_collect(interp, scope, args, block, node, name):
             sink(v)
         return out
     items = _iter_arg(node, name, args[0])
-    interp.invoke_block(block, source=args[0], step="map", items=items, sink=sink)
+    interp.invoke_block(block, "map", items, args[0], sink=sink)
     return out
 
 
 def _less(interp, node, block, a, b, source=None):
     if block is not None:
-        try:
-            return truthiness(interp.invoke_block(block, Pair(a, b), 0, source))
-        except (ContinueSignal, BreakSignal):
-            pass
-        _fail(node, "TypeError", "break/continue not allowed in a comparator block")
+        less = interp.invoke_block(block, "compare", (Pair(a, b),), source)
+        if less is None:  # a continue or break skipped the comparison
+            _fail(node, "TypeError", "break/continue not allowed in a comparator block")
+        return less
     return order_compare(a, b, getattr(node, "line", None), getattr(node, "col", None)) < 0
 
 
@@ -431,28 +428,21 @@ def b_fold(interp, scope, args, block, node, name):
     if name == "rfold":
         items.reverse()
     partial = args[1] if len(args) == 2 else None
-    return interp.invoke_block(block, source=args[0], partial=partial, step="fold", items=items)
+    return interp.invoke_block(block, "fold", items, args[0], partial)
 
 
 @_builtin("join")
 def b_join(interp, scope, args, block, node, name):
-    """Cartesian product in odometer order, filtered by the optional block."""
+    """Cartesian product in odometer order, filtered by the optional block;
+    in the block, $$ is the list of arguments and _$_ the rows kept so far."""
     if not args:
         _fail(node, "ArityError", "join needs at least one collection")
     pools = [list(_iter_arg(node, name, a)) for a in args]
+    rows = map(list, itertools.product(*pools))
+    if block is None:
+        return list(rows)
     out = []
-    for count, combo in enumerate(itertools.product(*pools)):
-        row = list(combo)
-        if block is None:
-            out.append(row)
-            continue
-        try:
-            if truthiness(interp.invoke_block(block, row, count, list(args), out)):
-                out.append(row)
-        except ContinueSignal:
-            continue
-        except BreakSignal:
-            break
+    interp.invoke_block(block, "filter", rows, list(args), out, out.append)
     return out
 
 

@@ -503,8 +503,8 @@ def enumerate_value(v, line=None, col=None):
     """Iteration order used by for-loops and the higher-order builtins."""
     if isinstance(v, (list, XSet, Range, str, Pair, LazySeq)):
         return iter(v)
-    if isinstance(v, XMap):
-        return (Pair(k, val) for k, val in v.items())
+    if isinstance(v, XMap):  # a snapshot: the loop may write the map
+        return iter([Pair(k, val) for k, val in v.items()])
     raise NjexlError("TypeError", f"{tag(v)} is not iterable", line, col)
 
 

@@ -350,21 +350,27 @@ def test_deterministic_given_fixed_ports():
     assert a[0] == b[0] and a[1] == b[1]
 
 
-def test_invoke_block_with_explicit_context():
-    from njexl.interpreter import _MISSING, BlockClosure
+def test_invoke_block_with_explicit_context(monkeypatch):
+    import njexl.interpreter as interpreter
+    from njexl.interpreter import BlockClosure, Scope
 
+    # the block stays in tier 0, whose code its node keeps
+    monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", float("inf"))
     program = parse_source("probe{ _ > 0 and $$[_-1] > $ }(xs)")
     block_node = program.body[0].block
     interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
     scope = new_global_scope()
     closure = BlockClosure(block_node, scope)
-    assert interp.invoke_block(closure, item=2, index=2, source=[1, 3, 2]) is True
-    assert interp.invoke_block(closure, item=3, index=1, source=[1, 3, 2]) is False
-    # block code, kept on the block's node, takes the frame the block was
-    # written in and the element's names; no partial (_$_) is given here
+    # a builtin's whole loop: its step, the items, $$, and _$_ and a sink if it has them
+    assert interp.invoke_block(closure, "index", iter([1, 3, 2]), [1, 3, 2]) == 2
+    assert interp.invoke_block(closure, "index", iter([1, 2, 3]), [1, 2, 3]) == -1
+    kept = []
+    assert interp.invoke_block(closure, "filter", [1, 3, 2], [1, 3, 2], kept, kept.append) is None
+    assert kept == [2]
+    # the tier-0 code runs in a frame binding the element's names
     run = block_node.run
-    assert run(interp, scope, 2, 2, [1, 3, 2], _MISSING) is True
-    assert run(interp, scope, 3, 1, [1, 3, 2], _MISSING) is False
+    assert run(interp, Scope(scope, {"$": 2, "_": 2, "$$": [1, 3, 2]})) is True
+    assert run(interp, Scope(scope, {"$": 3, "_": 1, "$$": [1, 3, 2]})) is False
 
 
 def test_block_implicit_variables():

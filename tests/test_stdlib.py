@@ -161,6 +161,12 @@ def test_join_block_filter_skip_stop():
     assert run("join{ break( $[1] == 2 ) ; true }([1,2],[1,2,3])") == [[1, 1]]
 
 
+def test_join_block_sees_the_kept_rows_and_one_argument_list():
+    # _$_ is the list of rows kept so far; $$ is one list of the arguments per call
+    assert run("join{ #|_$_| < 2 }([1,2],[3,4])") == [[1, 3], [1, 4]]
+    assert run("join{ r = #|$$[0]| == 2 ; $$[0] = [9] ; r }([1,2],[3])") == [[1, 3]]
+
+
 def test_permutation_corpus_property():
     # distinct-character words of length n yield n! distinct strings,
     # each a character multiset match of the input
@@ -499,6 +505,15 @@ _ARGUMENT_ERRORS = [
     ("sortd{ true }()", "ArityError", "sortd takes 1 arguments, got 0"),
     ("I:parseInt()", "ArityError", "parseInt takes 1 arguments, got 0"),
     ("I:parseInt('1', '2')", "ArityError", "parseInt takes 1 arguments, got 2"),
+    *[(call, "TypeError", "break/continue not allowed in a comparator block") for call in (
+        "sorta{ break }([1, 2])", "sortd{ continue }([1, 2])", "minmax{ break }([1, 2])",
+    )],
+    ("date(1, 'yyyy')", "TypeError", "date() expects two strings"),
+    ("read(1)", "TypeError", "read() expects a path string"),
+    ("lines(1)", "TypeError", "lines() expects a path string"),
+    ("write(1, 'x')", "TypeError", "write() expects a path and a string"),
+    ("eval(1)", "TypeError", "eval() expects a string"),
+    ("I:parseInt(1)", "NumberFormatError", "for input: 1"),
 ]
 
 

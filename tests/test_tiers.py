@@ -343,27 +343,56 @@ def ret(l){ lfold{ return 99 }(l, 0) }
     assert cold[0] == ("value", "list", "[[0, 2, 3], [1, 3, 5], 1, 99]")
 
 
-# each block-taking builtin that runs its whole loop in one entry, called on l
+def test_a_loop_over_a_map_may_write_the_map():
+    # a map is iterated over a snapshot of its pairs
+    for source in ("m = {1:2}; r = list{ m[$.0 + 10] = 1 }(m)\n[r, m]",
+                   "def f(m){ for (p : m) { m[p.0 + 10] = 1 } ; m }\n[[1], f({1:2})]"):
+        cold, hot = both_tiers(source)
+        assert hot == cold == (("value", "list", "[[1], {1 : 2, 11 : 1}]"), ""), source
+
+
+# each block-taking builtin, called on l; a builtin enters its block once
+# per call, a comparator once per comparison
 STEP_CALLS = {
     "index": "index{{ {} }}(l)",
     "list": "list{{ {} }}(l)",
     "set": "set{{ {} }}(l)",
     "lfold": "lfold{{ {} }}(l, 0)",
     "rfold": "rfold{{ {} }}(l, 0)",
+    "join": "join{{ {} }}(l)",
+    "sorta": "sorta{{ {} }}(l)",
+    "sortd": "sortd{{ {} }}(l)",
+    "minmax": "#|l| == 0 ? null : minmax{{ {} }}(l)",  # minmax([]) is an error
 }
+COMPARATORS = ("sorta", "sortd", "minmax")
 # the value each builtin's block body ends with
 STEP_VALUES = {"index": "$ > 150", "list": "$ % 7", "set": "$ % 7", "lfold": "_$_ + $",
-               "rfold": "_$_ + $"}
-# what the block body runs before that value
+               "rfold": "_$_ + $", "join": "#|_$_| < 40 and $[0] % 2 == 0",
+               **dict.fromkeys(COMPARATORS, "$.0 % 7 < $.1 % 7")}
+# the int that each element gives the block: a join row [x] holds it, and a
+# comparator's pair holds the two compared
+STEP_ITEMS = {"join": "$[0]", **dict.fromkeys(COMPARATORS, "$.0")}
+# what the block body runs before that value; a continue or break in a
+# comparator is an error
 STEP_KINDS = {
     "plain": "",
-    "continue": "continue($ % 3 == 0) ; ",
-    "break": "break($ == 120 or $ == 200) ; ",
-    "error": "$ == 140 ? $ / 0 : 0 ; ",
+    "continue": "continue({x} % 3 == 0) ; ",
+    "break": "break({x} == 120 or {x} == 200) ; ",
+    "error": "{x} == 140 ? {x} / 0 : 0 ; ",
     # a signal raised in a called function reaches the builtin's loop
-    "continue from a call": "skip($) ; ",
-    "break from a call": "stop($) ; ",
+    "continue from a call": "skip({x}) ; ",
+    "break from a call": "stop({x}) ; ",
 }
+
+
+def step_source(builtin, kind, framed):
+    """A program calling builtin with a block of kind on lists of 0 to 300 ints."""
+    item = STEP_ITEMS.get(builtin, "$")
+    body = ("y = $ ; " if framed else "") + STEP_KINDS[kind].format(x=item) + STEP_VALUES[builtin]
+    return f"""def skip(x){{ continue(x % 3 == 0) }}
+def stop(x){{ break(x == 120 or x == 200) }}
+def f(l){{ {STEP_CALLS[builtin].format(body)} }}
+[f([0:5].list()), f([0:100].list()), f([0:300].list()), f([300:0:-1]), f([])]"""
 
 
 @pytest.mark.parametrize("framed", [False, True], ids=["frameless", "framed"])
@@ -371,20 +400,31 @@ STEP_KINDS = {
 @pytest.mark.parametrize("builtin", STEP_CALLS)
 @pytest.mark.parametrize("threshold", [(NEVER, NEVER), DEFAULTS, (0, 0)])
 def test_builtin_loop_steps_agree_in_both_tiers(monkeypatch, threshold, builtin, kind, framed):
-    # the loops of index, list, set, lfold and rfold give the same values and
-    # errors whichever tier runs them, tiering up before a loop or not at all
-    body = ("y = $ ; " if framed else "") + STEP_KINDS[kind] + STEP_VALUES[builtin]
-    source = f"""def skip(x){{ continue(x % 3 == 0) }}
-def stop(x){{ break(x == 120 or x == 200) }}
-def f(l){{ {STEP_CALLS[builtin].format(body)} }}
-[f([0:5].list()), f([0:100].list()), f([0:300].list()), f([300:0:-1]), f([])]"""
+    # the loops of each block-taking builtin give the same values and errors
+    # whichever tier runs them, tiering up before a loop or not at all
+    source = step_source(builtin, kind, framed)
     with pytest.MonkeyPatch.context() as patch:
         set_tier(patch, NEVER)
         want = outcome(source)
     monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", threshold[0])
     monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", threshold[1])
     assert outcome(source) == want
-    assert want[0][0] == ("error" if kind == "error" else "value")
+    error = kind == "error" or (builtin in COMPARATORS and kind != "plain")
+    assert want[0][0] == ("error" if error else "value")
+
+
+def test_step_calls_reach_every_step(monkeypatch):
+    set_tier(monkeypatch, NEVER)  # every loop is built by warm
+    steps, warm = set(), interpreter.warm
+
+    def recorded(node, step=None, count=1):
+        steps.add(step)
+        return warm(node, step, count)
+
+    monkeypatch.setattr(interpreter, "warm", recorded)
+    for builtin in STEP_CALLS:
+        assert outcome(step_source(builtin, "plain", False))[0][0] == "value"
+    assert steps - {None} == set(codegen.STEPS)
 
 
 @pytest.mark.parametrize("threshold", [(NEVER, NEVER), DEFAULTS, (0, 0)])
@@ -629,7 +669,8 @@ def test_each_body_is_generated_once(monkeypatch):
 
 def test_blocks_over_sources_of_unknown_size_tier_up(monkeypatch, tmp_path):
     # elements count as the block runs them, so a lazy source and join's
-    # combinations heat a block as a list of the same length does
+    # combinations heat a block as a list of the same length does, and it
+    # tiers up at its next loop
     monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", DEFAULTS[0])
     generated = recording_generate(monkeypatch)
     path = tmp_path / "lines.txt"
@@ -643,7 +684,8 @@ def test_blocks_over_sources_of_unknown_size_tier_up(monkeypatch, tmp_path):
     for _ in range(5):
         assert run(f"#|list{{ $ + 'x' }}(lines({to_src(str(path))}))|") == 1000
     assert len(generated) == 1 and is_tier_1(generated[0])
-    assert len(run("join{ $.0 < $.1 }([1, 2], [0:200])")) == 198 + 197
+    for _ in range(2):
+        assert len(run("join{ $.0 < $.1 }([1, 2], [0:200])")) == 198 + 197
     assert len(generated) == 2 and is_tier_1(generated[1])
 
 
@@ -664,6 +706,8 @@ FRAMELESS_CASES = [
     ("index{ y = $; false }([1,2]); y", ("error", "NameError", "'y' is not defined", 1, 31),
      False),
     ("list{ $ = $ * 2 ; $ }([1,2])", ("value", "list", "[2, 4]"), True),
+    # join keeps each row as given, whatever its body assigns to $
+    ("join{ $ = [9] ; true }([1, 2], [3])", ("value", "list", "[[1, 3], [2, 3]]"), True),
     ("def f(){ list{ var g = $ * 10 ; $ }([1, 2]) }\nf()\ng", ("value", "int", "20"), True),
     # a native callee gets the caller's frame: eval's def captures the block's $
     ('fs = list{ eval("def(){ $ }") }([1,2,3]); list{ $() }(fs)',
@@ -671,6 +715,9 @@ FRAMELESS_CASES = [
     # a frameless block entered past the frame cap; f(0, [0:200]) tiers it up
     ("def f(n, l){ n == 0 ? index{ $ > 5 }(l) : f(n - 1, l) }\nf(0, [0:200])\nf(9999, [1])",
      ("error", "StackOverflowError", "recursion deeper than 10000 frames", 1, 28), True),
+    # join enters its block once per call, even over an empty product
+    ("def f(n){ n == 0 ? join{ true }([]) : f(n - 1) }\nf(9999)",
+     ("error", "StackOverflowError", "recursion deeper than 10000 frames", 1, 24), True),
 ]
 
 
