@@ -31,16 +31,15 @@ the same loop that tier_0_loop wraps around tier-0 code.  There a guest
 frame binding $, _, $$ and, when the step gives a partial, _$_, built by
 the same line in both tiers, unless the body can do without one
 (_own_writes): it holds no call, def, nested block, #clock, import, for or
-#(...) assignment, and assigns no name other than those four.  A call
-keeps the frame because a native callee receives its caller's frame (eval
-runs in it, and a def made there captures it); a def, a block or #clock
-captures it itself.  In a frameless body the four names are the Python
+#(...) assignment, and assigns no name other than those the frame binds.
+A call keeps the frame because a native callee receives its caller's frame
+(eval runs in it, and a def made there captures it); a def, a block or
+#clock captures it itself.  In a frameless body those names are the Python
 locals item, index, source and partial (each name the body assigns gets a
 fresh copy per element, so a filter still sinks the row as given), and
-every other name is read through parent.  index is then known to be a
-plain int in 0..INT_MAX unless the body assigns _, so its type and range
-tests go.  partial is _MISSING when the step gives none; _$_ is then read
-and written through the frames, where tier 0 finds it.
+every other name, _$_ under a step that gives no partial included, is read
+through parent.  index is then known to be a plain int in 0..INT_MAX
+unless the body assigns _, so its type and range tests go.
 
 A body that cannot be one Python function stays in tier 0: generate
 returns None.  That is a body holding a node kind this module does not
@@ -57,7 +56,7 @@ from .values import INT_LANE_LOW, INT_MAX, INT_MIN
 # no suite opens this deep in run(), so a line is inside at most 19 suites: within
 # CPython's 20 statically nested blocks, counting the two of an except clause
 _MAX_NESTING = 20
-# a frameless block body's own names, as the Python locals of its run()
+# a block body's own names, as the Python locals of a frameless run()
 _LOCALS = {"$": "item", "_": "index", "$$": "source", "_$_": "partial"}
 # nodes that capture or hand on the frame they run in, or bind a name in it
 _FRAMED = (Call, StaticCall, FuncDef, ClockBlock, Import, For, MultiAssign)
@@ -95,8 +94,7 @@ def generate(node, namespace, step=None):
     counting."""
     params = node.params if isinstance(node, FuncDef) else None
     try:
-        writes = None if params is not None else _own_writes(node.body, set())
-        gen = _Generator(params, writes, step)
+        gen = _Generator(params, step, node.body)
         source = gen.module(node.body)
     except (_Unsupported, RecursionError):
         return None
@@ -110,7 +108,7 @@ def tier_0_loop(step, namespace):
     with namespace as its globals: loop(run, interp, parent, items, source,
     partial, sink) runs the body's tier-0 code, run(interp, frame), in each
     element's frame, as the step's rule needs."""
-    gen = _Generator(None, None, step)
+    gen = _Generator(None, step)  # given no body, a frame per element
     gen.lines = ["def loop(run, interp, parent, items, source, partial, sink):"]
 
     def element():
@@ -125,37 +123,40 @@ def tier_0_loop(step, namespace):
     return made["loop"]
 
 
-def _own_writes(nodes, writes):
-    """The names among $, _, $$ and _$_ that a block body assigns, added to
-    writes; None if the body needs a frame of its own: something in it
+def _own_writes(nodes, own, writes):
+    """The names among own, the names a block body's frame binds ($, _, $$,
+    and _$_ under a step that gives a partial), that the body assigns, added
+    to writes; None if the body needs a frame of its own: something in it
     captures its frame or hands it on (a call passes it to a native callee,
-    a def or block keeps it), or it binds another name there."""
+    a def or block keeps it), or it binds another name there, _$_ under a
+    step that gives no partial included."""
     for node in nodes:
         if isinstance(node, (list, tuple)):
-            if _own_writes(node, writes) is None:
+            if _own_writes(node, own, writes) is None:
                 return None
         elif isinstance(node, Node):
             if isinstance(node, _FRAMED):
                 return None
             if isinstance(node, Assign) and isinstance(node.target, Identifier):
-                if node.target.name not in _LOCALS:
+                if node.target.name not in own:
                     return None
                 writes.add(node.target.name)
-            if _own_writes(vars(node).values(), writes) is None:
+            if _own_writes(vars(node).values(), own, writes) is None:
                 return None
     return writes
 
 
 class _Generator:
-    def __init__(self, params, writes, step):
+    def __init__(self, params, step, body=None):
         self.function, self.step, self.partial = params is not None, step, step in _PARTIAL
         # names bound in the body's own frame whenever it runs
         own = ("$", "_", "$$", "_$_") if self.partial else ("$", "_", "$$")
         self.own = frozenset(own if params is None else params)
         # a frameless block's own names are locals, each one it writes a fresh
         # copy per element; its scope is the parent frame
+        writes = None if body is None or self.function else _own_writes(body, self.own, set())
         self.frameless, self.writes = writes is not None, writes or set()
-        self.locals = dict(_LOCALS) if self.frameless else {}
+        self.locals = {name: _LOCALS[name] for name in self.own} if self.frameless else {}
         self.locals.update({name: f"{self.locals[name]}_" for name in self.writes})
         self.consts = []  # values handed to _make as K0, K1, ...
         self.const_names = {}  # id(value) -> its K name
@@ -309,15 +310,7 @@ class _Generator:
     def _Identifier(self, node):
         out, name = self.new(), repr(node.name)
         local = self.locals.get(node.name)
-        if node.name == "_$_" and local is not None and not self.partial:
-            # _$_ is unbound when the builtin gives no partial
-            self.open(f"if {local} is not _MISSING:")
-            self.emit(f"{out} = {local}")
-            self.close()
-            self.open("else:")
-            self.lookup(out, node)
-            self.close()
-        elif local is not None and node.name not in self.writes:
+        if local is not None and node.name not in self.writes:
             return local  # it holds this value all through the body
         elif local is not None:
             self.emit(f"{out} = {local}")
@@ -393,20 +386,11 @@ class _Generator:
 
     def assign_local(self, node, value):
         """Emit `$ = value` or `$ += value` (or _, $$, _$_) in a frameless body."""
-        local = self.locals[node.target.name]
         if node.op == "+=":
             old, out = self._Identifier(node.target), self.new()
             self.arith("+", old, value, out, node)
             value = out
-        missing = node.target.name == "_$_" and not self.partial
-        if missing:  # given no partial, _$_ is written through the frames
-            self.open(f"if {local} is _MISSING:")
-            self.emit(f"{local} = _assign_partial(scope, {value})")
-            self.close()
-            self.open("else:")
-        self.emit(f"{local} = {value}")
-        if missing:
-            self.close()
+        self.emit(f"{self.locals[node.target.name]} = {value}")
         return value
 
     def _Import(self, node):
@@ -415,8 +399,8 @@ class _Generator:
         return "None"
 
     def _FuncDef(self, node):
-        out, params = self.new(), self.const(node.params)
-        self.emit(f"{out} = Function({node.name!r}, {params}, {self.const(node)}, scope)")
+        out = self.new()
+        self.emit(f"{out} = Function({self.const(node)}, scope)")
         if node.name is None:
             return out
         self.emit(f"B[{node.name!r}] = {out}")
@@ -615,11 +599,8 @@ class _Generator:
             self.emit(f"raise _error({where}, 'TypeError', {message})")
             self.close()
             self.emit(f"{values} = list({splat})")
-        block = "None"
-        if node.block is not None:
-            block = self.new()
-            self.emit(f"{block} = BlockClosure({self.const(node.block)}, scope)")
-        else:
+        block = "None" if node.block is None else self.const(node.block)
+        if node.block is None:
             self.open(f"if isinstance({callee}, Function):")
             self.emit(f"{out} = interp.call_function({callee}, {values}, {keywords}, {where})")
             self.close()

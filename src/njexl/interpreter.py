@@ -13,33 +13,34 @@ Tier 1.  Each function body and each block body keeps its tier state on its
 syntax node, an ast.FuncDef or ast.AnonBlock: node.run is a function
 body's code for one call or a block body's tier-0 code, node.heat its runs
 counted toward tier-up, and node.tier_1 its tier-1 code for each use once
-hot (see warm).  Every Function or BlockClosure made from the node shares
-that state, whichever tier the code around it runs in.  Nothing is built
-for a body until it first runs, in tier 0.  A block body tiers up once its
-builtins have given it BLOCK_TIER_UP_AT elements, before the loop that
-reaches that count when its source's length is known; a function body on
-its FUNCTION_TIER_UP_AT-th call.  Tier-up translates the body into one flat
+hot (see warm).  Every Function made from a FuncDef, and every call given
+an AnonBlock, shares that state, whichever tier the code around it runs
+in.  Nothing is built for a body until it first runs, in tier 0.  A block
+body tiers up once its builtins have given it BLOCK_TIER_UP_AT elements,
+before the loop that reaches that count when its source's length is known;
+a function body on its FUNCTION_TIER_UP_AT-th call.  Tier-up translates the body into one flat
 Python function (codegen.py) that raises the same errors; a body holding a
 node kind the generator does not cover stays in tier 0.  Program bodies and
 one-shot evaluations stay in tier 0.  Both tiers enter through
 Interp.invoke_block and Interp.call_function, and both look the value
 operations (arith, values_equal, ...) up in this module when they run.
 
-Blocks.  A builtin enters a block once per call: Interp.invoke_block runs
-the builtin's whole loop, its step (codegen.STEPS) around the body.  The
-sort comparators and minmax run a one-element loop per comparison.  In
-tier 0 that is the step's loop around the body's closures (_LOOPS); in
-tier 1 one generated function per body and step, with the body inlined in
-the loop.
+Blocks.  A call with a block passes its AnonBlock node to the builtin,
+which enters the block once per call in the frame it was called in:
+Interp.invoke_block runs the builtin's whole loop, its step (codegen.STEPS)
+around the body.  The sort comparators and minmax run a one-element loop
+per comparison.  In tier 0 that is the step's loop around the body's
+closures (_LOOPS); in tier 1 one generated function per body and step,
+with the body inlined in the loop.
 
 Frames.  A function body runs in the frame call_function builds for its
-parameters.  Each element of a block runs in a frame binding $, _, $$ and
-_$_ that the step's loop builds, except in tier-1 code of a block body that
-nothing can capture a frame from and that binds no other name
-(codegen._own_writes): there those four names are Python locals and every
-other name is read from the block's parent frame.  A call keeps the frame
-because a builtin callee receives its caller's frame (eval runs in it, and
-a def made there captures it).
+parameters.  Each element of a block runs in a frame binding $, _, $$ and,
+under a step that gives a partial, _$_, that the step's loop builds,
+except in tier-1 code of a block body that nothing can capture a frame from
+and that binds no other name (codegen._own_writes): there those names are
+Python locals and every other name is read from the block's parent frame.
+A call keeps the frame because a builtin callee receives its caller's frame
+(eval runs in it, and a def made there captures it).
 
 One Interp + one global Scope + one IoPorts bundle form an evaluation
 context.  A context is strictly single-threaded; any number of contexts can
@@ -117,8 +118,6 @@ def _drop_workers():
 # a copy of this module that is dropped (purged from sys.modules and imported
 # again) frees its workers' owners now, not at the next full gc collection
 weakref.finalize(sys.modules[__name__], _drop_workers).atexit = False
-
-_MISSING = object()
 
 
 class _Worker:
@@ -297,30 +296,6 @@ def _counted(block, items):
         yield item
 
 
-def _assign_partial(parent, value):
-    """Assign _$_ in frameless block code given no partial: write the nearest
-    frame binding _$_ below the builtins frame, as Scope.assign from the
-    block's own frame would, and return _MISSING; if there is none, return
-    value, which the block binds itself."""
-    while parent.parent is not None:
-        if "_$_" in parent.bindings:
-            parent.bindings["_$_"] = value
-            return _MISSING
-        parent = parent.parent
-    return value
-
-
-class BlockClosure:
-    """An anonymous block (its ast.AnonBlock) and the scope it was written in.
-    A builtin runs it through Interp.invoke_block, once per loop."""
-
-    __slots__ = ("block", "scope")
-
-    def __init__(self, block, scope):
-        self.block = block
-        self.scope = scope
-
-
 class Interp:
     def __init__(self, io, registry=None, script_path=None):
         from .stdlib import default_registry  # local import avoids a cycle
@@ -398,22 +373,23 @@ class Interp:
         raise NjexlError("ModuleNotFound", f"no module at '{path}'", node.line, node.col)
 
     def call_function(self, fn, args, named=None, node=None):
-        if len(args) > len(fn.params):
+        body = fn.node
+        params = body.params
+        if len(args) > len(params):
             raise _error(
                 node,
                 "ArityError",
-                f"{fn.name or '<anon>'} takes {len(fn.params)} arguments, got {len(args)}",
+                f"{body.name or '<anon>'} takes {len(params)} arguments, got {len(args)}",
             )
-        bindings = dict.fromkeys(fn.params)
-        bindings.update(zip(fn.params, args))
+        bindings = dict.fromkeys(params)
+        bindings.update(zip(params, args))
         for name, value in (named or {}).items():
-            if name not in fn.params:
+            if name not in params:
                 raise _error(
-                    node, "UnknownParameter", f"{fn.name or '<anon>'} has no parameter '{name}'"
+                    node, "UnknownParameter", f"{body.name or '<anon>'} has no parameter '{name}'"
                 )
             bindings[name] = value
         frame = Scope(fn.scope, bindings)
-        body = fn.node
         run = body.run if body.heat < 0 else warm(body)
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
@@ -432,20 +408,21 @@ class Interp:
         self.depth -= 1
         return _error(node, "StackOverflowError", f"recursion deeper than {MAX_CALL_DEPTH} frames")
 
-    def invoke_block(self, closure, step, items, source, partial=_MISSING, sink=None):
+    def invoke_block(self, block, scope, step, items, source, partial=None, sink=None):
         """Run a builtin's whole loop over items, an iterable, with its step
-        (a codegen.STEPS key) around an anonymous block; return what it
-        gives.  Each element's $$ is source, and its _$_ the partial (none
-        by default): "index" gives the first index whose value is truthy,
-        or -1; "map" passes each value to sink; "fold" gives each value to
-        the next element as its partial and returns the last; "filter"
-        passes each element whose value is truthy to sink; "compare" gives
-        the truth of the first value.  A continue or break in the body skips
+        (a codegen.STEPS key) around block, an ast.AnonBlock, in scope, the
+        frame the builtin was called in; return what it gives.  Each
+        element's $$ is source; under "fold" and "filter" its _$_ is the
+        partial, and under the other steps _$_ is read and written through
+        scope.  "index" gives the first index whose value is truthy, or -1;
+        "map" passes each value to sink; "fold" gives each value to the
+        next element as its partial and returns the last; "filter" passes
+        each element whose value is truthy to sink; "compare" gives the
+        truth of the first value.  A continue or break in the body skips
         the element or ends the loop.  The loop enters the block once, so
         it takes one frame of MAX_CALL_DEPTH.  The elements count toward the
         block's tier-up before the loop when items knows its length, else as
         they run."""
-        block = closure.block
         run = block.tier_1.get(step) if block.heat < 0 else None
         if run is None:
             count = operator.length_hint(items)
@@ -456,7 +433,7 @@ class Interp:
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(block)
         try:
-            return run(self, closure.scope, items, source, partial, sink)
+            return run(self, scope, items, source, partial, sink)
         except RecursionError:
             raise _error(block, "StackOverflowError", "call depth exceeded") from None
         finally:
@@ -630,12 +607,12 @@ def _compile_Import(node):
 
 
 def _compile_FuncDef(node):
-    name, params = node.name, node.params
+    name = node.name
     if name is None:
-        return lambda interp, scope: Function(None, params, node, scope)
+        return lambda interp, scope: Function(node, scope)
 
     def func_def(interp, scope):
-        scope.bindings[name] = Function(name, params, node, scope)
+        scope.bindings[name] = Function(node, scope)
 
     return func_def
 
@@ -854,10 +831,9 @@ def _call(node, callee, args, named, splat, block):
             if not isinstance(spread, list):
                 raise _error(node, "TypeError", f"__args__ must be a list, got {tag(spread)}")
             values = list(spread)
-        closure = None if block is None else BlockClosure(block, scope)
         if isinstance(fn, NativeFunction):
-            return fn.fn(interp, scope, values, keywords, closure, node)
-        if isinstance(fn, Function) and closure is None:
+            return fn.fn(interp, scope, values, keywords, block, node)
+        if isinstance(fn, Function) and block is None:
             return interp.call_function(fn, values, keywords, node)
         raise _uncallable(fn, node)
 
@@ -868,7 +844,8 @@ def _uncallable(fn, node):
     """The error for calling fn, which is neither a builtin nor, with a block
     given, a function."""
     if isinstance(fn, Function):
-        return _error(node, "TypeError", f"function {fn.name or '<anon>'} does not take a block")
+        name = fn.node.name or "<anon>"
+        return _error(node, "TypeError", f"function {name} does not take a block")
     return _error(node, "TypeError", f"{tag(fn)} is not callable")
 
 

@@ -3,14 +3,17 @@
 Builtins are ordinary values living in a frame below the global one, so a
 script binding `min` or `size` shadows the builtin in its own scope without
 destroying it.  Every builtin has the native signature (interp, scope, args,
-named, block, node), which host modules passed as registry= share.  A
-builtin declares its shape, `@_builtin(name, count=..., block=...)`, and
-one check of named arguments, block and count runs before its body.  A
-builtin runs a block given to it through Interp.invoke_block, which runs
-the builtin's whole loop (a codegen.STEPS step) and handles continue and
-break itself: index, list, set, lfold, rfold and join once per call, minmax
-and the sort comparators once per comparison, over the one pair compared.
-Each element counts toward the block's tier-up.
+named, block, node), which host modules passed as registry= share; block
+is the call's ast.AnonBlock, or None when it has none.  A host module's
+natives never get one: an Alias:name call takes no block.  A builtin
+declares its shape, `@_builtin(name, count=..., block=...)`, and one check
+of named arguments, block and count runs before its body.  A builtin runs
+a block given to it through Interp.invoke_block, in the frame it was
+called in (scope), which runs the builtin's whole loop (a codegen.STEPS
+step) and handles continue and break itself: index, list, set, lfold, rfold
+and join once per call, minmax and the sort comparators once per
+comparison, over the one pair compared.  Each element counts toward the
+block's tier-up.
 """
 
 import datetime
@@ -177,7 +180,9 @@ def _native(name, body, count=None, block="optional"):
     or None for any number.  block is "optional", "needed", or "maps":
     optional, with count holding only when a block is given (without one,
     the arguments are the values themselves).  The check refuses named
-    arguments first, then a missing needed block, then a wrong count.
+    arguments first, then a missing needed block, then a wrong count.  An
+    error leaving body without a position (one a loader raised, say) takes
+    the call's.
     """
     low, high = (count, count) if isinstance(count, int) else count or (None, None)
     wanted = f"{low}" if low == high else f"{low}..{high}"
@@ -190,7 +195,12 @@ def _native(name, body, count=None, block="optional"):
         if low is not None and not low <= len(args) <= high:
             if given is not None or block != "maps":
                 _fail(node, "ArityError", f"{name} takes {wanted} arguments, got {len(args)}")
-        return body(interp, scope, args, given, node, name)
+        try:
+            return body(interp, scope, args, given, node, name)
+        except NjexlError as exc:
+            if exc.line is None:
+                exc.line, exc.col = getattr(node, "line", None), getattr(node, "col", None)
+            raise
 
     return NativeFunction(name, fn)
 
@@ -359,7 +369,7 @@ def b_size(interp, scope, args, block, node, name):
 def b_index(interp, scope, args, block, node, name):
     """First index where the block is truthy; -1 when there is none."""
     items = _iter_arg(node, name, args[0])
-    return interp.invoke_block(block, "index", items, args[0])
+    return interp.invoke_block(block, scope, "index", items, args[0])
 
 
 @_builtin("list", count=1, block="maps")
@@ -385,13 +395,13 @@ def b_collect(interp, scope, args, block, node, name):
             sink(v)
         return out
     items = _iter_arg(node, name, args[0])
-    interp.invoke_block(block, "map", items, args[0], sink=sink)
+    interp.invoke_block(block, scope, "map", items, args[0], sink=sink)
     return out
 
 
-def _less(interp, node, block, a, b, source=None):
+def _less(interp, scope, node, block, a, b, source=None):
     if block is not None:
-        less = interp.invoke_block(block, "compare", (Pair(a, b),), source)
+        less = interp.invoke_block(block, scope, "compare", (Pair(a, b),), source)
         if less is None:  # a continue or break skipped the comparison
             _fail(node, "TypeError", "break/continue not allowed in a comparator block")
         return less
@@ -410,9 +420,9 @@ def b_minmax(interp, scope, args, block, node, name):
             lowest = highest = item
             seen = True
             continue
-        if _less(interp, node, block, item, lowest, args[0]):
+        if _less(interp, scope, node, block, item, lowest, args[0]):
             lowest = item
-        if _less(interp, node, block, highest, item, args[0]):
+        if _less(interp, scope, node, block, highest, item, args[0]):
             highest = item
     if not seen:
         _fail(node, "EmptyCollection", "minmax of an empty collection")
@@ -428,7 +438,7 @@ def b_fold(interp, scope, args, block, node, name):
     if name == "rfold":
         items.reverse()
     partial = args[1] if len(args) == 2 else None
-    return interp.invoke_block(block, "fold", items, args[0], partial)
+    return interp.invoke_block(block, scope, "fold", items, args[0], partial)
 
 
 @_builtin("join")
@@ -442,7 +452,7 @@ def b_join(interp, scope, args, block, node, name):
     if block is None:
         return list(rows)
     out = []
-    interp.invoke_block(block, "filter", rows, list(args), out, out.append)
+    interp.invoke_block(block, scope, "filter", rows, list(args), out, out.append)
     return out
 
 
@@ -454,7 +464,8 @@ def b_sort(interp, scope, args, block, node, name):
     comparator answers that alone: -1 when a precedes b, else 0 or more."""
     items = list(_iter_arg(node, name, args[0]))
     if block is not None:
-        key = cmp_to_key(lambda a, b: -1 if _less(interp, node, block, a, b, args[0]) else 0)
+        less = partial(_less, interp, scope, node, block)
+        key = cmp_to_key(lambda a, b: -1 if less(a, b, args[0]) else 0)
     elif native_kind(items):
         key = None  # plain ints or plain strs: Python's own order is the guest's
     else:

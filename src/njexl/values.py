@@ -156,12 +156,10 @@ class LazySeq:
 
 
 class Function:
-    __slots__ = ("name", "params", "node", "scope")
+    __slots__ = ("node", "scope")
 
-    def __init__(self, name, params, node, scope):
-        self.name = name
-        self.params = params
-        self.node = node  # the ast.FuncDef, which keeps its body's tier state
+    def __init__(self, node, scope):
+        self.node = node  # the ast.FuncDef: name, params, body and the body's tier state
         self.scope = scope
 
 
@@ -670,8 +668,7 @@ def stringify(v, _seen=None):
     if isinstance(v, LazySeq):
         return "iterator"
     if isinstance(v, Function):
-        name = v.name or ""
-        return f"def {name}({', '.join(v.params)})"
+        return f"def {v.node.name or ''}({', '.join(v.node.params)})"
     if isinstance(v, NativeFunction):
         return f"builtin({v.name})"
     if isinstance(v, Module):

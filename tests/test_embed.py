@@ -103,6 +103,13 @@ def test_function_results_are_conversion_errors():
     assert result.kind == "ConversionError"
 
 
+def test_a_set_of_lists_is_a_conversion_error():
+    result = evaluate(fresh(), "set{ [$] }([1, 2])")
+    assert (result.kind, result.message) == (
+        "ConversionError", "set contains unhashable host elements"
+    )
+
+
 def test_bind_rejects_unbridgeable_host_data():
     ctx = fresh()
     with pytest.raises(ConversionError):

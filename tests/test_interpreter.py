@@ -352,7 +352,7 @@ def test_deterministic_given_fixed_ports():
 
 def test_invoke_block_with_explicit_context(monkeypatch):
     import njexl.interpreter as interpreter
-    from njexl.interpreter import BlockClosure, Scope
+    from njexl.interpreter import Scope
 
     # the block stays in tier 0, whose code its node keeps
     monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", float("inf"))
@@ -360,12 +360,14 @@ def test_invoke_block_with_explicit_context(monkeypatch):
     block_node = program.body[0].block
     interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
     scope = new_global_scope()
-    closure = BlockClosure(block_node, scope)
-    # a builtin's whole loop: its step, the items, $$, and _$_ and a sink if it has them
-    assert interp.invoke_block(closure, "index", iter([1, 3, 2]), [1, 3, 2]) == 2
-    assert interp.invoke_block(closure, "index", iter([1, 2, 3]), [1, 2, 3]) == -1
+    # a builtin's whole loop: the block's node and the frame the builtin was
+    # called in, its step, the items, $$, and _$_ and a sink if it has them
+    assert interp.invoke_block(block_node, scope, "index", iter([1, 3, 2]), [1, 3, 2]) == 2
+    assert interp.invoke_block(block_node, scope, "index", iter([1, 2, 3]), [1, 2, 3]) == -1
     kept = []
-    assert interp.invoke_block(closure, "filter", [1, 3, 2], [1, 3, 2], kept, kept.append) is None
+    filtered = interp.invoke_block(block_node, scope, "filter", [1, 3, 2], [1, 3, 2], kept,
+                                   kept.append)
+    assert filtered is None
     assert kept == [2]
     # the tier-0 code runs in a frame binding the element's names
     run = block_node.run
@@ -444,6 +446,17 @@ def test_registry_shim_parse_int():
     assert run(src) == 42
     src2 = "import 'java.lang.Integer' as Int\n#(o,:e) = Int:parseInt('x')\ne.kind"
     assert run(src2) == "NumberFormatError"
+
+
+@pytest.mark.parametrize("source, kind, message, line", [
+    ("I = 1\nI:parseInt('1')", "TypeError", "'I' is not a module", 3),
+    ("I:nope()", "NameError", "module java.lang.Integer has no member 'nope'", 2),
+])
+def test_static_call_on_a_rebound_alias_or_a_missing_member(source, kind, message, line):
+    with pytest.raises(NjexlError) as err:
+        run(f"import 'java.lang.Integer' as I\n{source}")
+    got = err.value
+    assert (got.kind, got.message, got.line, got.col) == (kind, message, line, 1)
 
 
 def test_index_assignment_targets():

@@ -359,6 +359,15 @@ def test_write_replaces_content(tmp_path):
     assert (tmp_path / "out.txt").read_text() == "second"
 
 
+def test_write_into_a_missing_directory_fails_at_the_call(tmp_path):
+    target = str(tmp_path / "missing" / "out.txt")
+    with pytest.raises(NjexlError) as err:
+        run(f"x = 1\n  write({target!r}, 'a')")
+    got = err.value
+    assert (got.kind, got.line, got.col) == ("IoError", 2, 3)
+    assert got.message.startswith(f"cannot write {target}: ")
+
+
 def test_http_disabled_by_default():
     with pytest.raises(NjexlError) as err:
         run("read('http://example.com/x')")
@@ -514,6 +523,15 @@ _ARGUMENT_ERRORS = [
     ("write(1, 'x')", "TypeError", "write() expects a path and a string"),
     ("eval(1)", "TypeError", "eval() expects a string"),
     ("I:parseInt(1)", "NumberFormatError", "for input: 1"),
+    # errors raised below a builtin with no position of their own take the call's
+    ("read('nope')", "FileNotFound", "no such file: nope"),
+    ("lines('nope')", "FileNotFound", "no such file: nope"),
+    ("eval('return 1')", "SyntaxError", "'return' outside a function"),
+    ("eval('break')", "SyntaxError", "'break' outside a loop"),
+    *[(call, "TypeError", "{} cannot iterate a int") for call in (
+        "index{ $ }(1)", "list{ $ }(1)", "set{ $ }(1)", "minmax{ true }(1)", "lfold{ $ }(1)",
+        "rfold{ $ }(1, 0)", "join{ true }(1)", "sorta{ true }(1)", "sortd{ true }(1)",
+    )],
 ]
 
 

@@ -343,6 +343,11 @@ def ret(l){ lfold{ return 99 }(l, 0) }
     assert cold[0] == ("value", "list", "[[0, 2, 3], [1, 3, 5], 1, 99]")
 
 
+def test_assignment_into_a_non_collection_fails_in_both_tiers():
+    cold, hot = both_tiers("def f(x){ x[0] = 1 }\nf(5)")
+    assert hot == cold == (("error", "TypeError", "cannot assign into int", 1, 11), "")
+
+
 def test_a_loop_over_a_map_may_write_the_map():
     # a map is iterated over a snapshot of its pairs
     for source in ("m = {1:2}; r = list{ m[$.0 + 10] = 1 }(m)\n[r, m]",
@@ -583,7 +588,7 @@ def test_tier_up_thresholds(monkeypatch):
     # a builtin's loop is called as Interp.invoke_block calls it: the frame
     # the block was written in, the items, $$, _$_ (none here) and the sink
     out, loop = [], generated[0].tier_1["map"]
-    loop(interp, scope, iter([4, 7]), [4, 7], interpreter._MISSING, out.append)
+    loop(interp, scope, iter([4, 7]), [4, 7], None, out.append)
     assert out == [5, 8] and list(generated[0].tier_1) == ["map"]
     # a list's elements count before its loop: the block tiers up before it runs
     run("def m2(l){ list{ $ * 2 }(l) }")
@@ -655,7 +660,7 @@ def test_python_recursion_error_is_a_stack_overflow(monkeypatch, threshold, case
 
 def test_each_body_is_generated_once(monkeypatch):
     # a body nested in a hot body keeps one tier state, whichever tier of
-    # the enclosing body made its Function or BlockClosure
+    # the enclosing body made its Function or called its builtin
     monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", DEFAULTS[0])
     monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", DEFAULTS[1])
     generated = recording_generate(monkeypatch)
@@ -691,17 +696,19 @@ def test_blocks_over_sources_of_unknown_size_tier_up(monkeypatch, tmp_path):
 
 # (source, what it gives, whether a block in it runs frameless once tiered up)
 FRAMELESS_CASES = [
-    # a write to _$_ in a block given no partial goes to the outer fold's frame
-    ("lfold{ index{ _$_ = 7 }([1]) ; _$_ }([1, 2], 0)", ("value", "int", "7"), True),
-    ("lfold{ index{ _$_ += 1 }([1]) ; _$_ }([1, 2], 0)", ("value", "int", "2"), True),
+    # a write to _$_ in a block given no partial goes to the outer fold's
+    # frame: the block takes a frame, since _$_ is not one of its own names
+    ("lfold{ index{ _$_ = 7 }([1]) ; _$_ }([1, 2], 0)", ("value", "int", "7"), False),
+    ("lfold{ index{ _$_ += 1 }([1]) ; _$_ }([1, 2], 0)", ("value", "int", "2"), False),
+    # a read of _$_ there goes through the frames, with no frame of its own
     ("index{ _$_ }([1])", ("error", "NameError", "'_$_' is not defined", 1, 8), True),
     # given no partial and with no _$_ in the frames, a block binds _$_ in its own frame
-    ("r = index{ _$_ = $ * 10 ; _$_ > 15 }([1, 2, 3])\nr", ("value", "int", "1"), True),
+    ("r = index{ _$_ = $ * 10 ; _$_ > 15 }([1, 2, 3])\nr", ("value", "int", "1"), False),
     ("r = index{ _$_ = $ * 10 ; _$_ > 15 }([1, 2, 3])\n_$_",
-     ("error", "NameError", "'_$_' is not defined", 2, 1), True),
+     ("error", "NameError", "'_$_' is not defined", 2, 1), False),
     # the write walks up past a block's frame to the outer fold's
     ("lfold{ list{ index{ _$_ += $ ; false }([1, 2]) }([7]) ; _$_ }([1, 1], 100)",
-     ("value", "int", "106"), True),
+     ("value", "int", "106"), False),
     # a name assigned in a block does not leak out of it
     ("index{ y = $; false }([1,2]); y", ("error", "NameError", "'y' is not defined", 1, 31),
      False),
