@@ -5,12 +5,17 @@ ports.  Contexts are fully isolated from each other and must each be used
 from one thread at a time; distinct contexts may run in parallel freely.
 
 Data crosses the boundary by deep copy in both directions, so host
-collections are never aliased by script values.  evaluate() never raises:
-every failure comes back as a StructuredError value.
+collections are never aliased by script values: a host 2-tuple becomes a
+pair of copied elements and a range crosses as itself (both ways: it is
+immutable), and an iterator leaves as a list.  A host module's natives
+(registry=) take and return guest values, not host data: a tuple one
+returns is read as a pair.  evaluate() never raises: every failure comes
+back as a StructuredError value.
 """
 
 import datetime
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -18,15 +23,7 @@ from .errors import NjexlError, guest_error
 from .interpreter import Interp, new_global_scope, run_on_deep_stack
 from .lexer import KEYWORDS
 from .stdlib import default_io
-from .values import (
-    ErrorValue,
-    LazySeq,
-    Pair,
-    Range,
-    XMap,
-    XSet,
-    tag,
-)
+from .values import ErrorValue, XMap, XSet, tag
 
 _MAX_BRIDGE_DEPTH = 64
 # exact types whose values cross the bridge unchanged both ways, so elements of
@@ -104,14 +101,12 @@ def _to_value(value, depth):
         return [v if type(v) in _SAME else _to_value(v, depth + 1) for v in value]
     if depth > _MAX_BRIDGE_DEPTH:
         raise ConversionError("host data nested too deeply")
-    if value is None or isinstance(value, (int, str, float, Decimal)):  # bool is an int
+    if value is None or isinstance(value, (int, str, float, Decimal, range)):  # bool is an int
         return value
     if isinstance(value, (datetime.datetime, datetime.date)):
         return value
     if isinstance(value, tuple) and len(value) == 2:
-        return Pair(_to_value(value[0], depth + 1), _to_value(value[1], depth + 1))
-    if isinstance(value, range):
-        return Range(value.start, value.stop, value.step)
+        return (_to_value(value[0], depth + 1), _to_value(value[1], depth + 1))
     if isinstance(value, (list, tuple)):  # a subclass, a tuple, or a list at the cap
         return [_to_value(v, depth + 1) for v in value]
     if isinstance(value, (set, frozenset)):
@@ -138,13 +133,11 @@ def _from_value(value, depth):
         return value
     if isinstance(value, (int, float, Decimal)):
         return int(value) if isinstance(value, int) else value
-    if isinstance(value, (datetime.datetime, datetime.date)):
+    if isinstance(value, (datetime.datetime, datetime.date, range)):
         return value
-    if isinstance(value, Pair):
-        return (_from_value(value.first, depth + 1), _from_value(value.second, depth + 1))
-    if isinstance(value, Range):
-        return range(value.start, value.end, value.step)
-    if isinstance(value, (list, LazySeq)):  # an iterator, or a list at the cap
+    if isinstance(value, tuple):
+        return tuple(_from_value(v, depth + 1) for v in value)
+    if isinstance(value, (list, Iterator)):  # an iterator, or a list at the cap
         return [_from_value(v, depth + 1) for v in value]
     if isinstance(value, XSet):
         try:

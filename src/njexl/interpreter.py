@@ -75,8 +75,6 @@ from .values import (
     Function,
     Module,
     NativeFunction,
-    Pair,
-    Range,
     XMap,
     XSet,
     arith,
@@ -425,7 +423,10 @@ class Interp:
         they run."""
         run = block.tier_1.get(step) if block.heat < 0 else None
         if run is None:
-            count = operator.length_hint(items)
+            try:
+                count = operator.length_hint(items)
+            except OverflowError:  # a range longer than sys.maxsize: counted as it runs
+                count = 0
             run = warm(block, step, count)
             if count == 0 and block.heat >= 0:
                 items = _counted(block, items)
@@ -591,9 +592,7 @@ def _compile_MultiAssign(node):
 
 
 def _destructure(value, count, node):
-    if isinstance(value, Pair):
-        parts = [value.first, value.second]
-    elif isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         parts = list(value)
     else:
         raise _error(node, "DestructureError", f"cannot split {tag(value)} into {count} values")
@@ -793,7 +792,7 @@ def _compile_ClockBlock(node):
     def clock(interp, scope):
         frame, start = Scope(scope), interp.io.clock()
         value = body(interp, frame)
-        return Pair(int(interp.io.clock() - start), value)
+        return (int(interp.io.clock() - start), value)
 
     return clock
 
@@ -813,7 +812,18 @@ def _compile_StaticCall(node):
             raise _error(node, "NameError", f"module {module.path} has no member '{name}'")
         return module.bindings[name]
 
-    return _call(node, member, node.args, (), None, None)
+    call = _call(node, member, node.args, (), None, None)
+
+    def static_call(interp, scope):
+        # the only call of a host native: an error it raises without a position takes the call's
+        try:
+            return call(interp, scope)
+        except NjexlError as exc:
+            if exc.line is None:
+                exc.line, exc.col = node.line, node.col
+            raise
+
+    return static_call
 
 
 def _call(node, callee, args, named, splat, block):
@@ -873,7 +883,7 @@ def _compile_Member(node):
 
 def _member(obj, node):
     name = node.name
-    if isinstance(obj, Range) and name in ("list", "set"):
+    if isinstance(obj, range) and name in ("list", "set"):
         convert = list if name == "list" else XSet
         return NativeFunction(name, lambda i, s, a, n, b, nd: convert(obj))
     if isinstance(obj, ErrorValue) and name in ("kind", "message", "cause"):
@@ -894,7 +904,9 @@ def _range(start, end, step, node):
     for part, label in zip(parts, ("start", "end", "step")):
         if not is_int_tier(part):
             raise _error(node, "TypeError", f"range {label} must be an integer")
-    return Range(*parts, node.line, node.col)
+    if step == 0:
+        raise _error(node, "TypeError", "range step must not be zero")
+    return range(*parts)
 
 
 def _compile_ListLit(node):

@@ -5,7 +5,8 @@ script binding `min` or `size` shadows the builtin in its own scope without
 destroying it.  Every builtin has the native signature (interp, scope, args,
 named, block, node), which host modules passed as registry= share; block
 is the call's ast.AnonBlock, or None when it has none.  A host module's
-natives never get one: an Alias:name call takes no block.  A builtin
+natives never get one: an Alias:name call takes no block.  A native returns
+guest values (see values.py): a tuple it returns is read as a pair.  A builtin
 declares its shape, `@_builtin(name, count=..., block=...)`, and one check
 of named arguments, block and count runs before its body.  A builtin runs
 a block given to it through Interp.invoke_block, in the frame it was
@@ -26,10 +27,8 @@ from functools import cmp_to_key, partial
 from .errors import NjexlError
 from .values import (
     BigInt,
-    LazySeq,
     Module,
     NativeFunction,
-    Pair,
     XSet,
     as_decimal,
     cardinality,
@@ -332,7 +331,7 @@ def b_lines(interp, scope, args, block, node, name):
     """Lazy iterator of lines with the terminators stripped."""
     if not isinstance(args[0], str):
         _fail(node, "TypeError", "lines() expects a path string")
-    return LazySeq(interp.io.loader.iter_lines(args[0]))
+    return iter(interp.io.loader.iter_lines(args[0]))
 
 
 @_builtin("write", count=2)
@@ -401,7 +400,7 @@ def b_collect(interp, scope, args, block, node, name):
 
 def _less(interp, scope, node, block, a, b, source=None):
     if block is not None:
-        less = interp.invoke_block(block, scope, "compare", (Pair(a, b),), source)
+        less = interp.invoke_block(block, scope, "compare", ((a, b),), source)
         if less is None:  # a continue or break skipped the comparison
             _fail(node, "TypeError", "break/continue not allowed in a comparator block")
         return less
@@ -412,7 +411,7 @@ def _less(interp, scope, node, block, a, b, source=None):
 def b_minmax(interp, scope, args, block, node, name):
     """One-pass (min, max) pair; first-encountered value wins ties."""
     if block is None and type(args[0]) is list and native_kind(args[0]):
-        return Pair(min(args[0]), max(args[0]))  # both keep the first of equals
+        return min(args[0]), max(args[0])  # both keep the first of equals
     lowest = highest = None
     seen = False
     for item in _iter_arg(node, name, args[0]):
@@ -426,7 +425,7 @@ def b_minmax(interp, scope, args, block, node, name):
             highest = item
     if not seen:
         _fail(node, "EmptyCollection", "minmax of an empty collection")
-    return Pair(lowest, highest)
+    return lowest, highest
 
 
 @_builtin("lfold", count=(1, 2), block="needed")

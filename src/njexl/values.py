@@ -5,7 +5,9 @@ str).  Two tags need their own carriers: BigInt (surface name INT) is an int
 subclass so an explicitly widened integer stays widened, and BigDec (surface
 name DEC) is decimal.Decimal.  A plain int outside the signed 64-bit range
 counts as BigInt as well; arithmetic that overflows 64 bits widens instead of
-wrapping.
+wrapping.  Python's own types carry the rest: a pair (from minmax, #clock
+and map iteration) is a 2-tuple, a range a range, and an iterator (from
+lines()) a Python iterator.
 
 Equality is value-based across numeric tags (1 == 1.0 == DEC('1')), multiset
 oriented on lists, and reflexive for every value.  All of it is routed through
@@ -17,6 +19,7 @@ import datetime
 import math
 import operator
 from collections import Counter
+from collections.abc import Iterator
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
@@ -40,54 +43,6 @@ class BigInt(int):
     """Arbitrary-precision integer tag (surface type INT)."""
 
     __slots__ = ()
-
-
-class Range:
-    """Lazy half-open integer progression start, start+step, ... (< end)."""
-
-    __slots__ = ("start", "end", "step")
-
-    def __init__(self, start, end, step=1, line=None, col=None):
-        if step == 0:
-            raise NjexlError("TypeError", "range step must not be zero", line, col)
-        self.start = start
-        self.end = end
-        self.step = step
-
-    def length(self):
-        if self.step > 0:
-            span = self.end - self.start
-        else:
-            span = self.start - self.end
-        if span <= 0:
-            return 0
-        return -(-span // abs(self.step))
-
-    def __iter__(self):
-        return iter(range(self.start, self.end, self.step))
-
-    def hits(self, x):
-        return x in range(self.start, self.end, self.step)
-
-
-class Pair:
-    """Exactly-two tuple; produced by minmax, #clock, and map iteration."""
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-
-    def __iter__(self):
-        yield self.first
-        yield self.second
-
-    def __eq__(self, other):
-        if isinstance(other, (Pair, tuple)) and len(tuple(other)) == 2:
-            a, b = other
-            return self.first == a and self.second == b
-        return NotImplemented
 
 
 class XSet:
@@ -141,18 +96,6 @@ class XMap:
 
     def __len__(self):
         return len(self._items)
-
-
-class LazySeq:
-    """A one-shot pull source, e.g. the line iterator from lines()."""
-
-    __slots__ = ("_it",)
-
-    def __init__(self, iterator):
-        self._it = iter(iterator)
-
-    def __iter__(self):
-        return self._it
 
 
 class Function:
@@ -209,7 +152,7 @@ def tag(v):
         return "DEC"
     if isinstance(v, str):
         return "str"
-    if isinstance(v, Range):
+    if isinstance(v, range):
         return "range"
     if isinstance(v, list):
         return "list"
@@ -217,10 +160,8 @@ def tag(v):
         return "set"
     if isinstance(v, XMap):
         return "map"
-    if isinstance(v, Pair):
+    if isinstance(v, tuple):
         return "pair"
-    if isinstance(v, LazySeq):
-        return "iterator"
     if isinstance(v, Function):
         return "function"
     if isinstance(v, NativeFunction):
@@ -233,6 +174,8 @@ def tag(v):
         return "datetime"
     if isinstance(v, datetime.date):
         return "date"
+    if isinstance(v, Iterator):
+        return "iterator"
     return type(v).__name__
 
 
@@ -312,13 +255,10 @@ def canonical_key(v, line=None, col=None, _seen=None):
         return ("date", v.isoformat())
     if isinstance(v, ErrorValue):
         return ("error", (v.kind, v.message))
-    if isinstance(v, Range):
-        if v.length() == 0:
-            return ("range", ())
-        return ("range", (v.start, v.step, v.length()))
-    if isinstance(v, Pair):
-        first = canonical_key(v.first, line, col, _seen)
-        return ("pair", (first, canonical_key(v.second, line, col, _seen)))
+    if isinstance(v, range):
+        return ("range", (v.start, v.step, range_length(v)) if v else ())
+    if isinstance(v, tuple):
+        return ("pair", tuple(canonical_key(e, line, col, _seen) for e in v))
     if isinstance(v, (list, XSet, XMap)):
         if _seen is None:
             _seen = set()
@@ -441,6 +381,11 @@ def sub_collection(a, b, line=None, col=None):
     )
 
 
+def range_length(r):
+    """len(r), also past sys.maxsize, where len() raises OverflowError."""
+    return (r[-1] - r[0]) // r.step + 1 if r else 0
+
+
 def is_collection(v):
     return isinstance(v, (list, XSet, XMap))
 
@@ -456,23 +401,21 @@ def membership(x, c, line=None, col=None):
         return c.has(x)
     if isinstance(c, str):
         return isinstance(x, str) and x in c
-    if isinstance(c, Range):
+    if isinstance(c, range):
         if not is_numeric(x):
             return False
         exact = _exact_value(x)
         if isinstance(exact, Fraction) and exact.denominator != 1:
             return False
-        return c.hits(int(exact))
+        return int(exact) in c
     raise NjexlError("TypeError", f"{tag(c)} is not a container", line, col)
 
 
 def cardinality(v, line=None, col=None):
-    if isinstance(v, (str, list, XSet, XMap)):
+    if isinstance(v, (str, list, XSet, XMap, tuple)):
         return len(v)
-    if isinstance(v, Range):
-        return v.length()
-    if isinstance(v, Pair):
-        return 2
+    if isinstance(v, range):
+        return range_length(v)
     raise NjexlError("TypeError", f"{tag(v)} has no size", line, col)
 
 
@@ -480,11 +423,9 @@ def project(v, i, line=None, col=None):
     """Positional component access for pairs, lists, and strings."""
     if not is_int_tier(i):
         raise NjexlError("TypeError", f"index must be an integer, got {tag(i)}", line, col)
-    if isinstance(v, Pair):
-        if i == 0:
-            return v.first
-        if i == 1:
-            return v.second
+    if isinstance(v, tuple):
+        if 0 <= i < len(v):
+            return v[i]
         raise NjexlError("IndexError", f"pair index {i} out of range", line, col)
     if isinstance(v, list):
         if 0 <= i < len(v):
@@ -499,10 +440,10 @@ def project(v, i, line=None, col=None):
 
 def enumerate_value(v, line=None, col=None):
     """Iteration order used by for-loops and the higher-order builtins."""
-    if isinstance(v, (list, XSet, Range, str, Pair, LazySeq)):
+    if isinstance(v, (list, XSet, range, str, tuple, Iterator)):
         return iter(v)
     if isinstance(v, XMap):  # a snapshot: the loop may write the map
-        return iter([Pair(k, val) for k, val in v.items()])
+        return iter(list(v.items()))
     raise NjexlError("TypeError", f"{tag(v)} is not iterable", line, col)
 
 
@@ -644,10 +585,10 @@ def stringify(v, _seen=None):
         return repr(v)
     if isinstance(v, Decimal):
         return str(v)
-    if isinstance(v, Range):
+    if isinstance(v, range):
         if v.step == 1:
-            return f"[{v.start}:{v.end}]"
-        return f"[{v.start}:{v.end}:{v.step}]"
+            return f"[{v.start}:{v.stop}]"
+        return f"[{v.start}:{v.stop}:{v.step}]"
     if isinstance(v, (list, XSet, XMap)):
         if _seen is None:
             _seen = set()
@@ -663,10 +604,8 @@ def stringify(v, _seen=None):
             text = "{" + ", ".join(entries) + "}"
         _seen.discard(id(v))
         return text
-    if isinstance(v, Pair):
-        return f"({stringify(v.first, _seen)}, {stringify(v.second, _seen)})"
-    if isinstance(v, LazySeq):
-        return "iterator"
+    if isinstance(v, tuple):
+        return "(" + ", ".join(stringify(e, _seen) for e in v) + ")"
     if isinstance(v, Function):
         return f"def {v.node.name or ''}({', '.join(v.node.params)})"
     if isinstance(v, NativeFunction):
@@ -677,4 +616,6 @@ def stringify(v, _seen=None):
         return f"{v.kind}: {v.message}"
     if isinstance(v, _DATE_TYPES):
         return v.isoformat()
+    if isinstance(v, Iterator):
+        return "iterator"
     return str(v)

@@ -309,3 +309,21 @@ def test_internal_error_names_the_python_exception():
     ctx = fresh(registry={"host.Tools": host})
     result = evaluate(ctx, "import 'host.Tools' as T\nT:boom()")
     assert result == StructuredError("InternalError", "ValueError: bad host state")
+
+
+def test_a_position_less_host_native_error_takes_the_call_position():
+    from njexl.errors import NjexlError
+    from njexl.values import Module, NativeFunction
+
+    def boom(interp, scope, args, named, block, node):
+        raise NjexlError("HostError", "nope")
+
+    def placed(interp, scope, args, named, block, node):
+        raise NjexlError("HostError", "placed", 9, 9)
+
+    natives = {"boom": NativeFunction("boom", boom), "placed": NativeFunction("placed", placed)}
+    ctx = fresh(registry={"host.Tools": Module("host.Tools", natives)})
+    result = evaluate(ctx, "import 'host.Tools' as T\n  T:boom()")
+    assert result == StructuredError("HostError", "nope", 2, 3)
+    result = evaluate(ctx, "import 'host.Tools' as T\nT:placed()")
+    assert result == StructuredError("HostError", "placed", 9, 9)

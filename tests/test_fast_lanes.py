@@ -34,7 +34,6 @@ from njexl.values import (
     INT_MAX,
     INT_MIN,
     BigInt,
-    Pair,
     XSet,
     arith,
     canonical_key,
@@ -87,7 +86,7 @@ _lists = st.one_of(
 _values = st.one_of(
     _scalars,
     _lists,
-    st.builds(Pair, _scalars, _scalars),
+    st.tuples(_scalars, _scalars),
     st.builds(XSet, st.lists(st.integers(0, 3), max_size=3)),
 )
 
@@ -98,8 +97,8 @@ def _shape(v, seen=()):
         if id(v) in seen:
             return "cycle"
         return (type(v), tuple(_shape(e, seen + (id(v),)) for e in v))
-    if isinstance(v, Pair):
-        return (Pair, _shape(v.first, seen), _shape(v.second, seen))
+    if isinstance(v, tuple):
+        return (tuple, _shape(v[0], seen), _shape(v[1], seen))
     if isinstance(v, (float, Decimal)) and v != v:
         return (type(v), "NaN")
     return (type(v), v)
@@ -304,7 +303,7 @@ def _minmax_by_comparator(items, line, col):
             lowest = item
         if order_compare(highest, item, line, col) < 0:
             highest = item
-    return Pair(lowest, highest)
+    return lowest, highest
 
 
 def _check_lists(a, b, x):

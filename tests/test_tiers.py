@@ -443,6 +443,19 @@ def test_framed_builtin_loop_keeps_one_frame_per_element(monkeypatch, threshold)
     assert outcome(source)[0] == ("value", "list", "[[0, 0], [299, 299]]")
 
 
+@pytest.mark.parametrize("call, want", [
+    ("index{ $ > 5 }(r)", ("value", "int", "6")),
+    ("list{ break($ > 2) ; $ }(r)", ("value", "list", "[0, 1, 2]")),
+    ("set{ break($ > 2) ; $ }(r)", ("value", "set", "{0, 1, 2}")),
+])
+@pytest.mark.parametrize("threshold", [(NEVER, NEVER), DEFAULTS, (0, 0)])
+def test_a_block_over_a_range_longer_than_sys_maxsize(monkeypatch, threshold, call, want):
+    # such a range has no length a Python int index can hold: its elements count as they run
+    monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", threshold[0])
+    monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", threshold[1])
+    assert outcome(f"r = [0:1180591620717411303424]\n{call}") == (want, "")
+
+
 @pytest.mark.parametrize("call", ["index{ $ < 0 }(xs)", "list{ $ + 1 }(xs)", "set{ $ % 3 }(xs)",
                                   "lfold{ _$_ + $ }(xs, 0)", "rfold{ _$_ + $ }(xs, 0)"])
 def test_a_block_over_a_long_list_runs_no_element_in_tier_0(monkeypatch, call):

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from njexl import create_context, evaluate
+from njexl import StructuredError, bind, create_context, evaluate
 from njexl.errors import NjexlError
+from njexl.stdlib import FakeClock
 from njexl.values import (
     _EXACT,
     BigInt,
-    Pair,
-    Range,
     XMap,
     XSet,
     arith,
@@ -33,7 +32,7 @@ from njexl.values import (
     values_equal,
 )
 
-from conftest import run_cli, run_source
+from conftest import FIXTURES, Capture, run_cli, run_source
 
 
 def make_map(*pairs):
@@ -372,7 +371,7 @@ def test_one_equals_one_point_oh_equals_dec_one_in_every_container():
         lambda x: XSet([x, 2]),
         lambda x: make_map((x, "v")),
         lambda x: make_map(("k", x)),
-        lambda x: Pair(x, [x]),
+        lambda x: (x, [x]),
     )
     for wrap in wraps:
         for a in ones:
@@ -404,7 +403,7 @@ def test_lists_of_different_lengths_are_unequal_without_keys(monkeypatch):
 
 def test_collection_tag_mismatch_is_unequal():
     assert not values_equal([1], XSet([1]))
-    assert not values_equal(make_map((1, 2)), [Pair(1, 2)])
+    assert not values_equal(make_map((1, 2)), [(1, 2)])
 
 
 def test_null_equals_only_null():
@@ -447,7 +446,7 @@ _value = st.recursive(
     _scalar,
     lambda inner: st.one_of(
         st.lists(inner, max_size=3),
-        st.builds(Pair, inner, inner),
+        st.tuples(inner, inner),
         st.builds(lambda xs: XSet(xs), st.lists(inner, max_size=3)),
     ),
     max_leaves=8,
@@ -479,10 +478,10 @@ def test_nan_is_self_equal_for_reflexivity():
 
 
 def test_range_equality_by_progression():
-    assert values_equal(Range(0, 3), Range(0, 3, 1))
-    assert values_equal(Range(0, 0), Range(5, 5))  # both empty
-    assert not values_equal(Range(0, 3), Range(0, 4))
-    assert not values_equal(Range(0, 3), [0, 1, 2])  # mixed tags stay unequal
+    assert values_equal(range(0, 3), range(0, 3, 1))
+    assert values_equal(range(0, 0), range(5, 5))  # both empty
+    assert not values_equal(range(0, 3), range(0, 4))
+    assert not values_equal(range(0, 3), [0, 1, 2])  # mixed tags stay unequal
 
 
 # --- sub-collection -------------------------------------------------------------
@@ -542,8 +541,8 @@ def test_membership_examples():
     assert membership(3, fb)
     assert not membership(4, fb)
     assert not membership("anything", [])
-    assert not membership(7, Range(0, 10, 2))
-    assert membership(6, Range(0, 10, 2))
+    assert not membership(7, range(0, 10, 2))
+    assert membership(6, range(0, 10, 2))
     assert membership("ord", "word")
     assert membership(2.0, [1, 2, 3])
 
@@ -558,17 +557,17 @@ def test_membership_scan_oracle():
 
 def test_range_hits_match_the_progression_formula():
     def formula(r, x):
-        inside = r.start <= x < r.end if r.step > 0 else r.end < x <= r.start
+        inside = r.start <= x < r.stop if r.step > 0 else r.stop < x <= r.start
         return inside and (x - r.start) % r.step == 0
 
     for start in range(-7, 8):
         for end in range(-7, 8):
             for step in (1, 2, 3, -1, -2, -3):
-                r = Range(start, end, step)
-                assert all(r.hits(x) == formula(r, x) for x in range(-10, 11))
-    wide = Range(-(2**70), 2**70, 3)
+                r = range(start, end, step)
+                assert all(membership(x, r) == formula(r, x) for x in range(-10, 11))
+    wide = range(-(2**70), 2**70, 3)
     for x in (-(2**70), -(2**70) + 1, -(2**70) + 3, 2**70 - 1, 2**70, 0, 1, 2):
-        assert wide.hits(x) == formula(wide, x)
+        assert membership(x, wide) == formula(wide, x)
 
 
 def test_membership_non_container():
@@ -582,8 +581,8 @@ def test_membership_non_container():
 def test_cardinality_examples():
     assert cardinality("word") == 4
     assert cardinality([]) == 0
-    assert cardinality(Range(0, 7, 2)) == 4
-    assert cardinality(Pair(1, 2)) == 2
+    assert cardinality(range(0, 7, 2)) == 4
+    assert cardinality((1, 2)) == 2
     assert cardinality(make_map((1, 2))) == 1
     with pytest.raises(NjexlError):
         cardinality(None)
@@ -600,14 +599,14 @@ def test_cardinality_matches_enumeration_oracle():
         elif kind == 1:
             v = XSet(rng.randrange(5) for _ in range(rng.randrange(7)))
         elif kind == 2:
-            v = Range(rng.randrange(-5, 5), rng.randrange(-5, 15), rng.choice([1, 2, 3, -1]))
+            v = range(rng.randrange(-5, 5), rng.randrange(-5, 15), rng.choice([1, 2, 3, -1]))
         else:
             v = "".join(rng.choice("ab") for _ in range(rng.randrange(7)))
         assert cardinality(v) == sum(1 for _ in enumerate_value(v))
 
 
 def test_projection():
-    assert project(Pair("a", "bb"), 1) == "bb"
+    assert project(("a", "bb"), 1) == "bb"
     assert project([5], 0) == 5
     assert project("word", 2) == "r"
     with pytest.raises(NjexlError) as err:
@@ -622,7 +621,7 @@ def test_projection():
 
 def test_truthiness_table():
     falsy = [None, False, 0, 0.0, Decimal("0"), Decimal("0.00")]
-    truthy = [True, 1, -1, 0.5, "", "x", [], [0], XSet(), make_map(), Range(0, 0)]
+    truthy = [True, 1, -1, 0.5, "", "x", [], [0], XSet(), make_map(), range(0, 0)]
     assert not any(truthiness(v) for v in falsy)
     assert all(truthiness(v) for v in truthy)
 
@@ -667,9 +666,9 @@ def test_stringify_forms():
         ([1, "a"], "[1, a]"),
         (XSet([1, 2]), "{1, 2}"),
         (make_map((0, False), (1, True)), "{0 : false, 1 : true}"),
-        (Pair(1, "b"), "(1, b)"),
-        (Range(0, 5), "[0:5]"),
-        (Range(0, 5, 2), "[0:5:2]"),
+        ((1, "b"), "(1, b)"),
+        (range(0, 5), "[0:5]"),
+        (range(0, 5, 2), "[0:5:2]"),
     ]
     for value, want in cases:
         assert stringify(value) == want
@@ -758,3 +757,68 @@ def test_set_dedup_counts_equivalence_classes():
         raw = [rng.choice([0, 1, 1.0, Decimal(1), "a", None, True]) for _ in range(rng.randrange(9))]
         classes = Counter(canonical_key(v) for v in raw)
         assert len(XSet(raw)) == len(classes)
+
+
+# --- the value model through evaluate ---------------------------------------------
+
+_IMPORT = "import 'java.lang.Integer' as I\n"
+_FAIL = StructuredError
+# guest programs and what evaluate gives for each: tags in messages, text
+# forms, equality, pairs, ranges and iterators, and how they cross to the host
+VALUE_MODEL = [
+    ("-minmax([1, 2])", _FAIL("TypeError", "cannot negate pair", 1, 1)),
+    ("-[0:3]", _FAIL("TypeError", "cannot negate range", 1, 1)),
+    ("-lines(f)", _FAIL("TypeError", "cannot negate iterator", 1, 1)),
+    ("-size", _FAIL("TypeError", "cannot negate builtin", 1, 1)),
+    (_IMPORT + "-I", _FAIL("TypeError", "cannot negate module", 2, 1)),
+    ("#(v, :e) = 1 / 0\n-e", _FAIL("TypeError", "cannot negate error", 2, 1)),
+    ("-date('2024-02-29', 'yyyy-MM-dd')", _FAIL("TypeError", "cannot negate date", 1, 1)),
+    ("-date('2024-02-29 12:30:00', 'yyyy-MM-dd HH:mm:ss')",
+     _FAIL("TypeError", "cannot negate datetime", 1, 1)),
+    ("#|lines(f)|", _FAIL("TypeError", "iterator has no size", 1, 1)),
+    ("'' + lines(f)", "iterator"),
+    ("'' + [0:5:2]", "[0:5:2]"),
+    ("'' + [0:5]", "[0:5]"),
+    ("'' + minmax([3, 1, 2])", "(1, 3)"),
+    (_IMPORT + "'' + I", "module(java.lang.Integer)"),
+    ("minmax([3, 1, 2]) == minmax([1, 3])", True),
+    ("minmax([1, 2]) == [1, 2]", False),
+    ("[0:0] == [5:5]", True),
+    ("[0:1:1] == [0:1:2]", False),
+    ("[0:3] == [0:3].list()", False),
+    ("m = {minmax([2, 1]) : 'a'}\nm[minmax([1, 2])]", "a"),
+    ("set(minmax([1, 2]), minmax([2, 1]), minmax([1, 3]))", {(1, 2), (1, 3)}),
+    ("list{ $.0 + $.1 }({1 : 2, 3 : 4})", [3, 7]),
+    ("list{ $ }({1 : 2})", [(1, 2)]),
+    ("s = 0\nfor (p : {1 : 2, 3 : 4}) { s += p.0 * p.1 }\ns", 14),
+    ("#(a, b) = minmax([3, 1, 2])\n[a, b]", [1, 3]),
+    ("#(t, v) = #clock{ 7 }\n[t, v]", [10, 7]),
+    ("#clock{ 7 }", (10, 7)),
+    ("minmax{ size($.0) < size($.1) }(lines(f))", ("a", "cccc")),
+    ("#|minmax([1, 2])|", 2),
+    ("minmax([1, 2]).1", 2),
+    ("p = minmax([1, 2])\np.2", _FAIL("IndexError", "pair index 2 out of range", 2, 1)),
+    ("#|[0:1180591620717411303424:3]|", 393530540239137101142),
+    ("#|[5:0:-2]|", 3),
+    ("4 @ [0:10:2]", True),
+    ("885443715538058477568 @ [0:1180591620717411303424:3]", True),  # 3 * 2**68
+    ("885443715538058477569 @ [0:1180591620717411303424:3]", False),
+    ("[0:5:0]", _FAIL("TypeError", "range step must not be zero", 1, 1)),
+    ("h", (1, [2])),
+    ("r", range(0, 10, 3)),
+    ("[0:10:3]", range(0, 10, 3)),
+    ("r.list()", [0, 3, 6, 9]),
+    ("lines(f)", ["bb", "cccc", "a", "ddd"]),
+]
+
+
+@pytest.mark.parametrize("source, want", VALUE_MODEL)
+def test_value_model_through_evaluate(source, want):
+    ctx = create_context(out=Capture(), err=Capture(), clock=FakeClock(10))
+    bind(ctx, "f", str(FIXTURES / "lines.txt"))
+    bind(ctx, "r", range(0, 10, 3))
+    held = [2]
+    bind(ctx, "h", (1, held))
+    held.append(3)  # the guest keeps its own copy
+    got = evaluate(ctx, source)
+    assert (got, type(got)) == (want, type(want))
