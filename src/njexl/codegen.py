@@ -16,12 +16,13 @@ function body's is run(interp, frame), in the frame call_function built;
 names are read and written through frame.bindings and the parent chain,
 `var` writes the global frame, and a nested def or block gets its own
 syntax node as a constant, so it shares one tier state with the tier-0
-code of this body.  The exact-type lanes of tier 0's operators are inlined
-with the same fallbacks, a literal operand's type is decided here, and
-every error is raised with the kind, message, line and column that tier 0
-gives it.  A guest loop is a Python loop, and `break` and `continue` inside
-it are Python's; `return` in a function body is Python's.  Everywhere else
-they raise the signal that tier 0 raises.
+code of this body.  The exact-type lanes are written once: tier-1 code
+inlines them, a literal operand's type decided here, and tier 0 makes its
+operators with the same methods (tier_0_operator), as it makes its loops
+(tier_0_loop).  Every error is raised with the kind, message, line and
+column that tier 0 gives it.  A guest loop is a Python loop, and `break`
+and `continue` inside it are Python's; `return` in a function body is
+Python's.  Everywhere else they raise the signal that tier 0 raises.
 
 A block body's code, one function per (node, step), is run(interp, parent,
 items, source, partial, sink): `for index, item in enumerate(items):`
@@ -49,9 +50,11 @@ its try each take one, a builtin's loop included), so no suite is opened at
 _MAX_NESTING or deeper.
 """
 
+from types import SimpleNamespace
+
 from .ast import Assign, Call, ClockBlock, For, FuncDef, Identifier, Import, Index, MultiAssign
 from .ast import Node, StaticCall
-from .values import INT_LANE_LOW, INT_MAX, INT_MIN
+from .values import INT_MAX, INT_MIN
 
 # no suite opens this deep in run(), so a line is inside at most 19 suites: within
 # CPython's 20 statically nested blocks, counting the two of an except clause
@@ -63,6 +66,10 @@ _FRAMED = (Call, StaticCall, FuncDef, ClockBlock, Import, For, MultiAssign)
 _ORDER = {"<": "<", "lt": "<", "<=": "<=", "le": "<=", ">": ">", "gt": ">", ">=": ">="}
 _ORDER.update({"ge": ">=", "==": "==", "eq": "==", "!=": "!="})
 _ARITH = {"+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
+# the int lane of + - * / %: plain ints low <= a <= INT_MAX and low < b <= INT_MAX, low from
+# this table (/ and % need a >= 0 < b, where floor division truncates), and a result within
+# INT_MIN..INT_MAX; every other input goes through arith()
+_INT_LANE_LOW = {"+": INT_MIN, "-": INT_MIN, "*": INT_MIN, "/": 0, "%": 0}
 # a block-taking builtin's loop step: the statement run on each element's
 # value (unless a continue skips it), and the one that ends the loop once
 # the items run out or a break stops it.  index: the first index whose value
@@ -95,12 +102,10 @@ def generate(node, namespace, step=None):
     params = node.params if isinstance(node, FuncDef) else None
     try:
         gen = _Generator(params, step, node.body)
-        source = gen.module(node.body)
+        lines = gen.module(node.body)
     except (_Unsupported, RecursionError):
         return None
-    made = {}
-    exec(compile(source, "<njexl tier 1>", "exec"), namespace, made)
-    return made["_make"](*gen.consts)
+    return _define(lines, "_make", namespace, "<njexl tier 1>")(*gen.consts)
 
 
 def tier_0_loop(step, namespace):
@@ -117,10 +122,52 @@ def tier_0_loop(step, namespace):
         return "value"
 
     gen.fused(element)
+    return _define(gen.lines, "loop", namespace, "<njexl tier 0>")
+
+
+def tier_0_operator(op, const, namespace):
+    """The tier-0 code of op, made once with namespace as its globals:
+    make(node, left, right) returns code(interp, scope) for node.  op is a
+    Binary operator other than and, or and xor (left and right are the
+    operands' code), "[]" for an Index (the object's and the index's code)
+    or "+=" for an Assign to a name (right is the value's code, run before
+    the name is read).  When const, right is a literal's value instead.
+    The lanes are those tier 1 inlines, emitted by the same methods."""
+    gen = _Generator((), None)  # as for a function body with no parameters
+    # stand-ins for node and its target: each field, and const() of each, is one of make()'s names
+    where = SimpleNamespace(op=op, line="line", col="col")
+    target = SimpleNamespace(name=None, line="target.line", col="target.col")
+    gen.const_names = {id(where): "node", id(target): "target"}
+    gen.lines = ["def make(node, left, right):"]
+    gen.emit("line, col = node.line, node.col")
+    if op == "+=":
+        gen.emit("target, name = node.target, node.target.name")
+    gen.open("def code(interp, scope):")
+    b = "right" if const else "b"
+    if op != "+=":
+        gen.emit("a = left(interp, scope)")
+    if not const:
+        gen.emit("b = right(interp, scope)")
+    if op == "+=":
+        gen.emit("B = scope.bindings")
+        out = gen.assign_name(where, target, "name", b)
+    else:
+        out = gen.new()
+        if op == "[]":
+            gen.index("a", b, out, where)
+        else:
+            gen.binary(op, "a", b, out, where)
+    gen.emit(f"return {out}")
+    gen.close()
+    gen.emit("return code")
+    return _define(gen.lines, "make", namespace, "<njexl tier 0>")
+
+
+def _define(lines, name, namespace, filename):
+    """The function that lines of source, run with namespace as its globals, bind to name."""
     made = {}
-    exec(compile("".join(f"{line}\n" for line in gen.lines), "<njexl tier 0>", "exec"),
-         namespace, made)
-    return made["loop"]
+    exec(compile("".join(f"{line}\n" for line in lines), filename, "exec"), namespace, made)
+    return made[name]
 
 
 def _own_writes(nodes, own, writes):
@@ -188,8 +235,7 @@ class _Generator:
 
             self.fused(element)
         params = ", ".join(f"K{i}" for i in range(len(self.consts)))
-        body = "".join(f"    {line}\n" for line in self.lines)
-        return f"def _make({params}):\n{body}    return run\n"
+        return [f"def _make({params}):", *(f"    {line}" for line in self.lines), "    return run"]
 
     def fused(self, element):
         """Emit the loop of the builtin's step (STEPS) around element(),
@@ -355,7 +401,11 @@ class _Generator:
             return value
         if target.name in self.locals:
             return self.assign_local(node, value)
-        name = repr(target.name)
+        return self.assign_name(node, target, repr(target.name), value)
+
+    def assign_name(self, node, target, name, value):
+        """Emit node's `name = value` or `name += value` to target, a name
+        whose text is name; the operand of its value."""
         if node.op == "=":
             if target.name in self.own:
                 self.emit(f"B[{name}] = {value}")
@@ -494,7 +544,12 @@ class _Generator:
             self.emit(f"{out} = {op == 'or'}")
             self.close()
             return out
-        a, b = self.node(node.left), self.node(node.right)
+        self.binary(op, self.node(node.left), self.node(node.right), out, node)
+        return out
+
+    def binary(self, op, a, b, out, node):
+        """Emit out = a op b, for op other than and, or and xor: the
+        exact-type lanes, else the value function."""
         if op in _ARITH:
             self.arith(op, a, b, out, node)
         elif op == "@":
@@ -515,7 +570,6 @@ class _Generator:
                 [(self.same_plain_type(a, b), lambda: self.emit(f"{out} = {a} {_ORDER[op]} {b}"))],
                 lambda: self.emit(f"{out} = {slow}"),
             )
-        return out
 
     def same_plain_type(self, a, b):
         """Conditions under which a and b are both plain ints or both plain strs."""
@@ -527,7 +581,7 @@ class _Generator:
 
     def arith(self, op, a, b, out, node):
         """Emit out = a op b: the exact-type lanes of tier 0, else arith()."""
-        low = INT_LANE_LOW[op]
+        low = _INT_LANE_LOW[op]
 
         def slow():
             self.emit(f"{out} = arith({op!r}, {a}, {b}, {node.line}, {node.col})")
@@ -615,12 +669,16 @@ class _Generator:
 
     def _Index(self, node):
         obj, index, out = self.node(node.obj), self.node(node.index), self.new()
+        self.index(obj, index, out, node)
+        return out
+
+    def index(self, obj, index, out, node):
+        """Emit out = obj[index]: a list's own item, else _index_get."""
         self.cases(
             [([self.test(obj, list), self.test(index, int), f"0 <= {index} < len({obj})"],
               lambda: self.emit(f"{out} = {obj}[{index}]"))],
             lambda: self.emit(f"{out} = _index_get({obj}, {index}, {self.const(node)})"),
         )
-        return out
 
     def _Member(self, node):
         obj, out = self.node(node.obj), self.new()

@@ -3,8 +3,11 @@
 Tier 0.  A Program is compiled once into nested closures
 code(interp, scope) -> value (Feeley & Lapalme, "Using closures for code
 generation", 1987), with operators, literals, comparison directions and
-call shapes fixed when the code is built.  Compiled code never holds an
-Interp, a Scope or a Function, and neither does the one state written onto
+call shapes fixed when the code is built.  Operators, x[i] and name += e
+are closures made from templates that tier 1's emitter writes on first use
+(codegen.tier_0_operator), as builtins' loops are (tier_0_loop), so each
+exact-type lane is written once.  Compiled code never holds an Interp, a
+Scope or a Function, and neither does the one state written onto
 syntax-tree nodes (a body's tier state, below), so contexts are freed by
 reference counting alone.  An Interp caches the code of recent source
 texts: a repeated predicate skips the lexer, the parser and the compiler.
@@ -63,14 +66,11 @@ import threading
 import weakref
 
 from . import ast
-from .codegen import STEPS, generate, tier_0_loop
+from .codegen import STEPS, generate, tier_0_loop, tier_0_operator
 from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal, guest_error
 from .parser import parse_program
 from .lexer import tokenize
 from .values import (
-    INT_LANE_LOW,
-    INT_MAX,
-    INT_MIN,
     ErrorValue,
     Function,
     Module,
@@ -503,36 +503,16 @@ def _compile_VarDecl(node):
 
 
 def _compile_Assign(node):
-    value, target, add = _compile(node.value), node.target, node.op == "+="
+    target, add = node.target, node.op == "+="
+    if isinstance(target, ast.Identifier) and add:
+        return _apply("+=", node, None, node.value)
+    value = _compile(node.value)
     if isinstance(target, ast.Identifier):
-        name, line, col, low = target.name, node.line, node.col, INT_LANE_LOW["+"]
+        name = target.name
 
         def assign(interp, scope):
             result = value(interp, scope)
-            if not add:
-                scope.assign(name, result)
-                return result
-            bindings = scope.bindings
-            if name in bindings:
-                old = bindings[name]
-            else:
-                frame = scope.frame_of(name, target.line, target.col)
-                old = frame.bindings[name]
-                # a builtin's name is read from the builtins frame but bound here
-                bindings = (scope if frame.parent is None else frame).bindings
-            kind, other = type(old), type(result)  # the lanes of compiled + (_compile_Binary)
-            if kind is other and (kind is str or (
-                kind is int and low <= old <= INT_MAX and low < result <= INT_MAX
-                and INT_MIN <= old + result <= INT_MAX
-            )):
-                result = old + result
-            elif kind is str and other is int and INT_MIN <= result <= INT_MAX:
-                result = old + str(result)
-            elif kind is int and other is str and INT_MIN <= old <= INT_MAX:
-                result = str(old) + result
-            else:
-                result = arith("+", old, result, line, col)
-            bindings[name] = result
+            scope.assign(name, result)
             return result
 
         return assign
@@ -685,19 +665,25 @@ def _compile_Return(node):
     return return_
 
 
-# exact-type lanes: on same-type plain int or str operands, and for + on a str
-# and a plain int in the 64-bit range, a compiled operator answers itself, with
-# the value function's answer; every other input falls through to that
-# function.  bool and BigInt are int subclasses, never plain int.
-_TESTS = {"==": operator.eq, "eq": operator.eq, "!=": operator.ne}
-_TESTS.update({"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge})
-_TESTS.update(lt=operator.lt, le=operator.le, gt=operator.gt, ge=operator.ge)
-_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_INT_OPS.update({"/": operator.floordiv, "%": operator.mod})
+@functools.cache
+def _operator(op, const):
+    """op's maker of tier-0 code (codegen.tier_0_operator), built on first use."""
+    return tier_0_operator(op, const, globals())
+
+
+def _apply(op, node, left, right):
+    """Code for node: op on the syntax nodes left (or None) and right, a literal as its value."""
+    const = isinstance(right, ast.Literal)
+    return _operator(op, const)(
+        node, None if left is None else _compile(left), right.value if const else _compile(right)
+    )
 
 
 def _compile_Binary(node):
-    op, lhs, rhs = node.op, _compile(node.left), _compile(node.right)
+    op = node.op
+    if op not in ("and", "or", "xor"):
+        return _apply(op, node, node.left, node.right)
+    lhs, rhs = _compile(node.left), _compile(node.right)
     if op == "and":
         return lambda interp, scope: (
             truthiness(lhs(interp, scope)) and truthiness(rhs(interp, scope))
@@ -706,64 +692,14 @@ def _compile_Binary(node):
         return lambda interp, scope: (
             truthiness(lhs(interp, scope)) or truthiness(rhs(interp, scope))
         )
-    if op == "xor":
-        return lambda interp, scope: (
-            truthiness(lhs(interp, scope)) != truthiness(rhs(interp, scope))
-        )
-    const = None
-    if isinstance(node.right, ast.Literal):  # read as the constant it is: rhs is None then
-        const, rhs = node.right.value, None
-    if op == "@":
+    return lambda interp, scope: (
+        truthiness(lhs(interp, scope)) != truthiness(rhs(interp, scope))
+    )
 
-        def member(interp, scope):
-            x, c = lhs(interp, scope), const if rhs is None else rhs(interp, scope)
-            kind = type(x)
-            if type(c) is list and (kind is int or kind is str) and native_kind(c) is kind:
-                return x in c
-            return membership(x, c, node.line, node.col)
 
-        return member
-    if op in _INT_OPS:
-        fast, concat, low = _INT_OPS[op], op == "+", INT_LANE_LOW[op]
-
-        def arith_(interp, scope):
-            a, b = lhs(interp, scope), const if rhs is None else rhs(interp, scope)
-            kind, other = type(a), type(b)
-            if kind is int and other is int:
-                if low <= a <= INT_MAX and low < b <= INT_MAX:
-                    result = fast(a, b)
-                    if INT_MIN <= result <= INT_MAX:
-                        return result
-            elif concat and kind is str:
-                if other is str:
-                    return a + b
-                if other is int and INT_MIN <= b <= INT_MAX:  # stringify's own text
-                    return a + str(b)
-            elif concat and kind is int and other is str and INT_MIN <= a <= INT_MAX:
-                return str(a) + b
-            return arith(op, a, b, node.line, node.col)
-
-        return arith_
-    test, negated = _TESTS[op], op == "!="
-    if op in ("==", "eq", "!="):
-
-        def equal(interp, scope):
-            a, b = lhs(interp, scope), const if rhs is None else rhs(interp, scope)
-            kind = type(a)
-            if kind is type(b) and (kind is int or kind is str):
-                return test(a, b)
-            return values_equal(a, b, node.line, node.col) is not negated  # != is == negated
-
-        return equal
-
-    def order(interp, scope):
-        a, b = lhs(interp, scope), const if rhs is None else rhs(interp, scope)
-        kind = type(a)
-        if kind is type(b) and (kind is int or kind is str):
-            return test(a, b)
-        return _ordered(a, b, node)
-
-    return order
+# the orderings' tests of order_compare's answer, for the operands their lanes do not take
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ORDERINGS.update(lt=operator.lt, le=operator.le, gt=operator.gt, ge=operator.ge)
 
 
 def _ordered(a, b, node):
@@ -772,7 +708,7 @@ def _ordered(a, b, node):
         if node.op in ("<=", "le") and is_collection(a) and is_collection(b):
             return sub_collection(a, b, node.line, node.col)
         raise _error(node, "TypeError", f"cannot order {tag(a)} and {tag(b)} with {node.op}")
-    return _TESTS[node.op](order_compare(a, b, node.line, node.col), 0)
+    return _ORDERINGS[node.op](order_compare(a, b, node.line, node.col), 0)
 
 
 def _compile_Unary(node):
@@ -860,17 +796,7 @@ def _uncallable(fn, node):
 
 
 def _compile_Index(node):
-    obj, index, const = _compile(node.obj), _compile(node.index), None
-    if isinstance(node.index, ast.Literal):  # read as the constant it is: index is None then
-        const, index = node.index.value, None
-
-    def index_(interp, scope):
-        v, i = obj(interp, scope), const if index is None else index(interp, scope)
-        if type(v) is list and type(i) is int and 0 <= i < len(v):  # exact-type lane
-            return v[i]
-        return _index_get(v, i, node)
-
-    return index_
+    return _apply("[]", node, node.obj, node.index)
 
 
 def _compile_Member(node):

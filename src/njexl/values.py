@@ -27,11 +27,6 @@ from .errors import NjexlError
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
-# The int lane of a compiled + - * / %, in both tiers: plain ints a and b with
-# low <= a <= INT_MAX and low < b <= INT_MAX, low from this table (/ and %
-# need a >= 0 < b, where floor division truncates), and a result within
-# INT_MIN..INT_MAX.  Every other input goes through arith().
-INT_LANE_LOW = {"+": INT_MIN, "-": INT_MIN, "*": INT_MIN, "/": 0, "%": 0}
 # an integral float no larger than this in size has a repr that spells int(f)
 _FLOAT_EXACT_INT = 2**53
 
@@ -402,7 +397,8 @@ def membership(x, c, line=None, col=None):
     if isinstance(c, str):
         return isinstance(x, str) and x in c
     if isinstance(c, range):
-        if not is_numeric(x):
+        # NaN and the infinities are in no range, and have no exact value
+        if not is_numeric(x) or not (isinstance(x, int) or Decimal(x).is_finite()):
             return False
         exact = _exact_value(x)
         if isinstance(exact, Fraction) and exact.denominator != 1:

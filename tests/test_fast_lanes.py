@@ -5,9 +5,12 @@ itself, and + a str and a plain int in the 64-bit range.  For every such
 operator, the compiled `a OP b` (operands bound as names, or the right one
 written as a literal) must give what the value function it falls back to
 gives: the same value of the same exact type, or the same error kind,
-message, line and column.  Each source runs in both tiers: as tier-0
-closures over a program body, and as tier-1 code that codegen.generate makes
-at once for the same statements as a function body.
+message, line and column.  The lanes are written once, in codegen's
+emitter: tier 1 inlines them, and tier 0's operator closures are made from
+templates of the same code (codegen.tier_0_operator).  Each source runs in
+both tiers, so every generated operator's fallback is checked: as tier-0
+closures over a program body, and as tier-1 code that codegen.generate
+makes at once for the same statements as a function body.
 
 Lane B: list equality, containment, membership, blockless sorts and
 blockless minmax compare all-plain-int or all-plain-str lists by Python's own
@@ -203,9 +206,11 @@ def test_a_compiled_operator_agrees_on_plain_ints_and_strs(op, a, b):
 
 
 # where exact type decides: int against bool, BigInt, float and Decimal of the
-# same value, either side of the 64-bit edges, NaN, and str against str
+# same value, either side of the 64-bit edges, NaN, the infinities, ranges,
+# and str against str
 _EDGES = [0, 1, 2, -1, True, False, 1.0, 0.0, math.nan, -math.inf, BigInt(1), Decimal(1),
-          Decimal("NaN"), "1", "a", "", None, INT_MAX, INT_MAX + 1, INT_MIN, INT_MIN - 1, 2**62]
+          Decimal("NaN"), "1", "a", "", None, INT_MAX, INT_MAX + 1, INT_MIN, INT_MIN - 1, 2**62,
+          range(0, 5), range(0, 0), math.inf, Decimal("Infinity"), Decimal("-Infinity")]
 _EDGE_LISTS = [[], [1], [True], [1.0], [BigInt(1)], [Decimal(1)], ["1"], ["a", "b"], ["b", "a"],
                [1, 2], [2, 1], [1, True], [True, 1], [1, 1], [math.nan], ["a", 1], _cyclic([1])]
 
@@ -234,10 +239,14 @@ def test_compiled_indexing_agrees_with_the_generic_read(v, i):
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(_values, _values)
 def test_compiled_plus_assign_agrees_with_arith(x, y):
-    """x += y in the frame binding x, and from a child frame (eval's)."""
-    for source in ("x += y\nx", "eval('x += y')\nx"):
-        got, _ = _compiled(source, x=x, y=y)
+    """x += y in the frame binding x, from a child frame (eval's), and with
+    y written as a literal."""
+    text = _literal_source(y)
+    for source in ("x += y\nx", "eval('x += y')\nx") + ((f"x += {text}\nx",) if text else ()):
+        got, node = _compiled(source, x=x, y=y)
         x2, y2 = copy.deepcopy(x), copy.deepcopy(y)
+        if isinstance(getattr(node, "value", None), ast.Literal):
+            y2 = node.value.value
         assert got == (_outcome(lambda: arith("+", x2, y2, 1, 1)),) * 2, (source, x, y)
 
 

@@ -493,8 +493,8 @@ def test_errors_keep_their_positions_in_tier_1():
 
 
 def test_int_lanes_take_the_same_operands_in_both_tiers(monkeypatch):
-    # both tiers read the int lanes' bounds from values.INT_LANE_LOW, so the
-    # same operands fall through to arith() in each
+    # both tiers' lanes come from one emitter (codegen), so the same operands
+    # fall through to arith() in each
     calls = Counter()
     arith = interpreter.arith
     monkeypatch.setattr(

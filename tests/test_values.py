@@ -803,6 +803,18 @@ VALUE_MODEL = [
     ("4 @ [0:10:2]", True),
     ("885443715538058477568 @ [0:1180591620717411303424:3]", True),  # 3 * 2**68
     ("885443715538058477569 @ [0:1180591620717411303424:3]", False),
+    # NaN and the infinities, float or DEC, are in no range, as they are in no list
+    ("1.0/0.0 @ [0:5]", False),
+    ("-1.0/0.0 @ [0:5]", False),
+    ("0.0/0.0 @ [0:5]", False),
+    ("DEC(1.0/0.0) @ [0:5]", False),
+    ("DEC(-1.0/0.0) @ [0:5]", False),
+    ("DEC(0.0/0.0) @ [0:5]", False),
+    ("1.0/0.0 @ [1, 2]", False),
+    ("DEC('1e400') @ [0:5]", False),
+    ("def f(x){ x @ [0:5] }\nlist{ f($) }([1.0/0.0, -1.0/0.0, 0.0/0.0, DEC(1.0/0.0), 2.0])",
+     [False, False, False, False, True]),
+    ("list{ $ @ [0:5] }([DEC(-1.0/0.0), DEC(0.0/0.0), DEC(2)])", [False, False, True]),
     ("[0:5:0]", _FAIL("TypeError", "range step must not be zero", 1, 1)),
     ("h", (1, [2])),
     ("r", range(0, 10, 3)),
