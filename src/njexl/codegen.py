@@ -16,13 +16,15 @@ function body's is run(interp, frame), in the frame call_function built;
 names are read and written through frame.bindings and the parent chain,
 `var` writes the global frame, and a nested def or block gets its own
 syntax node as a constant, so it shares one tier state with the tier-0
-code of this body.  The exact-type lanes are written once: tier-1 code
-inlines them, a literal operand's type decided here, and tier 0 makes its
-operators with the same methods (tier_0_operator), as it makes its loops
-(tier_0_loop).  Every error is raised with the kind, message, line and
-column that tier 0 gives it.  A guest loop is a Python loop, and `break`
-and `continue` inside it are Python's; `return` in a function body is
-Python's.  Everywhere else they raise the signal that tier 0 raises.
+code of this body.  Each node kind's code is written once: tier-1 code
+inlines it, a literal operand's type decided here, and tier 0 makes the
+code of every kind but Literal, ListLit, MapLit, ClockBlock and
+MultiAssign from templates written by the same methods
+(tier_0_template), as it makes its loops (tier_0_loop).  Every error is
+raised with the kind, message, line and column that tier 0 gives it.  A
+guest loop is a Python loop, and `break` and `continue` inside it are
+Python's; `return` in a function body is Python's.  Everywhere else they
+raise the signal that tier 0 raises.
 
 A block body's code, one function per (node, step), is run(interp, parent,
 items, source, partial, sink): `for index, item in enumerate(items):`
@@ -44,16 +46,23 @@ unless the body assigns _, so its type and range tests go.
 
 A body that cannot be one Python function stays in tier 0: generate
 returns None.  That is a body holding a node kind this module does not
-cover (#clock, #(...) assignments, Alias:name calls), and a body nested too
+cover (#clock and #(...) assignments), and a body nested too
 deep: CPython refuses more than 20 statically nested blocks (a loop and
 its try each take one, a builtin's loop included), so no suite is opened at
 _MAX_NESTING or deeper.
+
+A tier-0 template is the code the emitter writes for a stand-in of a node
+that keeps only what template_key holds of it (its kind, its op, and so
+on); make(node) binds the rest of each node of that shape, and its code
+calls each child's and each body's own tier-0 code where tier 1 inlines
+it.
 """
 
-from types import SimpleNamespace
+import functools
+import re
 
-from .ast import Assign, Call, ClockBlock, For, FuncDef, Identifier, Import, Index, MultiAssign
-from .ast import Node, StaticCall
+from .ast import Assign, Call, ClockBlock, For, FuncDef, Identifier, Import, Index, Literal
+from .ast import Member, MultiAssign, Node, StaticCall
 from .values import INT_MAX, INT_MIN
 
 # no suite opens this deep in run(), so a line is inside at most 19 suites: within
@@ -125,42 +134,109 @@ def tier_0_loop(step, namespace):
     return _define(gen.lines, "loop", namespace, "<njexl tier 0>")
 
 
-def tier_0_operator(op, const, namespace):
-    """The tier-0 code of op, made once with namespace as its globals:
-    make(node, left, right) returns code(interp, scope) for node.  op is a
-    Binary operator other than and, or and xor (left and right are the
-    operands' code), "[]" for an Index (the object's and the index's code)
-    or "+=" for an Assign to a name (right is the value's code, run before
-    the name is read).  When const, right is a literal's value instead.
-    The lanes are those tier 1 inlines, emitted by the same methods."""
-    gen = _Generator((), None)  # as for a function body with no parameters
-    # stand-ins for node and its target: each field, and const() of each, is one of make()'s names
-    where = SimpleNamespace(op=op, line="line", col="col")
-    target = SimpleNamespace(name=None, line="target.line", col="target.col")
-    gen.const_names = {id(where): "node", id(target): "target"}
-    gen.lines = ["def make(node, left, right):"]
-    gen.emit("line, col = node.line, node.col")
-    if op == "+=":
-        gen.emit("target, name = node.target, node.target.name")
-    gen.open("def code(interp, scope):")
-    b = "right" if const else "b"
-    if op != "+=":
-        gen.emit("a = left(interp, scope)")
-    if not const:
-        gen.emit("b = right(interp, scope)")
-    if op == "+=":
-        gen.emit("B = scope.bindings")
-        out = gen.assign_name(where, target, "name", b)
-    else:
-        out = gen.new()
-        if op == "[]":
-            gen.index("a", b, out, where)
+def tier_0_template(node, namespace):
+    """The tier-0 code of node's shape (template_key), made once with
+    namespace as its globals: make(node) returns code(interp, scope) for any
+    node of that shape.  The emitter writes code for a stand-in of node that
+    keeps what template_key holds; each other part of it is one of make()'s
+    names, bound only when the code uses it: a text field its text, an own
+    Literal child its value, any other child or body its tier-0 code, run
+    where tier 1 inlines it, and a node of the tree; a position is read
+    from node when the code needs it."""
+    gen = _Generator((), None)  # no own names: every name is read through the frames
+    gen.function = False  # a return raises ReturnSignal, as in all tier-0 code
+    binds = {}  # make()'s names, each to what make() binds it to
+
+    def bind(prefix, value):
+        name = f"{prefix}{len(binds)}"
+        binds[name] = value
+        return name
+
+    def part(value, path, field, own):
+        if value is None:
+            return None
+        if isinstance(value, str):
+            return _Text(bind("t", path))
+        if field == "args":
+            return [part(arg, f"{path}[{i}]", None, own) for i, arg in enumerate(value)]
+        if field == "named":
+            return [(_Text(bind("t", f"{path}[{i}][0]")), part(arg, f"{path}[{i}][1]", None, own))
+                    for i, (_, arg) in enumerate(value)]
+        if isinstance(value, list):  # a body, or a FuncDef's params, which no code reads
+            return _Hole(bind("c", f"compile_body({path})"))
+        if own and isinstance(value, Literal):
+            return _Hole(bind("k", f"{path}.value"), literal=True)
+        if field == "target":
+            return stand_in(value, path, False)  # its children are the node's grandchildren
+        hole = _Hole(bind("c", f"_compile({path})"))
+        gen.const_names[id(hole)] = bind("n", path)
+        return hole
+
+    def stand_in(real, path, own):
+        kind = type(real)
+        node = object.__new__(kind)  # of real's class, for the emitter's dispatch and tests
+        node.line, node.col = f"{path}.line", f"{path}.col"
+        gen.const_names[id(node)] = "node" if path == "node" else bind("n", path)
+        for field in kind.__match_args__[2:]:  # after line and col
+            value = getattr(real, field)
+            if not (field == "op" or (field == "name" and kind is Member)):
+                value = part(value, f"{path}.{field}", field, own)
+            setattr(node, field, value)
+        return node
+
+    top = stand_in(node, "node", True)
+    gen.lines, gen.depth = [], 2
+    gen.emit(f"return {gen.node(top)}")
+    used = set(re.findall(r"\w+", "\n".join(gen.lines)))
+    lines = ["def make(node):", *(f"    {name} = {value}" for name, value in binds.items()
+                                   if name in used)]
+    lines.append("    def code(interp, scope):")
+    if "B" in used:
+        lines.append("        B = scope.bindings")
+    return _define([*lines, *gen.lines, "    return code"], "make", namespace, "<njexl tier 0>")
+
+
+def template_key(node):
+    """What tier_0_template(node) keeps of node: its kind, its op, a
+    Member's name, which optional fields are None, which own children are
+    literals (each argument and named argument's too) and an Assign
+    target's kind."""
+    return _key_function(type(node))(node)
+
+
+@functools.cache
+def _key_function(kind):
+    """template_key for nodes of kind, written once from its fields: a loop
+    over the fields at each node made tier-0 compile about 1.45 times slower."""
+    parts = []
+    for field in kind.__match_args__[2:]:  # after line and col
+        value = f"node.{field}"
+        if field == "op" or (field == "name" and kind is Member):
+            parts.append(value)
+        elif field == "target":
+            parts.append(f"type({value})")
+        elif field in ("args", "named"):
+            arg = "arg" if field == "args" else "(_, arg)"
+            parts.append(f"tuple([type(arg) is Literal for {arg} in {value}])")
         else:
-            gen.binary(op, "a", b, out, where)
-    gen.emit(f"return {out}")
-    gen.close()
-    gen.emit("return code")
-    return _define(gen.lines, "make", namespace, "<njexl tier 0>")
+            parts.append(f"None if {value} is None else type({value}) is Literal")
+    line = f"def key(node): return (kind, {', '.join(parts)})"
+    return _define([line], "key", {"kind": kind, "Literal": Literal}, "<njexl template key>")
+
+
+class _Text(str):
+    """A text field of a template's node: make()'s name for it, which repr() prints."""
+
+    def __repr__(self):
+        return str(self)
+
+
+class _Hole:
+    """A child or a body of a template's node: make()'s name for its tier-0
+    code, or for its value when it is an own Literal child (literal)."""
+
+    def __init__(self, name, literal=False):
+        self.name, self.literal = name, literal
 
 
 def _define(lines, name, namespace, filename):
@@ -339,16 +415,28 @@ class _Generator:
 
     def body(self, stmts):
         """Emit stmts in order; the operand holding the last one's value."""
+        if isinstance(stmts, _Hole):
+            return self.hole(stmts)
         value = "None"
         for stmt in stmts or ():
             value = self.node(stmt)
         return value
 
     def node(self, node):
+        if isinstance(node, _Hole):
+            return self.hole(node)
         handler = getattr(self, "_" + type(node).__name__, None)
         if handler is None:
             raise _Unsupported(type(node).__name__)
         return handler(node)
+
+    def hole(self, hole):
+        """The operand of a template's hole: its literal value, or what its code gives."""
+        if hole.literal:
+            return hole.name
+        out = self.new()
+        self.emit(f"{out} = {hole.name}(interp, scope)")
+        return out
 
     def _Literal(self, node):
         return self.literal(node.value)
@@ -377,8 +465,7 @@ class _Generator:
         self.open(f"while {name} not in {out}.bindings:")
         self.emit(f"{out} = {out}.parent")
         self.open(f"if {out} is None:")
-        message = repr(f"'{node.name}' is not defined")
-        self.emit(f"raise _error({self.const(node)}, 'NameError', {message})")
+        self.emit(f"raise _undefined({self.const(node)})")
         self.close(2)
         self.emit(f"{out} = {out}.bindings[{name}]")
         self.close()
@@ -665,6 +752,13 @@ class _Generator:
         self.emit(f"{out} = {callee}.fn(interp, scope, {values}, {keywords}, {block}, {where})")
         if node.block is None:
             self.close()
+        return out
+
+    def _StaticCall(self, node):
+        where, fn, out = self.const(node), self.new(), self.new()
+        self.emit(f"{fn} = _module_member(scope, {where})")
+        args = ", ".join(self.node(arg) for arg in node.args)
+        self.emit(f"{out} = _call_static(interp, scope, {where}, {fn}, [{args}])")
         return out
 
     def _Index(self, node):

@@ -3,14 +3,18 @@
 Tier 0.  A Program is compiled once into nested closures
 code(interp, scope) -> value (Feeley & Lapalme, "Using closures for code
 generation", 1987), with operators, literals, comparison directions and
-call shapes fixed when the code is built.  Operators, x[i] and name += e
-are closures made from templates that tier 1's emitter writes on first use
-(codegen.tier_0_operator), as builtins' loops are (tier_0_loop), so each
-exact-type lane is written once.  Compiled code never holds an Interp, a
-Scope or a Function, and neither does the one state written onto
-syntax-tree nodes (a body's tier state, below), so contexts are freed by
-reference counting alone.  An Interp caches the code of recent source
-texts: a repeated predicate skips the lexer, the parser and the compiler.
+call shapes fixed when the code is built.  A node's closure is made from
+the template of its shape (codegen.template_key) that tier 1's emitter
+writes the first time a node of that shape is compiled
+(codegen.tier_0_template), as builtins' loops are (tier_0_loop), so calls,
+name lookup, assignment, control flow and each exact-type lane are written
+once.  Only Literal, ListLit, MapLit, ClockBlock (#clock) and MultiAssign
+(#(...)) have compilers of their own here.  Compiled code never holds an
+Interp, a Scope or a Function, and neither does the one state written
+onto syntax-tree nodes (a body's tier state, below), so contexts are
+freed by reference counting alone.  An Interp caches the code of recent
+source texts: a repeated predicate skips the lexer, the parser and the
+compiler.
 
 Tier 1.  Each function body and each block body keeps its tier state on its
 syntax node, an ast.FuncDef or ast.AnonBlock: node.run is a function
@@ -66,7 +70,7 @@ import threading
 import weakref
 
 from . import ast
-from .codegen import STEPS, generate, tier_0_loop, tier_0_operator
+from .codegen import STEPS, generate, template_key, tier_0_loop, tier_0_template
 from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal, guest_error
 from .parser import parse_program
 from .lexer import tokenize
@@ -441,7 +445,7 @@ class Interp:
             self.depth -= 1
 
 
-# --- compiler: _compile_<Name> compiles an ast.<Name> node ------------------------
+# --- compiler: _compile_<Name> compiles an ast.<Name> node, a template any other ----
 # Value operations (arith, values_equal, ...) are looked up as module globals when
 # code runs, never bound when it is built, so that perfbench/spans.py can wrap them.
 
@@ -461,9 +465,20 @@ def compile_body(stmts):
     return sequence
 
 
-def _compile(node, default=None):
-    """Code for node, or code yielding default when there is no node."""
-    return _constant(default) if node is None else _COMPILERS[type(node)](node)
+def _compile(node):
+    """Code for node: its kind's own compiler's, else its shape's template's
+    (codegen.tier_0_template), built on first use."""
+    compiler = _COMPILERS.get(type(node))
+    if compiler is not None:
+        return compiler(node)
+    key = template_key(node)
+    make = _TEMPLATES.get(key)
+    if make is None:
+        make = _TEMPLATES[key] = tier_0_template(node, globals())
+    return make(node)
+
+
+_TEMPLATES = {}  # codegen.template_key -> its make(node)
 
 
 def _error(node, kind, message):
@@ -478,55 +493,9 @@ def _compile_Literal(node):
     return _constant(node.value)
 
 
-def _compile_Identifier(node):
-    name = node.name
-
-    def identifier(interp, scope):
-        while scope is not None:  # Scope.lookup inlined: the most frequent node
-            if name in scope.bindings:
-                return scope.bindings[name]
-            scope = scope.parent
-        raise _error(node, "NameError", f"'{name}' is not defined")
-
-    return identifier
-
-
-def _compile_VarDecl(node):
-    value = _compile(node.value)
-
-    def var_decl(interp, scope):
-        result = value(interp, scope)
-        scope.declare_global(node.name, result)
-        return result
-
-    return var_decl
-
-
-def _compile_Assign(node):
-    target, add = node.target, node.op == "+="
-    if isinstance(target, ast.Identifier) and add:
-        return _apply("+=", node, None, node.value)
-    value = _compile(node.value)
-    if isinstance(target, ast.Identifier):
-        name = target.name
-
-        def assign(interp, scope):
-            result = value(interp, scope)
-            scope.assign(name, result)
-            return result
-
-        return assign
-    obj, index = _compile(target.obj), _compile(target.index)
-
-    def assign_index(interp, scope):
-        result = value(interp, scope)
-        container, key = obj(interp, scope), index(interp, scope)
-        if add:
-            result = arith("+", _index_get(container, key, target), result, node.line, node.col)
-        _index_set(container, key, result, target)
-        return result
-
-    return assign_index
+def _undefined(node):
+    """The error for node, an ast.Identifier whose name no frame binds."""
+    return _error(node, "NameError", f"'{node.name}' is not defined")
 
 
 def _index_get(obj, key, node):
@@ -581,122 +550,6 @@ def _destructure(value, count, node):
     return parts
 
 
-def _compile_Import(node):
-    return lambda interp, scope: scope.assign(node.alias, interp.import_module(node.path, node))
-
-
-def _compile_FuncDef(node):
-    name = node.name
-    if name is None:
-        return lambda interp, scope: Function(node, scope)
-
-    def func_def(interp, scope):
-        scope.bindings[name] = Function(node, scope)
-
-    return func_def
-
-
-def _choice(cond, then, orelse):
-    return lambda interp, scope: (
-        then(interp, scope) if truthiness(cond(interp, scope)) else orelse(interp, scope)
-    )
-
-
-def _compile_If(node):
-    return _choice(_compile(node.cond), compile_body(node.then_body), compile_body(node.else_body))
-
-
-def _compile_Ternary(node):
-    return _choice(_compile(node.cond), _compile(node.then), _compile(node.orelse))
-
-
-def _compile_For(node):
-    var, iterable, body = node.var, _compile(node.iterable), compile_body(node.body)
-
-    def for_(interp, scope):
-        for item in enumerate_value(iterable(interp, scope), node.line, node.col):
-            scope.bindings[var] = item
-            try:
-                body(interp, scope)
-            except ContinueSignal:
-                continue
-            except BreakSignal:
-                break
-
-    return for_
-
-
-def _compile_While(node):
-    cond, body = _compile(node.cond), compile_body(node.body)
-
-    def while_(interp, scope):
-        while truthiness(cond(interp, scope)):
-            try:
-                body(interp, scope)
-            except ContinueSignal:
-                continue
-            except BreakSignal:
-                break
-
-    return while_
-
-
-def _jump(signal, node):
-    """Code for break/continue: raise signal unless the condition is false."""
-    cond = _compile(node.cond, True)
-
-    def jump(interp, scope):
-        if truthiness(cond(interp, scope)):
-            raise signal()
-
-    return jump
-
-
-_compile_Break = functools.partial(_jump, BreakSignal)
-_compile_Continue = functools.partial(_jump, ContinueSignal)
-
-
-def _compile_Return(node):
-    value = _compile(node.value)
-
-    def return_(interp, scope):
-        raise ReturnSignal(value(interp, scope))
-
-    return return_
-
-
-@functools.cache
-def _operator(op, const):
-    """op's maker of tier-0 code (codegen.tier_0_operator), built on first use."""
-    return tier_0_operator(op, const, globals())
-
-
-def _apply(op, node, left, right):
-    """Code for node: op on the syntax nodes left (or None) and right, a literal as its value."""
-    const = isinstance(right, ast.Literal)
-    return _operator(op, const)(
-        node, None if left is None else _compile(left), right.value if const else _compile(right)
-    )
-
-
-def _compile_Binary(node):
-    op = node.op
-    if op not in ("and", "or", "xor"):
-        return _apply(op, node, node.left, node.right)
-    lhs, rhs = _compile(node.left), _compile(node.right)
-    if op == "and":
-        return lambda interp, scope: (
-            truthiness(lhs(interp, scope)) and truthiness(rhs(interp, scope))
-        )
-    if op == "or":
-        return lambda interp, scope: (
-            truthiness(lhs(interp, scope)) or truthiness(rhs(interp, scope))
-        )
-    return lambda interp, scope: (
-        truthiness(lhs(interp, scope)) != truthiness(rhs(interp, scope))
-    )
-
-
 # the orderings' tests of order_compare's answer, for the operands their lanes do not take
 _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _ORDERINGS.update(lt=operator.lt, le=operator.le, gt=operator.gt, ge=operator.ge)
@@ -711,17 +564,6 @@ def _ordered(a, b, node):
     return _ORDERINGS[node.op](order_compare(a, b, node.line, node.col), 0)
 
 
-def _compile_Unary(node):
-    operand = _compile(node.operand)
-    if isinstance(node, ast.Unary) and node.op == "not":
-        return lambda interp, scope: not truthiness(operand(interp, scope))
-    apply = cardinality if isinstance(node, ast.Cardinality) else negate
-    return lambda interp, scope: apply(operand(interp, scope), node.line, node.col)
-
-
-_compile_Cardinality = _compile_Unary
-
-
 def _compile_ClockBlock(node):
     body = compile_body(node.body)
 
@@ -733,57 +575,31 @@ def _compile_ClockBlock(node):
     return clock
 
 
-def _compile_Call(node):
-    return _call(node, _compile(node.callee), node.args, node.named, node.splat, node.block)
-
-
-def _compile_StaticCall(node):
+def _module_member(scope, node):
+    """The member node.name of the module that node.alias names, for an ast.StaticCall."""
     alias, name = node.alias, node.name
-
-    def member(interp, scope):
-        module = scope.frame_of(alias, node.line, node.col).bindings[alias]
-        if not isinstance(module, Module):
-            raise _error(node, "TypeError", f"'{alias}' is not a module")
-        if name not in module.bindings:
-            raise _error(node, "NameError", f"module {module.path} has no member '{name}'")
-        return module.bindings[name]
-
-    call = _call(node, member, node.args, (), None, None)
-
-    def static_call(interp, scope):
-        # the only call of a host native: an error it raises without a position takes the call's
-        try:
-            return call(interp, scope)
-        except NjexlError as exc:
-            if exc.line is None:
-                exc.line, exc.col = node.line, node.col
-            raise
-
-    return static_call
+    module = scope.frame_of(alias, node.line, node.col).bindings[alias]
+    if not isinstance(module, Module):
+        raise _error(node, "TypeError", f"'{alias}' is not a module")
+    if name not in module.bindings:
+        raise _error(node, "NameError", f"module {module.path} has no member '{name}'")
+    return module.bindings[name]
 
 
-def _call(node, callee, args, named, splat, block):
-    """Code for a call: the callee, then the arguments, then the call itself."""
-    args = tuple(_compile(arg) for arg in args)
-    named = tuple((name, _compile(arg)) for name, arg in named)
-    splat = None if splat is None else _compile(splat)
-
-    def call(interp, scope):
-        fn = callee(interp, scope)
-        values = [arg(interp, scope) for arg in args]
-        keywords = {name: arg(interp, scope) for name, arg in named} if named else {}
-        if splat is not None:
-            spread = splat(interp, scope)
-            if not isinstance(spread, list):
-                raise _error(node, "TypeError", f"__args__ must be a list, got {tag(spread)}")
-            values = list(spread)
+def _call_static(interp, scope, node, fn, args):
+    """Call fn, a module's member, with args for node, an ast.StaticCall.
+    The only call of a host native: an error it raises without a position
+    takes the call's."""
+    try:
         if isinstance(fn, NativeFunction):
-            return fn.fn(interp, scope, values, keywords, block, node)
-        if isinstance(fn, Function) and block is None:
-            return interp.call_function(fn, values, keywords, node)
+            return fn.fn(interp, scope, args, {}, None, node)
+        if isinstance(fn, Function):
+            return interp.call_function(fn, args, {}, node)
         raise _uncallable(fn, node)
-
-    return call
+    except NjexlError as exc:
+        if exc.line is None:
+            exc.line, exc.col = node.line, node.col
+        raise
 
 
 def _uncallable(fn, node):
@@ -795,18 +611,6 @@ def _uncallable(fn, node):
     return _error(node, "TypeError", f"{tag(fn)} is not callable")
 
 
-def _compile_Index(node):
-    return _apply("[]", node, node.obj, node.index)
-
-
-def _compile_Member(node):
-    obj, name = _compile(node.obj), node.name
-    if name.isdigit():
-        position = int(name)
-        return lambda interp, scope: project(obj(interp, scope), position, node.line, node.col)
-    return lambda interp, scope: _member(obj(interp, scope), node)
-
-
 def _member(obj, node):
     name = node.name
     if isinstance(obj, range) and name in ("list", "set"):
@@ -815,14 +619,6 @@ def _member(obj, node):
     if isinstance(obj, ErrorValue) and name in ("kind", "message", "cause"):
         return getattr(obj, name)
     raise _error(node, "TypeError", f"{tag(obj)} has no member '{name}'")
-
-
-def _compile_RangeLit(node):
-    start, end, step = _compile(node.start), _compile(node.end), _compile(node.step, 1)
-
-    return lambda interp, scope: _range(
-        start(interp, scope), end(interp, scope), step(interp, scope), node
-    )
 
 
 def _range(start, end, step, node):

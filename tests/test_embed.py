@@ -7,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from njexl import ConversionError, StructuredError, bind, create_context, evaluate, get
+from njexl import interpreter
 from njexl.lexer import KEYWORDS
 from njexl.values import BigInt
 from njexl.stdlib import FakeClock
 
 from conftest import Capture
+
+# read at import, before --tier-up-at can patch it for a test
+FUNCTION_TIER_UP_AT = interpreter.FUNCTION_TIER_UP_AT
 
 
 def fresh(**kw):
@@ -311,7 +315,7 @@ def test_internal_error_names_the_python_exception():
     assert result == StructuredError("InternalError", "ValueError: bad host state")
 
 
-def test_a_position_less_host_native_error_takes_the_call_position():
+def test_a_position_less_host_native_error_takes_the_call_position(monkeypatch):
     from njexl.errors import NjexlError
     from njexl.values import Module, NativeFunction
 
@@ -327,3 +331,13 @@ def test_a_position_less_host_native_error_takes_the_call_position():
     assert result == StructuredError("HostError", "nope", 2, 3)
     result = evaluate(ctx, "import 'host.Tools' as T\nT:placed()")
     assert result == StructuredError("HostError", "placed", 9, 9)
+    # the same call in a function body called past its tier-up threshold: in tier-1 code
+    monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", FUNCTION_TIER_UP_AT)
+    generated, generate = [], interpreter.generate
+    monkeypatch.setattr(interpreter, "generate", lambda *args: generated.append(generate(*args))
+                        or generated[-1])
+    last = FUNCTION_TIER_UP_AT
+    source = f"import 'host.Tools' as T\ndef f(k){{\n  k < {last} ? k : T:boom()\n}}\n"
+    result = evaluate(ctx, source + f"for (k : [0:{last + 1}]) {{ f(k) }}")
+    assert result == StructuredError("HostError", "nope", 3, source.split("\n")[2].index("T:") + 1)
+    assert len(generated) == 1 and generated[0] is not None

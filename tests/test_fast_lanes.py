@@ -7,7 +7,7 @@ written as a literal) must give what the value function it falls back to
 gives: the same value of the same exact type, or the same error kind,
 message, line and column.  The lanes are written once, in codegen's
 emitter: tier 1 inlines them, and tier 0's operator closures are made from
-templates of the same code (codegen.tier_0_operator).  Each source runs in
+templates of the same code (codegen.tier_0_template).  Each source runs in
 both tiers, so every generated operator's fallback is checked: as tier-0
 closures over a program body, and as tier-1 code that codegen.generate
 makes at once for the same statements as a function body.

@@ -4,6 +4,8 @@ Tier 0 is forced by thresholds that are never reached, tier 1 by thresholds
 of 0 (every function and block body tiers up on its first run).
 """
 
+import copy
+import re
 from collections import Counter
 
 import pytest
@@ -19,7 +21,7 @@ from njexl.interpreter import Interp, new_global_scope, run_on_deep_stack
 from njexl.stdlib import FakeClock, default_io
 from njexl.values import stringify, tag
 
-from conftest import Capture, corpus_path, parse_source, to_src
+from conftest import CORPUS, Capture, corpus_path, parse_source, to_src
 from test_fuzz import ATOMS, OPS, structured_programs
 
 NEVER = float("inf")
@@ -270,15 +272,141 @@ for (k : [0:40]) { n += load() }
     assert len(generated) == 2 and all(map(is_tier_1, generated))
 
 
+def test_a_module_member_is_found_before_the_arguments_run():
+    for source in ("import 'java.lang.Integer' as I\nI:nope(1/0)",
+                   "import 'java.lang.Integer' as I\ndef f(){\n  I:nope(1/0)\n}\nf()"):
+        line = source.count("\n", 0, source.index("I:nope")) + 1
+        want = ("error", "NameError", "module java.lang.Integer has no member 'nope'", line,
+                source.index("I:nope") - source.rfind("\n", 0, source.index("I:nope")))
+        assert both_tiers(source) == ((want, ""), (want, ""))
+
+
 def test_each_tier_covers_the_node_kinds():
     kinds = {
         name for name, kind in vars(ast).items()
         if isinstance(kind, type) and issubclass(kind, ast.Node) and kind is not ast.Node
     }
-    compiled = {kind.__name__ for kind in interpreter._COMPILERS}
-    assert compiled == kinds - {"Program", "AnonBlock"}
     handlers = {name[1:] for name in vars(codegen._Generator) if name[1:2].isupper()}
-    assert handlers == compiled - {"ClockBlock", "MultiAssign", "StaticCall"}
+    assert handlers == kinds - {"Program", "AnonBlock", "ClockBlock", "MultiAssign"}
+    # every other kind's tier-0 code is built from the emitter's template of its shape
+    compiled = {kind.__name__ for kind in interpreter._COMPILERS}
+    assert compiled == {"Literal", "ListLit", "MapLit", "ClockBlock", "MultiAssign"}
+
+
+def templated_nodes(node):
+    """The nodes in node, a syntax tree or a list, whose tier-0 code is a template's."""
+    found = []
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            found += templated_nodes(item)
+    elif isinstance(node, ast.Node):
+        if type(node) not in interpreter._COMPILERS and type(node) is not ast.AnonBlock:
+            found.append(node)
+        found += templated_nodes(list(vars(node).values()))
+    return found
+
+
+def _other_child(child, literal):
+    """A child of another kind than child's, a literal when literal, whose own
+    children are literals when child's are not."""
+    line, col = child.line + 5, child.col + 5
+    if literal:
+        return ast.Literal(line, col, "other" if isinstance(child, ast.Literal) else 2.5)
+    grandchild = (ast.Identifier(line, col, "g") if any(
+        isinstance(g, ast.Literal) for g in vars(child).values()) else ast.Literal(line, col, 9))
+    if isinstance(child, ast.Binary):
+        return ast.Unary(line, col, "-", grandchild)
+    return ast.Binary(line, col, "-", grandchild, grandchild)
+
+
+def mutant(node, own=True):
+    """A node of node's kind with node's template_key, and everything else
+    changed: texts, positions, literal values, the kind of each non-literal
+    child, the literal-ness of grandchildren (an Assign target's children
+    among them) and each body's statements."""
+    kind = type(node)
+    twin = copy.copy(node)
+    twin.line, twin.col = node.line + 11, node.col + 13
+    for field in kind.__match_args__[2:]:
+        value = getattr(node, field)
+        if value is None or field == "op" or (field == "name" and kind is ast.Member):
+            continue
+        if isinstance(value, str):
+            value += "_2"
+        elif field == "target":
+            value = mutant(value, own=False)
+        elif field == "args":
+            value = [_other_child(arg, isinstance(arg, ast.Literal)) for arg in value]
+        elif field == "named":
+            value = [(f"{name}_2", _other_child(arg, isinstance(arg, ast.Literal)))
+                     for name, arg in value]
+        elif isinstance(value, list):  # a body, or a FuncDef's params
+            value = [] if value else [ast.Identifier(1, 1, "s")]
+        else:
+            literal = isinstance(value, ast.Literal)
+            value = _other_child(value, literal if own else not literal)
+        setattr(twin, field, value)
+    return twin
+
+
+def template_source(node):
+    """The source of node's tier-0 template, with make()'s names numbered in
+    order of first use."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codegen, "_define", lambda lines, *rest: "\n".join(lines))
+        source = codegen.tier_0_template(node, vars(interpreter))
+    names = {}
+    return re.sub(r"\b[tckn]\d+\b", lambda m: names.setdefault(m[0], f"x{len(names)}"), source)
+
+
+def assert_templates_keep_their_keys(sources):
+    """Each templated node's template is the one its mutant, of the same
+    template_key, gets: what a template keeps of its node, the key holds."""
+    programs = []
+    for source in sources:
+        try:
+            programs.append(parse_source(source).body)
+        except NjexlError:  # a fuzz program that does not parse
+            pass
+    nodes = templated_nodes(programs)
+    for node in nodes:
+        twin = mutant(node)
+        assert codegen.template_key(twin) == codegen.template_key(node), dump(node)
+        assert template_source(twin) == template_source(node), dump(node)
+    return len(nodes)
+
+
+def test_a_template_keeps_only_what_its_key_holds():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.njxl"))]
+    sources += structured_programs()
+    assert assert_templates_keep_their_keys(sources) > 7000
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_STMTS)
+def test_a_generated_program_s_templates_keep_only_what_their_keys_hold(program):
+    assert_templates_keep_their_keys([program])
+
+
+@pytest.mark.parametrize("threshold", [(NEVER, NEVER), DEFAULTS, (0, 0)])
+def test_one_shape_of_different_children_gets_its_own_values(monkeypatch, threshold):
+    # a target's literal index is a grandchild of the assignment: code, not a value of its template
+    monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", threshold[0])
+    monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", threshold[1])
+    source = "l = [1,2]\nl[0] = 5\ni = 1\nl[i] = 6\nl"
+    assert outcome(source) == (("value", "list", "[5, 6]"), "")
+    source = "def f(x){ if (x) { 1 } else { 2 } ; if (x) { 3 } }\n[f(true), f(false)]"
+    assert outcome(source) == (("value", "list", "[3, null]"), "")
+
+
+def test_the_templates_do_not_grow_with_a_literal_s_length():
+    sizes = []
+    for n in range(1, 201):
+        items = ", ".join(["x"] + ["1"] * (n - 1))
+        entries = ", ".join(f"{k} : x" for k in range(n))
+        assert outcome(f"x = 1\n#|[{items}]| + #|{{{entries}}}|")[0] == ("value", "int", str(2 * n))
+        sizes.append(len(interpreter._TEMPLATES))
+    assert sizes[1:] == sizes[:1] * 199
 
 
 def dump_body(stmts):

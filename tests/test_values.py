@@ -763,6 +763,7 @@ def test_set_dedup_counts_equivalence_classes():
 
 _IMPORT = "import 'java.lang.Integer' as I\n"
 _FAIL = StructuredError
+_DATE = "date('2024-02-29', 'yyyy-MM-dd')"
 # guest programs and what evaluate gives for each: tags in messages, text
 # forms, equality, pairs, ranges and iterators, and how they cross to the host
 VALUE_MODEL = [
@@ -821,6 +822,13 @@ VALUE_MODEL = [
     ("[0:10:3]", range(0, 10, 3)),
     ("r.list()", [0, 3, 6, 9]),
     ("lines(f)", ["bb", "cccc", "a", "ddd"]),
+    ("#(a, b) = 5", _FAIL("DestructureError", "cannot split int into 2 values", 1, 1)),
+    ("-INT(5) + null", _FAIL("TypeError", "cannot apply + to INT and null", 1, 1)),
+    (f"#|set({_DATE}, {_DATE})|", 1),
+    ("#(a, :e1) = 1 / 0\n#(b, :e2) = 2 / 0\ne1 == e2", True),
+    (f"{_DATE} < date('2024-02-29 12:30:00', 'yyyy-MM-dd HH:mm:ss')",
+     _FAIL("TypeError", "cannot order date and datetime", 1, 1)),
+    ("{1:2} @ {1:2}", False),
 ]
 
 
