@@ -12,7 +12,7 @@ values_equal, order_compare through _ordered, membership, sub_collection,
 ...) are looked up there at each call, as tier-0 code does.
 
 The function it returns does what the body's tier-0 closures do.  A
-function body's is run(interp, frame), in the frame call_function built;
+function body's is run(interp, frame), in the frame Interp.enter built;
 names are read and written through frame.bindings and the parent chain,
 `var` writes the global frame, and a nested def or block gets its own
 syntax node as a constant, so it shares one tier state with the tier-0
@@ -44,6 +44,13 @@ every other name, _$_ under a step that gives no partial included, is read
 through parent.  index is then known to be a plain int in 0..INT_MAX
 unless the body assigns _, so its type and range tests go.
 
+A call whose shape passes its callee's checks enters the callee directly,
+guarded by the callee's identity or type, and any other callee takes the
+generic call beside it: a Function given one argument per parameter runs
+in a frame of them (Interp.enter), and a step builtin named by an
+Identifier callee (step_call) runs its body, both skipping the argument
+handling the call would not need.
+
 A body that cannot be one Python function stays in tier 0: generate
 returns None.  That is a body holding a node kind this module does not
 cover (#clock and #(...) assignments), and a body nested too
@@ -55,7 +62,8 @@ A tier-0 template is the code the emitter writes for a stand-in of a node
 that keeps only what template_key holds of it (its kind, its op, and so
 on); make(node) binds the rest of each node of that shape, and its code
 calls each child's and each body's own tier-0 code where tier 1 inlines
-it.
+it.  Its constants (a step builtin and its body) are the same for every
+node of the shape.
 """
 
 import functools
@@ -63,6 +71,7 @@ import re
 
 from .ast import Assign, Call, ClockBlock, For, FuncDef, Identifier, Import, Index, Literal
 from .ast import Member, MultiAssign, Node, StaticCall
+from .stdlib import STEP_CALLS
 from .values import INT_MAX, INT_MIN
 
 # no suite opens this deep in run(), so a line is inside at most 19 suites: within
@@ -172,35 +181,43 @@ def tier_0_template(node, namespace):
         gen.const_names[id(hole)] = bind("n", path)
         return hole
 
-    def stand_in(real, path, own):
+    def stand_in(real, path, own, keep="op"):
         kind = type(real)
         node = object.__new__(kind)  # of real's class, for the emitter's dispatch and tests
         node.line, node.col = f"{path}.line", f"{path}.col"
         gen.const_names[id(node)] = "node" if path == "node" else bind("n", path)
         for field in kind.__match_args__[2:]:  # after line and col
             value = getattr(real, field)
-            if not (field == "op" or (field == "name" and kind is Member)):
+            if kind is Member and field == "name" and value.isdigit():
+                value = _Digits(bind("t", f"int({path}.name)"))
+            elif field == "callee" and step_call(real) is not None:
+                value = stand_in(value, f"{path}.callee", False, "name")  # its name is in the key
+            elif field != keep:
                 value = part(value, f"{path}.{field}", field, own)
             setattr(node, field, value)
         return node
 
     top = stand_in(node, "node", True)
-    gen.lines, gen.depth = [], 2
+    gen.lines, gen.depth = [], 3
     gen.emit(f"return {gen.node(top)}")
     used = set(re.findall(r"\w+", "\n".join(gen.lines)))
-    lines = ["def make(node):", *(f"    {name} = {value}" for name, value in binds.items()
-                                   if name in used)]
-    lines.append("    def code(interp, scope):")
+    consts = ", ".join(f"K{i}" for i in range(len(gen.consts)))
+    lines = [f"def _make({consts}):", "    def make(node):"]
+    lines += [f"        {name} = {value}" for name, value in binds.items() if name in used]
+    lines.append("        def code(interp, scope):")
     if "B" in used:
-        lines.append("        B = scope.bindings")
-    return _define([*lines, *gen.lines, "    return code"], "make", namespace, "<njexl tier 0>")
+        lines.append("            B = scope.bindings")
+    lines += [*gen.lines, "        return code", "    return make"]
+    return _define(lines, "_make", namespace, "<njexl tier 0>")(*gen.consts)
 
 
 def template_key(node):
-    """What tier_0_template(node) keeps of node: its kind, its op, a
-    Member's name, which optional fields are None, which own children are
-    literals (each argument and named argument's too) and an Assign
-    target's kind."""
+    """What tier_0_template(node) keeps of node: its kind, its op, whether a
+    Member's name is digits, which optional fields are None, which own
+    children are literals (each argument and named argument's too), an
+    Assign target's kind and the step builtin a Call enters directly, if
+    any (step_call): a key from a fixed set of values for each kind and
+    count of arguments, whatever names and numbers the text holds."""
     return _key_function(type(node))(node)
 
 
@@ -211,8 +228,10 @@ def _key_function(kind):
     parts = []
     for field in kind.__match_args__[2:]:  # after line and col
         value = f"node.{field}"
-        if field == "op" or (field == "name" and kind is Member):
+        if field == "op":
             parts.append(value)
+        elif field == "name" and kind is Member:
+            parts.append(f"{value}.isdigit()")
         elif field == "target":
             parts.append(f"type({value})")
         elif field in ("args", "named"):
@@ -220,8 +239,23 @@ def _key_function(kind):
             parts.append(f"tuple([type(arg) is Literal for {arg} in {value}])")
         else:
             parts.append(f"None if {value} is None else type({value}) is Literal")
+        if field == "callee":
+            parts.append("step_call(node)")
     line = f"def key(node): return (kind, {', '.join(parts)})"
-    return _define([line], "key", {"kind": kind, "Literal": Literal}, "<njexl template key>")
+    names = {"kind": kind, "Literal": Literal, "step_call": step_call}
+    return _define([line], "key", names, "<njexl template key>")
+
+
+def step_call(node):
+    """The name of the step builtin (stdlib.STEP_CALLS) that node, an
+    ast.Call, names by an Identifier callee, if the call passes that
+    builtin's check (a block, no named arguments, a count it takes); else None."""
+    callee = node.callee
+    if type(callee) is not Identifier or callee.name not in STEP_CALLS:
+        return None
+    if node.block is None or node.named or node.splat is not None:
+        return None
+    return callee.name if len(node.args) in STEP_CALLS[callee.name][2] else None
 
 
 class _Text(str):
@@ -229,6 +263,13 @@ class _Text(str):
 
     def __repr__(self):
         return str(self)
+
+
+class _Digits(_Text):
+    """A digit Member's name in a template: make()'s name for its index."""
+
+    def isdigit(self):
+        return True
 
 
 class _Hole:
@@ -730,7 +771,8 @@ class _Generator:
 
     def _Call(self, node):
         callee, out, where = self.node(node.callee), self.new(), self.const(node)
-        values = "[" + ", ".join(self.node(arg) for arg in node.args) + "]"
+        args = [self.node(arg) for arg in node.args]
+        values = "[" + ", ".join(args) + "]"
         keywords = ", ".join(f"{name!r}: {self.node(arg)}" for name, arg in node.named)
         keywords = "{" + keywords + "}"
         if node.splat is not None:
@@ -741,17 +783,30 @@ class _Generator:
             self.close()
             self.emit(f"{values} = list({splat})")
         block = "None" if node.block is None else self.const(node.block)
+
+        def lane(line):
+            return lambda: self.emit(line)
+
+        # the direct entries, for calls that would pass the generic checks:
+        # a step builtin's body, or a Function's body in a frame of its arguments
+        cases, step = [], step_call(node)
+        if step is not None:
+            native, body, _ = STEP_CALLS[step]
+            call = f"{self.const(body)}(interp, scope, {values}, {block}, {where}, {step!r})"
+            cases.append(([f"{callee} is {self.const(native)}"], lane(f"{out} = {call}")))
         if node.block is None:
-            self.open(f"if isinstance({callee}, Function):")
-            self.emit(f"{out} = interp.call_function({callee}, {values}, {keywords}, {where})")
-            self.close()
-            self.open("else:")
-        self.open(f"if not isinstance({callee}, NativeFunction):")
-        self.emit(f"raise _uncallable({callee}, {where})")
-        self.close()
-        self.emit(f"{out} = {callee}.fn(interp, scope, {values}, {keywords}, {block}, {where})")
-        if node.block is None:
-            self.close()
+            if not node.named and node.splat is None:
+                params = self.new()
+                frame = ", ".join(f"{params}[{i}]: {arg}" for i, arg in enumerate(args))
+                cases.append(([f"type({callee}) is Function",
+                               f"len({params} := {callee}.node.params) == {len(args)}"],
+                              lane(f"{out} = interp.enter({callee}, {{{frame}}}, {where})")))
+            cases.append(([f"isinstance({callee}, Function)"], lane(
+                f"{out} = interp.call_function({callee}, {values}, {keywords}, {where})")))
+        cases.append(([f"not isinstance({callee}, NativeFunction)"],
+                      lane(f"raise _uncallable({callee}, {where})")))
+        self.cases(cases, lane(
+            f"{out} = {callee}.fn(interp, scope, {values}, {keywords}, {block}, {where})"))
         return out
 
     def _StaticCall(self, node):
@@ -776,8 +831,9 @@ class _Generator:
 
     def _Member(self, node):
         obj, out = self.node(node.obj), self.new()
-        if node.name.isdigit():
-            self.emit(f"{out} = project({obj}, {int(node.name)}, {node.line}, {node.col})")
+        if node.name.isdigit():  # a template's index is one of make()'s names
+            index = node.name if isinstance(node.name, _Text) else int(node.name)
+            self.emit(f"{out} = project({obj}, {index}, {node.line}, {node.col})")
         else:
             self.emit(f"{out} = _member({obj}, {self.const(node)})")
         return out

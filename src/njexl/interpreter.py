@@ -28,9 +28,19 @@ before the loop that reaches that count when its source's length is known;
 a function body on its FUNCTION_TIER_UP_AT-th call.  Tier-up translates the body into one flat
 Python function (codegen.py) that raises the same errors; a body holding a
 node kind the generator does not cover stays in tier 0.  Program bodies and
-one-shot evaluations stay in tier 0.  Both tiers enter through
-Interp.invoke_block and Interp.call_function, and both look the value
-operations (arith, values_equal, ...) up in this module when they run.
+one-shot evaluations stay in tier 0.  Both tiers enter a function body
+through Interp.enter and a block body through Interp.invoke_block, and
+both look the value operations (arith, values_equal, ...) up in this
+module when they run.
+
+Calls.  A compiled call enters its callee directly when the call's shape
+passes the generic checks (codegen._Call): a Function given one argument
+per parameter gets a frame of them and Interp.enter, and a step builtin
+called by its own name (stdlib.STEP_CALLS) with a block, no named
+arguments and a count it takes runs its body, skipping the check of its
+arguments.  Any other call of a Function goes through
+Interp.call_function, which binds arguments, named ones and nulls first,
+and any other builtin or host native through its checked fn.
 
 Blocks.  A call with a block passes its AnonBlock node to the builtin,
 which enters the block once per call in the frame it was called in:
@@ -40,7 +50,7 @@ per comparison.  In tier 0 that is the step's loop around the body's
 closures (_LOOPS); in tier 1 one generated function per body and step,
 with the body inlined in the loop.
 
-Frames.  A function body runs in the frame call_function builds for its
+Frames.  A function body runs in the frame Interp.enter builds of its
 parameters.  Each element of a block runs in a frame binding $, _, $$ and,
 under a step that gives a partial, _$_, that the step's loop builds,
 except in tier-1 code of a block body that nothing can capture a frame from
@@ -71,7 +81,7 @@ import weakref
 
 from . import ast
 from .codegen import STEPS, generate, template_key, tier_0_loop, tier_0_template
-from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal, guest_error
+from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal, guest_error, placed
 from .parser import parse_program
 from .lexer import tokenize
 from .values import (
@@ -375,6 +385,8 @@ class Interp:
         raise NjexlError("ModuleNotFound", f"no module at '{path}'", node.line, node.col)
 
     def call_function(self, fn, args, named=None, node=None):
+        """Call fn, a guest Function, at node: bind args and named (a dict)
+        to its parameters, null to each one given neither, and enter it."""
         body = fn.node
         params = body.params
         if len(args) > len(params):
@@ -391,13 +403,20 @@ class Interp:
                     node, "UnknownParameter", f"{body.name or '<anon>'} has no parameter '{name}'"
                 )
             bindings[name] = value
-        frame = Scope(fn.scope, bindings)
+        return self.enter(fn, bindings, node)
+
+    def enter(self, fn, bindings, node=None):
+        """Run the body of fn, a guest Function called at node, in a frame of
+        bindings (one per parameter) and return its value.  A compiled call
+        of a Function with one argument per parameter comes here directly
+        (codegen._Call).  The call takes one frame of MAX_CALL_DEPTH."""
+        body = fn.node
         run = body.run if body.heat < 0 else warm(body)
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise self._too_deep(node)
         try:
-            return run(self, frame)
+            return run(self, Scope(fn.scope, bindings))
         except ReturnSignal as ret:
             return ret.value
         except RecursionError:
@@ -410,7 +429,7 @@ class Interp:
         self.depth -= 1
         return _error(node, "StackOverflowError", f"recursion deeper than {MAX_CALL_DEPTH} frames")
 
-    def invoke_block(self, block, scope, step, items, source, partial=None, sink=None):
+    def invoke_block(self, block, scope, step, items, source, partial=None, sink=None, node=None):
         """Run a builtin's whole loop over items, an iterable, with its step
         (a codegen.STEPS key) around block, an ast.AnonBlock, in scope, the
         frame the builtin was called in; return what it gives.  Each
@@ -424,7 +443,8 @@ class Interp:
         the element or ends the loop.  The loop enters the block once, so
         it takes one frame of MAX_CALL_DEPTH.  The elements count toward the
         block's tier-up before the loop when items knows its length, else as
-        they run."""
+        they run.  An error that leaves the loop without a position takes
+        that of node, the builtin's call."""
         run = block.tier_1.get(step) if block.heat < 0 else None
         if run is None:
             try:
@@ -441,6 +461,8 @@ class Interp:
             return run(self, scope, items, source, partial, sink)
         except RecursionError:
             raise _error(block, "StackOverflowError", "call depth exceeded") from None
+        except NjexlError as exc:
+            raise placed(exc, node)
         finally:
             self.depth -= 1
 
@@ -597,9 +619,7 @@ def _call_static(interp, scope, node, fn, args):
             return interp.call_function(fn, args, {}, node)
         raise _uncallable(fn, node)
     except NjexlError as exc:
-        if exc.line is None:
-            exc.line, exc.col = node.line, node.col
-        raise
+        raise placed(exc, node)
 
 
 def _uncallable(fn, node):

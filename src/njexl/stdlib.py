@@ -14,7 +14,9 @@ called in (scope), which runs the builtin's whole loop (a codegen.STEPS
 step) and handles continue and break itself: index, list, set, lfold, rfold
 and join once per call, minmax and the sort comparators once per
 comparison, over the one pair compared.  Each element counts toward the
-block's tier-up.
+block's tier-up.  A compiled call of index, list, set, lfold or rfold by
+its name that passes the builtin's check runs the builtin's body directly
+(STEP_CALLS).
 """
 
 import datetime
@@ -24,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cmp_to_key, partial
 
-from .errors import NjexlError
+from .errors import NjexlError, placed
 from .values import (
     BigInt,
     Module,
@@ -169,6 +171,11 @@ class IoPorts:
 # builtin plumbing
 
 BUILTINS = {}
+# the builtins that run their block as one codegen.STEPS loop, by name: (the
+# builtin, its body, the counts of positional arguments it takes).  A compiled
+# call of one of them by name that its check passes, one with a block, no
+# named arguments and a count it takes, runs the body directly (codegen._Call).
+STEP_CALLS = {}
 
 
 def _native(name, body, count=None, block="optional"):
@@ -183,7 +190,7 @@ def _native(name, body, count=None, block="optional"):
     error leaving body without a position (one a loader raised, say) takes
     the call's.
     """
-    low, high = (count, count) if isinstance(count, int) else count or (None, None)
+    low, high = _counts(count)
     wanted = f"{low}" if low == high else f"{low}..{high}"
 
     def fn(interp, scope, args, named, given, node):
@@ -197,18 +204,25 @@ def _native(name, body, count=None, block="optional"):
         try:
             return body(interp, scope, args, given, node, name)
         except NjexlError as exc:
-            if exc.line is None:
-                exc.line, exc.col = getattr(node, "line", None), getattr(node, "col", None)
-            raise
+            raise placed(exc, node)
 
     return NativeFunction(name, fn)
 
 
-def _builtin(name, count=None, block="optional"):
-    """Register the decorated body as builtin name (see _native)."""
+def _counts(count):
+    """The fewest and most positional arguments of count (see _native)."""
+    return (count, count) if isinstance(count, int) else count or (None, None)
+
+
+def _builtin(name, count=None, block="optional", step=False):
+    """Register the decorated body as builtin name (see _native), and in
+    STEP_CALLS if it runs its block as one step loop (step)."""
 
     def register(body):
-        BUILTINS[name] = _native(name, body, count, block)
+        BUILTINS[name] = native = _native(name, body, count, block)
+        if step:
+            low, high = _counts(count)
+            STEP_CALLS[name] = native, body, range(low, high + 1)
         return body
 
     return register
@@ -364,15 +378,15 @@ def b_size(interp, scope, args, block, node, name):
     return cardinality(args[0], getattr(node, "line", None), getattr(node, "col", None))
 
 
-@_builtin("index", count=1, block="needed")
+@_builtin("index", count=1, block="needed", step=True)
 def b_index(interp, scope, args, block, node, name):
     """First index where the block is truthy; -1 when there is none."""
     items = _iter_arg(node, name, args[0])
-    return interp.invoke_block(block, scope, "index", items, args[0])
+    return interp.invoke_block(block, scope, "index", items, args[0], None, None, node)
 
 
-@_builtin("list", count=1, block="maps")
-@_builtin("set", count=1, block="maps")
+@_builtin("list", count=1, block="maps", step=True)
+@_builtin("set", count=1, block="maps", step=True)
 def b_collect(interp, scope, args, block, node, name):
     """list(a, b, ...) collects values; list{ f }(c) maps a collection.  set
     does the same, and duplicates collapse by value equality."""
@@ -394,13 +408,13 @@ def b_collect(interp, scope, args, block, node, name):
             sink(v)
         return out
     items = _iter_arg(node, name, args[0])
-    interp.invoke_block(block, scope, "map", items, args[0], sink=sink)
+    interp.invoke_block(block, scope, "map", items, args[0], None, sink, node)
     return out
 
 
 def _less(interp, scope, node, block, a, b, source=None):
     if block is not None:
-        less = interp.invoke_block(block, scope, "compare", ((a, b),), source)
+        less = interp.invoke_block(block, scope, "compare", ((a, b),), source, None, None, node)
         if less is None:  # a continue or break skipped the comparison
             _fail(node, "TypeError", "break/continue not allowed in a comparator block")
         return less
@@ -428,16 +442,18 @@ def b_minmax(interp, scope, args, block, node, name):
     return lowest, highest
 
 
-@_builtin("lfold", count=(1, 2), block="needed")
-@_builtin("rfold", count=(1, 2), block="needed")
+@_builtin("lfold", count=(1, 2), block="needed", step=True)
+@_builtin("rfold", count=(1, 2), block="needed", step=True)
 def b_fold(interp, scope, args, block, node, name):
     """Left fold, the running partial visible in the block as _$_; rfold is
     the same fold over reversed iteration order."""
-    items = list(_iter_arg(node, name, args[0]))
+    source = args[0]
+    # a snapshot, which the block cannot change: a list's own copy, or what iterating gives
+    items = source.copy() if type(source) is list else list(_iter_arg(node, name, source))
     if name == "rfold":
         items.reverse()
     partial = args[1] if len(args) == 2 else None
-    return interp.invoke_block(block, scope, "fold", items, args[0], partial)
+    return interp.invoke_block(block, scope, "fold", items, source, partial, None, node)
 
 
 @_builtin("join")
@@ -451,7 +467,7 @@ def b_join(interp, scope, args, block, node, name):
     if block is None:
         return list(rows)
     out = []
-    interp.invoke_block(block, scope, "filter", rows, list(args), out, out.append)
+    interp.invoke_block(block, scope, "filter", rows, list(args), out, out.append, node)
     return out
 
 

@@ -552,8 +552,10 @@ def negate(v, line=None, col=None):
         return BigInt(-v)
     if is_int_tier(v):
         return int_result(-v)
-    if isinstance(v, (float, Decimal)):
+    if isinstance(v, float):
         return -v
+    if isinstance(v, Decimal):
+        return _EXACT.minus(v)  # exact, as + - * are: -v would round to the thread's context
     raise NjexlError("TypeError", f"cannot negate {tag(v)}", line, col)
 
 

@@ -321,17 +321,20 @@ def _other_child(child, literal):
 
 def mutant(node, own=True):
     """A node of node's kind with node's template_key, and everything else
-    changed: texts, positions, literal values, the kind of each non-literal
-    child, the literal-ness of grandchildren (an Assign target's children
-    among them) and each body's statements."""
+    changed: texts (a digit Member name to other digits), positions, literal
+    values, the kind of each non-literal child, the literal-ness of
+    grandchildren (an Assign target's children among them) and each body's
+    statements.  The callee of a call that enters a step builtin is kept."""
     kind = type(node)
     twin = copy.copy(node)
     twin.line, twin.col = node.line + 11, node.col + 13
     for field in kind.__match_args__[2:]:
         value = getattr(node, field)
-        if value is None or field == "op" or (field == "name" and kind is ast.Member):
+        if value is None or field == "op" or (field == "callee" and codegen.step_call(node)):
             continue
-        if isinstance(value, str):
+        if field == "name" and kind is ast.Member and value.isdigit():
+            value = str(int(value) + 7)
+        elif isinstance(value, str):
             value += "_2"
         elif field == "target":
             value = mutant(value, own=False)
@@ -353,7 +356,7 @@ def template_source(node):
     """The source of node's tier-0 template, with make()'s names numbered in
     order of first use."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codegen, "_define", lambda lines, *rest: "\n".join(lines))
+        patch.setattr(codegen, "_define", lambda lines, *rest: lambda *consts: "\n".join(lines))
         source = codegen.tier_0_template(node, vars(interpreter))
     names = {}
     return re.sub(r"\b[tckn]\d+\b", lambda m: names.setdefault(m[0], f"x{len(names)}"), source)
@@ -658,10 +661,11 @@ def test_a_loop_index_at_the_int_lane_bounds_agrees_in_both_tiers():
 
 
 def count_entries(source):
-    """Calls of Interp.invoke_block and Interp.call_function while source runs,
-    wrapped on the class the way the benchmark's tracer wraps them."""
+    """Calls of Interp.invoke_block, Interp.call_function and Interp.enter
+    while source runs, wrapped on the class the way the benchmark's tracer
+    wraps the first two."""
     counts, originals = Counter(), {}
-    for name in ("invoke_block", "call_function"):
+    for name in ("invoke_block", "call_function", "enter"):
         originals[name] = original = getattr(Interp, name)
 
         def counted(*args, name=name, original=original, **kwargs):
@@ -690,8 +694,10 @@ rows = list{ [$, $ + 1] }([0:300])
     set_tier(monkeypatch, 0)
     assert count_entries(source) == at_defaults
     # one entry per builtin loop: the two list{}s over [0:...], index{}, pick's
-    # list{} and one lfold{} for each of its 300 rows
-    assert at_defaults["invoke_block"] == 304 and at_defaults["call_function"] > 1000
+    # list{} and one lfold{} for each of its 300 rows; each call of fib gives
+    # it its one argument, so it enters fib's body directly, in both tiers
+    assert at_defaults["invoke_block"] == 304 and at_defaults["enter"] > 1000
+    assert at_defaults["call_function"] == 0
 
 
 def test_tier_1_code_looks_value_operations_up_in_the_interpreter(monkeypatch):
@@ -797,6 +803,218 @@ def test_python_recursion_error_is_a_stack_overflow(monkeypatch, threshold, case
     # every frame entered was left: the context runs a recursion as before
     assert ctx.interp.depth == 0
     assert evaluate(ctx, "def g(n){ n == 0 ? 0 : g(n - 1) + 1 }\ng(50)") == 50
+
+
+# Calls that enter their callee directly (a Function given one argument per
+# parameter, a step builtin named by its callee and given a block, no named
+# arguments and a count it takes) and the calls beside them that do not.
+# Each outcome is what the code gave when every call went through
+# Interp.call_function or the builtin's check, at each threshold below.
+CALL_CASES = [
+    # each step builtin with a block, the folds with and without a partial
+    ('lfold{ _$_ + $ }([1, 2, 3], 0)', ('value', 'int', '6')),
+    ("lfold{ _$_ + $ }(['a', 'b', 'c'], '')", ('value', 'str', 'abc')),
+    ("rfold{ _$_ + $ }(['a', 'b', 'c'], '')", ('value', 'str', 'cba')),
+    ('[lfold{ $ }([1, 2]), rfold{ $ }([1, 2]), lfold{ _$_ }([1, 2])]',
+     ('value', 'list', '[2, 1, null]')),
+    ('index{ $ > 1 }([0, 1, 2, 3])', ('value', 'int', '2')),
+    ('index{ $ > 5 }([0, 1])', ('value', 'int', '-1')),
+    ('list{ $ * 2 }([1, 2])', ('value', 'list', '[2, 4]')),
+    ('set{ $ % 2 }([1, 2, 3])', ('value', 'set', '{1, 0}')),
+    ("list{ [_, $$] }('ab')", ('value', 'list', '[[0, ab], [1, ab]]')),
+    ('set{ [$] }([1])', ('value', 'set', '{[1]}')),
+    ('lfold{ _$_ + $ }([0:5], 0)', ('value', 'int', '10')),
+    ('rfold{ _$_ + [$] }({1: 2, 3: 4}, [])', ('value', 'list', '[[(3, 4)], [(1, 2)]]')),
+    ("def f(l){ list{ t = $ ; lfold{ _$_ += (t[$] + '#') }([1, 0], '') }(l) }\n"
+     "f([[1, 'a'], [2, 'b']])",
+     ('value', 'list', '[a#1#, b#2#]')),
+    # the fold iterates a snapshot; a map sees the write
+    ('l = [1, 2, 3]\n[lfold{ l[2] = 100 ; _$_ + $ }(l, 0), l]',
+     ('value', 'list', '[6, [1, 2, 100]]')),
+    ('l = [1, 2, 3]\nlist{ l[2] = 100 ; $ }(l)', ('value', 'list', '[1, 2, 100]')),
+    ('l = [1, 2]\n[lfold{ l += [9] ; _$_ + $ }(l, 0), l]',
+     ('value', 'list', '[3, [1, 2, [9], [9]]]')),
+    # return, break and continue in a block the call enters directly
+    ('def f(){ lfold{ return 7 }([1], 0) ; 8 }\nf()', ('value', 'int', '7')),
+    ("def f(l){ index{ if ($ == 2) { return 'two' } ; false }(l) }\n[f([1, 2]), f([3])]",
+     ('value', 'list', '[two, -1]')),
+    ('lfold{ break(_ == 2) ; _$_ + $ }([1, 2, 3, 4], 0)', ('value', 'int', '3')),
+    ('lfold{ continue($ == 2) ; _$_ + $ }([1, 2, 3], 0)', ('value', 'int', '4')),
+    ('list{ continue($ == 2) ; $ }([1, 2, 3])', ('value', 'list', '[1, 3]')),
+    ('set{ break($ == 3) ; $ }([1, 2, 3])', ('value', 'set', '{1, 2}')),
+    ('index{ continue(_ == 0) ; true }([5, 6])', ('value', 'int', '1')),
+    ('rfold{ break($ == 1) ; _$_ + $ }([1, 2, 3], 0)', ('value', 'int', '5')),
+    # the builtins' own errors, at the call
+    ('x = 5\nlfold{ $ }(x, 0)', ('error', 'TypeError', 'lfold cannot iterate a int', 2, 1)),
+    ('def f(x){ rfold{ $ }(x) }\nf(null)',
+     ('error', 'TypeError', 'rfold cannot iterate a null', 1, 11)),
+    ('index{ $ }(true)', ('error', 'TypeError', 'index cannot iterate a bool', 1, 1)),
+    ('list{ $ }(1.5)', ('error', 'TypeError', 'list cannot iterate a float', 1, 1)),
+    ('set{ $ }(2)', ('error', 'TypeError', 'set cannot iterate a int', 1, 1)),
+    ('lfold{ 1 / $ }([1, 0], 0)', ('error', 'DivideByZero', 'integer division by zero', 1, 8)),
+    ('lfold{ $ }([1], 0, 1)', ('error', 'ArityError', 'lfold takes 1..2 arguments, got 3', 1, 1)),
+    ('lfold{ $ }([1], p = 1)',
+     ('error', 'UnknownParameter', 'lfold takes no named arguments', 1, 1)),
+    ('lfold{ $ }([1], 0, 1, p = 1)',
+     ('error', 'UnknownParameter', 'lfold takes no named arguments', 1, 1)),
+    ('lfold([1], 0)', ('error', 'TypeError', 'lfold needs a {...} block', 1, 1)),
+    ('index{ $ }([1], 2)', ('error', 'ArityError', 'index takes 1 arguments, got 2', 1, 1)),
+    ('list{ $ }()', ('error', 'ArityError', 'list takes 1 arguments, got 0', 1, 1)),
+    ('set{ $ }([1], [2])', ('error', 'ArityError', 'set takes 1 arguments, got 2', 1, 1)),
+    ('lfold{ $ }()', ('error', 'ArityError', 'lfold takes 1..2 arguments, got 0', 1, 1)),
+    ('l = [1]\nlfold{ $ }(__args__ = [l, 0])', ('value', 'int', '1')),
+    ('l = [1]\nlfold{ $ }(__args__ = 5)',
+     ('error', 'TypeError', '__args__ must be a list, got int', 2, 1)),
+    # a step builtin's name bound to something else
+    ('lfold = def(a, b){ a + b }\nlfold(1, 2)', ('value', 'int', '3')),
+    ('lfold = def(a){ a }\nlfold{ $ }([1])',
+     ('error', 'TypeError', 'function <anon> does not take a block', 2, 1)),
+    ('def lfold(a){ a }\nlfold{ $ }([1])',
+     ('error', 'TypeError', 'function lfold does not take a block', 2, 1)),
+    ('def f(){ list = def(x){ [x] } ; list(3) }\nf()', ('value', 'list', '[3]')),
+    ('index = 5\nindex{ $ }([1])', ('error', 'TypeError', 'int is not callable', 2, 1)),
+    ('f = lfold\nf{ _$_ + $ }([1, 2], 0)', ('value', 'int', '3')),
+    # guest calls of every shape
+    ('def f(a, b){ [a, b] }\n[f(1, 2), f(1), f()]',
+     ('value', 'list', '[[1, 2], [1, null], [null, null]]')),
+    ('def f(a, b){ a - b }\n[f(b = 1, a = 3), f(4, b = 1), f(__args__ = [4, 1])]',
+     ('value', 'list', '[2, 3, 3]')),
+    ('def f(a, b){ a - b }\nf(1, 2, 3)',
+     ('error', 'ArityError', 'f takes 2 arguments, got 3', 2, 1)),
+    ('def f(a){ a }\nf(b = 1)', ('error', 'UnknownParameter', "f has no parameter 'b'", 2, 1)),
+    ('def f(a){ a }\nf(__args__ = 1)',
+     ('error', 'TypeError', '__args__ must be a list, got int', 2, 1)),
+    ('def f(){ 9 }\nf()', ('value', 'int', '9')),
+    ('def f(a, a){ a }\nf(1, 2)', ('value', 'int', '2')),
+    ('g = def(x){ x * 2 }\n[g(2), def(y){ y + 1 }(2)]', ('value', 'list', '[4, 3]')),
+    ('def f(x){ if (x > 0) { return x } ; -x }\n[f(2), f(-3)]', ('value', 'list', '[2, 3]')),
+    ('def f(n){ n <= 0 ? 0 : n + f(n - 1) }\nf(100)', ('value', 'int', '5050')),
+    ('def f(x){ x }\nf{ $ }(1)', ('error', 'TypeError', 'function f does not take a block', 2, 1)),
+    ('x = 3\nx(1)', ('error', 'TypeError', 'int is not callable', 2, 1)),
+    ('null(1)', ('error', 'TypeError', 'null is not callable', 1, 1)),
+    ('def mk(k){ def(x){ x + k } }\nadd = mk(10)\nlist{ add($) }([1, 2])',
+     ('value', 'list', '[11, 12]')),
+    ("def f(x){ eval('x = 5') ; x }\nf(1)", ('value', 'int', '5')),
+    ('P = def(x){ x % 2 == 0 }\n[index{ not P($) }([2, 4, 5]), index{ not P($) }([2, 4])]',
+     ('value', 'list', '[2, -1]')),
+    # the frame cap through both entries
+    ('def g(n){ n == 0 ? 0 : lfold{ g(n - 1) }([1], 0) }\ng(4999)', ('value', 'int', '0')),
+    ('def g(n){ n == 0 ? 0 : lfold{ g(n - 1) }([1], 0) }\ng(5000)',
+     ('error', 'StackOverflowError', 'recursion deeper than 10000 frames', 1, 31)),
+    ('def g(n){ n == 0 ? 0 : lfold{ g(n - 1) }([1], 0) }\n#(v, :e) = g(5000)\n[v, e.kind, g(3)]',
+     ('value', 'list', '[null, StackOverflowError, 0]')),
+    ('def down(n){ if (n == 0) { return 0 }\n1 + down(n - 1) }\ndown(9999)',
+     ('value', 'int', '9999')),
+    ('def down(n){ if (n == 0) { return 0 }\n1 + down(n - 1) }\ndown(10000)',
+     ('error', 'StackOverflowError', 'recursion deeper than 10000 frames', 2, 5)),
+]
+
+
+@pytest.mark.parametrize("threshold", [NEVER, 0, 1, DEFAULTS])
+@pytest.mark.parametrize("source, want", CALL_CASES)
+def test_direct_calls_keep_every_outcome(monkeypatch, threshold, source, want):
+    if threshold == DEFAULTS:
+        monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", DEFAULTS[0])
+        monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", DEFAULTS[1])
+    else:
+        set_tier(monkeypatch, threshold)
+    assert outcome(source) == (want, "")
+
+
+STEP_BUILTINS = ("index", "list", "set", "lfold", "rfold")
+
+
+def entries(source, scope=None):
+    """The stringified value of source, and the calls that went through
+    Interp.call_function and through each step builtin's check while it ran."""
+    from njexl.stdlib import BUILTINS
+
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in STEP_BUILTINS:
+            native = BUILTINS[name]
+
+            def checked(*args, name=name, fn=native.fn):
+                counts[name] += 1
+                return fn(*args)
+
+            patch.setattr(native, "fn", checked)
+        call_function = Interp.call_function
+
+        def called(*args):
+            counts["call_function"] += 1
+            return call_function(*args)
+
+        patch.setattr(Interp, "call_function", called)
+        interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
+        scope = new_global_scope() if scope is None else scope
+        value = run_on_deep_stack(lambda: interp.run_source(source, scope))
+    return stringify(value), counts
+
+
+@pytest.mark.parametrize("threshold", [NEVER, 0])
+def test_calls_of_the_shapes_that_pass_the_checks_skip_them(monkeypatch, threshold):
+    set_tier(monkeypatch, threshold)
+    source = """def f(a, b){ a + b }
+l = [1, 2, 3]
+[f(1, 2), index{ $ > 1 }(l), list{ $ }(l), set{ $ }(l), lfold{ $ }(l), rfold{ _$_ + $ }(l, 0)]"""
+    assert entries(source) == ("[3, 1, [1, 2, 3], {1, 2, 3}, 3, 6]", Counter())
+    # a call of another shape, or of the builtin under another name, is checked
+    source = """def f(a, b){ [a, b] }
+g = lfold
+[f(1), f(1, b = 2), list(1, 2), g{ _$_ + $ }([1], 0)]"""
+    want = "[[1, null], [1, 2], [1, 2], 1]"
+    assert entries(source) == (want, Counter(call_function=2, list=1, lfold=1))
+
+
+@pytest.mark.parametrize("threshold", [NEVER, 0, 1, DEFAULTS])
+def test_a_native_bound_to_a_step_builtin_s_name_is_called_as_itself(monkeypatch, threshold):
+    from njexl.stdlib import default_registry
+
+    if threshold == DEFAULTS:
+        monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", DEFAULTS[0])
+        monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", DEFAULTS[1])
+    else:
+        set_tier(monkeypatch, threshold)
+    parse_int = default_registry()["java.lang.Integer"].bindings["parseInt"]
+    for name in STEP_BUILTINS:
+        scope = new_global_scope()
+        scope.bindings[name] = parse_int
+        assert entries(f"{name}{{ $ }}('42')", scope)[0] == "42"
+        with pytest.raises(NjexlError, match="parseInt takes 1 arguments, got 2"):
+            entries(f"{name}{{ $ }}('42', 0)", scope)
+
+
+@pytest.mark.parametrize("threshold", [NEVER, 0])
+def test_a_position_less_error_in_a_block_takes_the_builtin_call_s(monkeypatch, tmp_path, threshold):
+    # a module whose top level breaks fails without a position; from a block it
+    # takes the position of the builtin's call, whichever way the call entered
+    set_tier(monkeypatch, threshold)
+    path = tmp_path / "m.njxl"
+    path.write_text("break\n", encoding="utf-8")
+    imported = f"import {to_src(str(path))} as m"
+    error = ("error", "SyntaxError", "'break' outside a loop")
+    assert outcome(f"x = 1\n lfold{{ {imported} }}([1], 0)")[0] == (*error, 2, 2)
+    assert outcome(f"def f(){{ index{{ {imported} }}([1]) }}\n f()")[0] == (*error, 1, 10)
+    assert outcome(f"def f(){{ g = set ; g{{ {imported} }}([1]) }}\n f()")[0] == (*error, 1, 20)
+    assert outcome(f"def f(){{ {imported} }}\n f()")[0] == (*error, None, None)
+
+def test_names_and_numbers_in_the_text_add_no_templates():
+    # a digit Member is keyed by isdigit() alone, and a call by the step builtin its
+    # callee names, if any: each k below gives the same shapes
+    def run(k):
+        source = f"p = [0:300].list()\nx{k} = {k}\n"
+        source += (f"[p.{k}, lfold{{ _$_ + $ }}(p, {k}), rfold{{ $ }}(p), index{{ $ == {k} }}(p),"
+                   f" list{{ $ }}(p).{k}, set{{ $ % {k + 1} }}(p), x{k}]")
+        values = [k, sum(range(300)) + k, 0, k, k, f"{{{', '.join(map(str, range(k + 1)))}}}", k]
+        assert outcome(source) == (("value", "list", stringify(values)), "")
+
+    run(0)
+    run(1)
+    size = len(interpreter._TEMPLATES)
+    for k in range(2, 300):
+        run(k)
+    assert len(interpreter._TEMPLATES) == size
 
 
 def test_each_body_is_generated_once(monkeypatch):

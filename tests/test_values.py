@@ -829,6 +829,10 @@ VALUE_MODEL = [
     (f"{_DATE} < date('2024-02-29 12:30:00', 'yyyy-MM-dd HH:mm:ss')",
      _FAIL("TypeError", "cannot order date and datetime", 1, 1)),
     ("{1:2} @ {1:2}", False),
+    # negation keeps every digit of a DEC, as + - * do
+    ("-DEC('1.234567890123456789012345678901234')",
+     Decimal("-1.234567890123456789012345678901234")),
+    ("x = DEC('1.234567890123456789012345678901234') ; -x == DEC('0') - x", True),
 ]
 
 
