@@ -44,12 +44,10 @@ every other name, _$_ under a step that gives no partial included, is read
 through parent.  index is then known to be a plain int in 0..INT_MAX
 unless the body assigns _, so its type and range tests go.
 
-A call whose shape passes its callee's checks enters the callee directly,
-guarded by the callee's identity or type, and any other callee takes the
-generic call beside it: a Function given one argument per parameter runs
-in a frame of them (Interp.enter), and a step builtin named by an
-Identifier callee (step_call) runs its body, both skipping the argument
-handling the call would not need.
+A call of a Function (by type) with one positional argument per
+parameter, and no named ones, __args__ or block, enters its body directly
+in a frame of them (Interp.enter), skipping the argument handling of
+Interp.call_function; any other callee takes the generic call beside it.
 
 A body that cannot be one Python function stays in tier 0: generate
 returns None.  That is a body holding a node kind this module does not
@@ -62,8 +60,7 @@ A tier-0 template is the code the emitter writes for a stand-in of a node
 that keeps only what template_key holds of it (its kind, its op, and so
 on); make(node) binds the rest of each node of that shape, and its code
 calls each child's and each body's own tier-0 code where tier 1 inlines
-it.  Its constants (a step builtin and its body) are the same for every
-node of the shape.
+it.
 """
 
 import functools
@@ -71,7 +68,6 @@ import re
 
 from .ast import Assign, Call, ClockBlock, For, FuncDef, Identifier, Import, Index, Literal
 from .ast import Member, MultiAssign, Node, StaticCall
-from .stdlib import STEP_CALLS
 from .values import INT_MAX, INT_MIN
 
 # no suite opens this deep in run(), so a line is inside at most 19 suites: within
@@ -181,7 +177,7 @@ def tier_0_template(node, namespace):
         gen.const_names[id(hole)] = bind("n", path)
         return hole
 
-    def stand_in(real, path, own, keep="op"):
+    def stand_in(real, path, own):
         kind = type(real)
         node = object.__new__(kind)  # of real's class, for the emitter's dispatch and tests
         node.line, node.col = f"{path}.line", f"{path}.col"
@@ -190,34 +186,29 @@ def tier_0_template(node, namespace):
             value = getattr(real, field)
             if kind is Member and field == "name" and value.isdigit():
                 value = _Digits(bind("t", f"int({path}.name)"))
-            elif field == "callee" and step_call(real) is not None:
-                value = stand_in(value, f"{path}.callee", False, "name")  # its name is in the key
-            elif field != keep:
+            elif field != "op":
                 value = part(value, f"{path}.{field}", field, own)
             setattr(node, field, value)
         return node
 
     top = stand_in(node, "node", True)
-    gen.lines, gen.depth = [], 3
+    gen.lines, gen.depth = [], 2
     gen.emit(f"return {gen.node(top)}")
     used = set(re.findall(r"\w+", "\n".join(gen.lines)))
-    consts = ", ".join(f"K{i}" for i in range(len(gen.consts)))
-    lines = [f"def _make({consts}):", "    def make(node):"]
-    lines += [f"        {name} = {value}" for name, value in binds.items() if name in used]
-    lines.append("        def code(interp, scope):")
+    lines = ["def make(node):", *(f"    {name} = {value}" for name, value in binds.items()
+                                   if name in used)]
+    lines.append("    def code(interp, scope):")
     if "B" in used:
-        lines.append("            B = scope.bindings")
-    lines += [*gen.lines, "        return code", "    return make"]
-    return _define(lines, "_make", namespace, "<njexl tier 0>")(*gen.consts)
+        lines.append("        B = scope.bindings")
+    return _define([*lines, *gen.lines, "    return code"], "make", namespace, "<njexl tier 0>")
 
 
 def template_key(node):
     """What tier_0_template(node) keeps of node: its kind, its op, whether a
     Member's name is digits, which optional fields are None, which own
-    children are literals (each argument and named argument's too), an
-    Assign target's kind and the step builtin a Call enters directly, if
-    any (step_call): a key from a fixed set of values for each kind and
-    count of arguments, whatever names and numbers the text holds."""
+    children are literals (each argument and named argument's too) and an
+    Assign target's kind: a key from a fixed set of values for each kind
+    and count of arguments, whatever names and numbers the text holds."""
     return _key_function(type(node))(node)
 
 
@@ -239,23 +230,8 @@ def _key_function(kind):
             parts.append(f"tuple([type(arg) is Literal for {arg} in {value}])")
         else:
             parts.append(f"None if {value} is None else type({value}) is Literal")
-        if field == "callee":
-            parts.append("step_call(node)")
     line = f"def key(node): return (kind, {', '.join(parts)})"
-    names = {"kind": kind, "Literal": Literal, "step_call": step_call}
-    return _define([line], "key", names, "<njexl template key>")
-
-
-def step_call(node):
-    """The name of the step builtin (stdlib.STEP_CALLS) that node, an
-    ast.Call, names by an Identifier callee, if the call passes that
-    builtin's check (a block, no named arguments, a count it takes); else None."""
-    callee = node.callee
-    if type(callee) is not Identifier or callee.name not in STEP_CALLS:
-        return None
-    if node.block is None or node.named or node.splat is not None:
-        return None
-    return callee.name if len(node.args) in STEP_CALLS[callee.name][2] else None
+    return _define([line], "key", {"kind": kind, "Literal": Literal}, "<njexl template key>")
 
 
 class _Text(str):
@@ -787,13 +763,9 @@ class _Generator:
         def lane(line):
             return lambda: self.emit(line)
 
-        # the direct entries, for calls that would pass the generic checks:
-        # a step builtin's body, or a Function's body in a frame of its arguments
-        cases, step = [], step_call(node)
-        if step is not None:
-            native, body, _ = STEP_CALLS[step]
-            call = f"{self.const(body)}(interp, scope, {values}, {block}, {where}, {step!r})"
-            cases.append(([f"{callee} is {self.const(native)}"], lane(f"{out} = {call}")))
+        # a Function given one argument per parameter enters its body directly,
+        # in a frame of them: call_function would only bind them so
+        cases = []
         if node.block is None:
             if not node.named and node.splat is None:
                 params = self.new()

@@ -34,15 +34,6 @@ def guest_error(exc):
     return NjexlError("InternalError", f"{type(exc).__name__}: {exc}")
 
 
-def placed(exc, node):
-    """exc, an NjexlError, given the position of node (a syntax node, or None)
-    if it has none: an error leaving a builtin or a host native takes the
-    position of its call."""
-    if exc.line is None:
-        exc.line, exc.col = getattr(node, "line", None), getattr(node, "col", None)
-    return exc
-
-
 class BreakSignal(Exception):
     pass
 

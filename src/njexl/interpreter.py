@@ -33,14 +33,11 @@ through Interp.enter and a block body through Interp.invoke_block, and
 both look the value operations (arith, values_equal, ...) up in this
 module when they run.
 
-Calls.  A compiled call enters its callee directly when the call's shape
-passes the generic checks (codegen._Call): a Function given one argument
-per parameter gets a frame of them and Interp.enter, and a step builtin
-called by its own name (stdlib.STEP_CALLS) with a block, no named
-arguments and a count it takes runs its body, skipping the check of its
-arguments.  Any other call of a Function goes through
-Interp.call_function, which binds arguments, named ones and nulls first,
-and any other builtin or host native through its checked fn.
+Calls.  A compiled call of a Function given one positional argument per
+parameter, and no named ones, __args__ or block, builds the frame of them
+and enters the body through Interp.enter (codegen._Call).  Any other call
+of a Function goes through Interp.call_function, which binds arguments,
+named ones and nulls first, and a builtin or host native through its fn.
 
 Blocks.  A call with a block passes its AnonBlock node to the builtin,
 which enters the block once per call in the frame it was called in:
@@ -81,7 +78,7 @@ import weakref
 
 from . import ast
 from .codegen import STEPS, generate, template_key, tier_0_loop, tier_0_template
-from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal, guest_error, placed
+from .errors import BreakSignal, ContinueSignal, NjexlError, ReturnSignal, guest_error
 from .parser import parse_program
 from .lexer import tokenize
 from .values import (
@@ -429,7 +426,7 @@ class Interp:
         self.depth -= 1
         return _error(node, "StackOverflowError", f"recursion deeper than {MAX_CALL_DEPTH} frames")
 
-    def invoke_block(self, block, scope, step, items, source, partial=None, sink=None, node=None):
+    def invoke_block(self, block, scope, step, items, source, partial=None, sink=None):
         """Run a builtin's whole loop over items, an iterable, with its step
         (a codegen.STEPS key) around block, an ast.AnonBlock, in scope, the
         frame the builtin was called in; return what it gives.  Each
@@ -443,8 +440,7 @@ class Interp:
         the element or ends the loop.  The loop enters the block once, so
         it takes one frame of MAX_CALL_DEPTH.  The elements count toward the
         block's tier-up before the loop when items knows its length, else as
-        they run.  An error that leaves the loop without a position takes
-        that of node, the builtin's call."""
+        they run."""
         run = block.tier_1.get(step) if block.heat < 0 else None
         if run is None:
             try:
@@ -461,8 +457,6 @@ class Interp:
             return run(self, scope, items, source, partial, sink)
         except RecursionError:
             raise _error(block, "StackOverflowError", "call depth exceeded") from None
-        except NjexlError as exc:
-            raise placed(exc, node)
         finally:
             self.depth -= 1
 
@@ -619,7 +613,9 @@ def _call_static(interp, scope, node, fn, args):
             return interp.call_function(fn, args, {}, node)
         raise _uncallable(fn, node)
     except NjexlError as exc:
-        raise placed(exc, node)
+        if exc.line is None:
+            exc.line, exc.col = node.line, node.col
+        raise
 
 
 def _uncallable(fn, node):

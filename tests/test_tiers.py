@@ -324,13 +324,13 @@ def mutant(node, own=True):
     changed: texts (a digit Member name to other digits), positions, literal
     values, the kind of each non-literal child, the literal-ness of
     grandchildren (an Assign target's children among them) and each body's
-    statements.  The callee of a call that enters a step builtin is kept."""
+    statements."""
     kind = type(node)
     twin = copy.copy(node)
     twin.line, twin.col = node.line + 11, node.col + 13
     for field in kind.__match_args__[2:]:
         value = getattr(node, field)
-        if value is None or field == "op" or (field == "callee" and codegen.step_call(node)):
+        if value is None or field == "op":
             continue
         if field == "name" and kind is ast.Member and value.isdigit():
             value = str(int(value) + 7)
@@ -356,7 +356,7 @@ def template_source(node):
     """The source of node's tier-0 template, with make()'s names numbered in
     order of first use."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codegen, "_define", lambda lines, *rest: lambda *consts: "\n".join(lines))
+        patch.setattr(codegen, "_define", lambda lines, *rest: "\n".join(lines))
         source = codegen.tier_0_template(node, vars(interpreter))
     names = {}
     return re.sub(r"\b[tckn]\d+\b", lambda m: names.setdefault(m[0], f"x{len(names)}"), source)
@@ -806,10 +806,9 @@ def test_python_recursion_error_is_a_stack_overflow(monkeypatch, threshold, case
 
 
 # Calls that enter their callee directly (a Function given one argument per
-# parameter, a step builtin named by its callee and given a block, no named
-# arguments and a count it takes) and the calls beside them that do not.
-# Each outcome is what the code gave when every call went through
-# Interp.call_function or the builtin's check, at each threshold below.
+# parameter), the calls beside them that do not, and the block-taking
+# builtins they call or run in.  Each outcome is what the code gave when
+# every call went through Interp.call_function, at each threshold below.
 CALL_CASES = [
     # each step builtin with a block, the folds with and without a partial
     ('lfold{ _$_ + $ }([1, 2, 3], 0)', ('value', 'int', '6')),
@@ -921,54 +920,40 @@ def test_direct_calls_keep_every_outcome(monkeypatch, threshold, source, want):
     assert outcome(source) == (want, "")
 
 
-STEP_BUILTINS = ("index", "list", "set", "lfold", "rfold")
+def function_calls(source, scope=None):
+    """The stringified value of source, run in scope, and how many calls went
+    through Interp.call_function while it ran."""
+    count = 0
+    call_function = Interp.call_function
 
+    def called(*args):
+        nonlocal count
+        count += 1
+        return call_function(*args)
 
-def entries(source, scope=None):
-    """The stringified value of source, and the calls that went through
-    Interp.call_function and through each step builtin's check while it ran."""
-    from njexl.stdlib import BUILTINS
-
-    counts = Counter()
     with pytest.MonkeyPatch.context() as patch:
-        for name in STEP_BUILTINS:
-            native = BUILTINS[name]
-
-            def checked(*args, name=name, fn=native.fn):
-                counts[name] += 1
-                return fn(*args)
-
-            patch.setattr(native, "fn", checked)
-        call_function = Interp.call_function
-
-        def called(*args):
-            counts["call_function"] += 1
-            return call_function(*args)
-
         patch.setattr(Interp, "call_function", called)
         interp = Interp(default_io(out=Capture(), err=Capture(), env={}))
         scope = new_global_scope() if scope is None else scope
         value = run_on_deep_stack(lambda: interp.run_source(source, scope))
-    return stringify(value), counts
+    return stringify(value), count
 
 
 @pytest.mark.parametrize("threshold", [NEVER, 0])
-def test_calls_of_the_shapes_that_pass_the_checks_skip_them(monkeypatch, threshold):
+def test_calls_with_one_argument_per_parameter_skip_call_function(monkeypatch, threshold):
     set_tier(monkeypatch, threshold)
     source = """def f(a, b){ a + b }
-l = [1, 2, 3]
-[f(1, 2), index{ $ > 1 }(l), list{ $ }(l), set{ $ }(l), lfold{ $ }(l), rfold{ _$_ + $ }(l, 0)]"""
-    assert entries(source) == ("[3, 1, [1, 2, 3], {1, 2, 3}, 3, 6]", Counter())
-    # a call of another shape, or of the builtin under another name, is checked
+g = def(){ 1 }
+[f(1, 2), g(), list{ f($, 1) }([1, 2])]"""
+    assert function_calls(source) == ("[3, 1, [2, 3]]", 0)
+    # fewer, named or __args__ arguments are bound by call_function
     source = """def f(a, b){ [a, b] }
-g = lfold
-[f(1), f(1, b = 2), list(1, 2), g{ _$_ + $ }([1], 0)]"""
-    want = "[[1, null], [1, 2], [1, 2], 1]"
-    assert entries(source) == (want, Counter(call_function=2, list=1, lfold=1))
+[f(1), f(1, b = 2), f(__args__ = [1, 2])]"""
+    assert function_calls(source) == ("[[1, null], [1, 2], [1, 2]]", 3)
 
 
 @pytest.mark.parametrize("threshold", [NEVER, 0, 1, DEFAULTS])
-def test_a_native_bound_to_a_step_builtin_s_name_is_called_as_itself(monkeypatch, threshold):
+def test_a_native_bound_to_a_block_builtin_s_name_is_called_as_itself(monkeypatch, threshold):
     from njexl.stdlib import default_registry
 
     if threshold == DEFAULTS:
@@ -977,18 +962,18 @@ def test_a_native_bound_to_a_step_builtin_s_name_is_called_as_itself(monkeypatch
     else:
         set_tier(monkeypatch, threshold)
     parse_int = default_registry()["java.lang.Integer"].bindings["parseInt"]
-    for name in STEP_BUILTINS:
+    for name in ("index", "list", "set", "lfold", "rfold"):
         scope = new_global_scope()
         scope.bindings[name] = parse_int
-        assert entries(f"{name}{{ $ }}('42')", scope)[0] == "42"
+        assert function_calls(f"{name}{{ $ }}('42')", scope)[0] == "42"
         with pytest.raises(NjexlError, match="parseInt takes 1 arguments, got 2"):
-            entries(f"{name}{{ $ }}('42', 0)", scope)
+            function_calls(f"{name}{{ $ }}('42', 0)", scope)
 
 
 @pytest.mark.parametrize("threshold", [NEVER, 0])
 def test_a_position_less_error_in_a_block_takes_the_builtin_call_s(monkeypatch, tmp_path, threshold):
     # a module whose top level breaks fails without a position; from a block it
-    # takes the position of the builtin's call, whichever way the call entered
+    # takes the position of the builtin's call, under its own name or another
     set_tier(monkeypatch, threshold)
     path = tmp_path / "m.njxl"
     path.write_text("break\n", encoding="utf-8")
@@ -999,9 +984,9 @@ def test_a_position_less_error_in_a_block_takes_the_builtin_call_s(monkeypatch, 
     assert outcome(f"def f(){{ g = set ; g{{ {imported} }}([1]) }}\n f()")[0] == (*error, 1, 20)
     assert outcome(f"def f(){{ {imported} }}\n f()")[0] == (*error, None, None)
 
+
 def test_names_and_numbers_in_the_text_add_no_templates():
-    # a digit Member is keyed by isdigit() alone, and a call by the step builtin its
-    # callee names, if any: each k below gives the same shapes
+    # a digit Member is keyed by isdigit() alone: each k below gives the same shapes
     def run(k):
         source = f"p = [0:300].list()\nx{k} = {k}\n"
         source += (f"[p.{k}, lfold{{ _$_ + $ }}(p, {k}), rfold{{ $ }}(p), index{{ $ == {k} }}(p),"
