@@ -1,187 +1,188 @@
-"""Syntax tree nodes and a deterministic text dump used for golden tests."""
+"""Syntax tree nodes and a deterministic text dump used for golden tests.
 
-from dataclasses import dataclass, field
+A node kind's one constructor, (line, col, *fields), assigns its fields in
+that order, and Node sets the kind's __match_args__ from its parameters: so
+vars(node) and __match_args__ give the same field list, which codegen reads.
+Nodes compare and hash by identity, with object's repr.
+"""
+
 from decimal import Decimal
 
-# nodes compare and hash by identity, with object's repr: generating __eq__
-# and __repr__ for every class was about half of this module's import time
-_node = dataclass(eq=False, repr=False)
 
-
-@_node
 class Node:
-    line: int
-    col: int
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1:code.co_argcount]
 
 
-@_node
 class Program(Node):
-    body: list
+    def __init__(self, line, col, body):
+        self.line, self.col, self.body = line, col, body
 
 
-@_node
 class VarDecl(Node):
-    name: str
-    value: object  # Node or None
+    def __init__(self, line, col, name, value):
+        self.line, self.col, self.name = line, col, name
+        self.value = value  # Node or None
 
 
-@_node
 class Assign(Node):
-    target: Node
-    op: str  # '=' or '+='
-    value: Node
+    def __init__(self, line, col, target, op, value):
+        self.line, self.col, self.target = line, col, target
+        self.op = op  # '=' or '+='
+        self.value = value
 
 
-@_node
 class MultiAssign(Node):
-    targets: list  # of str
-    capture: object  # str or None; always the last target when present
-    value: Node
+    def __init__(self, line, col, targets, capture, value):
+        self.line, self.col = line, col
+        self.targets = targets  # of str
+        self.capture = capture  # str or None; always the last target when present
+        self.value = value
 
 
-@_node
 class Import(Node):
-    path: str
-    alias: str
+    def __init__(self, line, col, path, alias):
+        self.line, self.col, self.path = line, col, path
+        self.alias = alias
 
 
-@_node
 class FuncDef(Node):
-    name: object  # str or None for anonymous function expressions
-    params: list
-    body: list
-    # the body's tier state (interpreter.warm); class attributes, not fields
-    run = None
+    def __init__(self, line, col, name, params, body):
+        self.line, self.col = line, col
+        self.name = name  # str or None for anonymous function expressions
+        self.params, self.body = params, body
+
+    # the body's tier state: class attributes until interpreter.warm writes
+    # them onto the node, so that vars() of a fresh node is its fields only
+    run = tier_1 = None
     heat = 0
-    tier_1 = None
 
 
-@_node
 class AnonBlock(Node):
-    body: list
-    run = None
+    def __init__(self, line, col, body):
+        self.line, self.col, self.body = line, col, body
+
+    run = tier_1 = None  # tier state, as FuncDef's
     heat = 0
-    tier_1 = None
 
 
-@_node
 class If(Node):
-    cond: Node
-    then_body: list
-    else_body: object  # list or None
+    def __init__(self, line, col, cond, then_body, else_body):
+        self.line, self.col, self.cond = line, col, cond
+        self.then_body = then_body
+        self.else_body = else_body  # list or None
 
 
-@_node
 class For(Node):
-    var: str
-    iterable: Node
-    body: list
+    def __init__(self, line, col, var, iterable, body):
+        self.line, self.col, self.var = line, col, var
+        self.iterable, self.body = iterable, body
 
 
-@_node
 class While(Node):
-    cond: Node
-    body: list
+    def __init__(self, line, col, cond, body):
+        self.line, self.col, self.cond = line, col, cond
+        self.body = body
 
 
-@_node
 class Break(Node):
-    cond: object  # Node or None
+    def __init__(self, line, col, cond):
+        self.line, self.col = line, col
+        self.cond = cond  # Node or None
 
 
-@_node
 class Continue(Node):
-    cond: object
+    def __init__(self, line, col, cond):
+        self.line, self.col, self.cond = line, col, cond
 
 
-@_node
 class Return(Node):
-    value: object
+    def __init__(self, line, col, value):
+        self.line, self.col, self.value = line, col, value
 
 
-@_node
 class Ternary(Node):
-    cond: Node
-    then: Node
-    orelse: Node
+    def __init__(self, line, col, cond, then, orelse):
+        self.line, self.col, self.cond = line, col, cond
+        self.then, self.orelse = then, orelse
 
 
-@_node
 class Binary(Node):
-    op: str
-    left: Node
-    right: Node
+    def __init__(self, line, col, op, left, right):
+        self.line, self.col, self.op = line, col, op
+        self.left, self.right = left, right
 
 
-@_node
 class Unary(Node):
-    op: str
-    operand: Node
+    def __init__(self, line, col, op, operand):
+        self.line, self.col, self.op = line, col, op
+        self.operand = operand
 
 
-@_node
 class Cardinality(Node):
-    operand: Node
+    def __init__(self, line, col, operand):
+        self.line, self.col, self.operand = line, col, operand
 
 
-@_node
 class ClockBlock(Node):
-    body: list
+    def __init__(self, line, col, body):
+        self.line, self.col, self.body = line, col, body
 
 
-@_node
 class Call(Node):
-    callee: Node
-    args: list
-    named: list = field(default_factory=list)  # of (name, Node)
-    splat: object = None  # Node or None
-    block: object = None  # AnonBlock or None
+    def __init__(self, line, col, callee, args, named, splat, block=None):
+        self.line, self.col, self.callee = line, col, callee
+        self.args = args
+        self.named = named  # of (name, Node)
+        self.splat = splat  # Node or None
+        self.block = block  # AnonBlock or None
 
 
-@_node
 class StaticCall(Node):
-    alias: str
-    name: str
-    args: list
+    def __init__(self, line, col, alias, name, args):
+        self.line, self.col, self.alias = line, col, alias
+        self.name, self.args = name, args
 
 
-@_node
 class Index(Node):
-    obj: Node
-    index: Node
+    def __init__(self, line, col, obj, index):
+        self.line, self.col, self.obj = line, col, obj
+        self.index = index
 
 
-@_node
 class Member(Node):
-    obj: Node
-    name: str  # all-digits names are numeric projections
+    def __init__(self, line, col, obj, name):
+        self.line, self.col, self.obj = line, col, obj
+        self.name = name  # all-digits names are numeric projections
 
 
-@_node
 class RangeLit(Node):
-    start: Node
-    end: Node
-    step: object  # Node or None
+    def __init__(self, line, col, start, end, step):
+        self.line, self.col, self.start = line, col, start
+        self.end = end
+        self.step = step  # Node or None
 
 
-@_node
 class ListLit(Node):
-    items: list
+    def __init__(self, line, col, items):
+        self.line, self.col, self.items = line, col, items
 
 
-@_node
 class MapLit(Node):
-    entries: list  # of (key Node, value Node)
+    def __init__(self, line, col, entries):
+        self.line, self.col = line, col
+        self.entries = entries  # of (key Node, value Node)
 
 
-@_node
 class Literal(Node):
-    value: object
+    def __init__(self, line, col, value):
+        self.line, self.col, self.value = line, col, value
 
 
-@_node
 class Identifier(Node):
-    name: str
+    def __init__(self, line, col, name):
+        self.line, self.col, self.name = line, col, name
 
 
 def _lit_text(value):

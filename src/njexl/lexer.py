@@ -34,7 +34,6 @@ is process-global, so the lexer leaves it as it is).
 """
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import NjexlError
 
@@ -92,14 +91,12 @@ _ESCAPE = re.compile(r"\\(u[0-9a-fA-F]{4}|.)")
 _CUT_OFF_ESCAPE = re.compile(r"\\u[0-9a-fA-F]{0,3}\Z")
 
 
-@dataclass
 class Token:
-    kind: str
-    lexeme: str
-    line: int
-    col: int
-    trivia: str = ""
-    value: object = field(default=None, repr=False)
+    __slots__ = ("kind", "lexeme", "line", "col", "trivia", "value")
+
+    def __init__(self, kind, lexeme, line, col, trivia="", value=None):
+        self.kind, self.lexeme, self.line = kind, lexeme, line
+        self.col, self.trivia, self.value = col, trivia, value
 
 
 def tokenize(source):

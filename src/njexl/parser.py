@@ -383,9 +383,7 @@ class _Parser:
             ):
                 self.advance()
                 name = self.expect_ident().lexeme
-                args, named, splat = self.call_args()
-                if named or splat is not None:
-                    self.error("static calls take positional arguments only")
+                args = self.call_args(static=True)[0]
                 node = ast.StaticCall(node.line, node.col, node.name, name, args)
             else:
                 break
@@ -407,7 +405,7 @@ class _Parser:
             return ast.Member(node.line, node.col, inner, second)
         self.error("expected a member name")
 
-    def call_args(self):
+    def call_args(self, static=False):
         self.open_bracket("(")
         args = []
         named = []
@@ -416,6 +414,8 @@ class _Parser:
             while True:
                 tok = self.peek()
                 if tok.kind == IDENT and self.peek(1).lexeme == "=":
+                    if static:
+                        self.error("static calls take positional arguments only", tok)
                     name = self.advance().lexeme
                     self.advance()
                     value = self.expression()

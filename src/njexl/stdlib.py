@@ -21,7 +21,6 @@ import datetime
 import itertools
 import re
 import time
-from dataclasses import dataclass, field
 from functools import cmp_to_key, partial
 
 from .errors import NjexlError
@@ -154,15 +153,14 @@ class FakeClock:
         return self.now
 
 
-@dataclass
 class IoPorts:
-    """Injectable world access for one evaluation context."""
+    """Injectable world access for one evaluation context (see default_io)."""
 
-    out: object
-    err: object
-    loader: ResourceLoader = field(default_factory=ResourceLoader)
-    clock: object = time.perf_counter_ns
-    env: dict = field(default_factory=dict)
+    __slots__ = ("out", "err", "loader", "clock", "env")
+
+    def __init__(self, out, err, loader, clock, env):
+        self.out, self.err, self.loader = out, err, loader
+        self.clock, self.env = clock, env
 
 
 # ---------------------------------------------------------------------------

@@ -341,3 +341,34 @@ def test_a_position_less_host_native_error_takes_the_call_position(monkeypatch):
     result = evaluate(ctx, source + f"for (k : [0:{last + 1}]) {{ f(k) }}")
     assert result == StructuredError("HostError", "nope", 3, source.split("\n")[2].index("T:") + 1)
     assert len(generated) == 1 and generated[0] is not None
+
+
+def test_host_bytes_reach_the_fallbacks_of_tag_stringify_and_bridging():
+    from njexl.values import Module, NativeFunction
+
+    def raw(interp, scope, args, named, block, node):
+        return b"xy"
+
+    ctx = fresh(registry={"host.Raw": Module("host.Raw", {"raw": NativeFunction("raw", raw)})})
+    source = "import 'host.Raw' as H\n"
+    assert evaluate(ctx, source + "#|H:raw()|") == StructuredError("TypeError", "bytes has no size", 2, 1)
+    assert evaluate(ctx, source + "print(H:raw())") is None
+    assert ctx.io.out.getvalue() == "b'xy'\n"
+    assert evaluate(ctx, source + "H:raw()") == StructuredError(
+        "ConversionError", "cannot bridge a bytes value back to the host")
+
+
+def test_a_map_keyed_by_unhashable_host_data_cannot_cross_back():
+    ctx = fresh()
+    bind(ctx, "x", Decimal("sNaN"))  # hashing a signalling NaN raises TypeError
+    result = evaluate(ctx, "m = {x : 1}")
+    assert result == StructuredError("ConversionError", "map key is unhashable host data")
+    with pytest.raises(ConversionError):
+        get(ctx, "m")
+
+
+@pytest.mark.parametrize("builtin", ["read", "lines"])
+def test_reading_a_directory_is_a_positioned_io_error(builtin, tmp_path):
+    result = evaluate(fresh(), f"{builtin}({str(tmp_path)!r})")
+    assert (result.kind, result.line, result.col) == ("IoError", 1, 1)
+    assert result.message.startswith(f"cannot read {tmp_path}:")

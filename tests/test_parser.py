@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from njexl.lexer import tokenize
 from njexl.parser import parse_expression
 
 from conftest import CORPUS, parse_source
+from test_fuzz import structured_programs
 
 
 def expr(source, aliases=()):
@@ -183,6 +185,29 @@ def test_parse_error_reports_position():
     assert err.value.line == 1
 
 
+_INTEGER = "import 'java.lang.Integer' as I\n"
+
+
+@pytest.mark.parametrize(
+    "source, message, line, col",
+    [
+        (_INTEGER + "I:parseInt(x = '1')", "static calls take positional arguments only", 2, 12),
+        (_INTEGER + "I:parseInt(__args__ = ['1'])", "static calls take positional arguments only", 2, 12),
+        (_INTEGER + "I:parseInt('1', x = 2)", "static calls take positional arguments only", 2, 17),
+        ("f = def(a){a}\nf(__args__ = [1], __args__ = [2])", "duplicate __args__ argument", 2, 19),
+        ("f(x = 1, 2)", "positional arguments must come first", 1, 10),
+        ("#(a, :e, :f) = 1", "only one error-capture target allowed", 1, 10),
+        ("#(:e, a) = 1", "error-capture target must come last", 1, 7),
+        ("#(a) = 1", "multiple assignment needs at least two targets", 1, 1),
+    ],
+)
+def test_parse_errors_point_at_the_offending_token(source, message, line, col):
+    with pytest.raises(NjexlError) as err:
+        parse_source(source)
+    got = err.value
+    assert (got.kind, got.message, got.line, got.col) == ("ParseError", message, line, col)
+
+
 def test_all_corpus_scripts_parse():
     for path in sorted(CORPUS.glob("*.njxl")):
         parse_source(path.read_text())
@@ -200,6 +225,36 @@ def test_ast_dump_golden():
             "      Literal 2 (1:9)",
         ]
     )
+
+
+def _nodes(value):
+    """Every node reachable from value through fields, lists and tuples."""
+    if isinstance(value, ast.Node):
+        yield value
+        value = list(vars(value).values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _nodes(item)
+
+
+def test_constructors_are_the_field_lists():
+    # codegen.template_key, the tier-0 stand-ins and perfbench's node count
+    # read a node's fields through __match_args__ and vars()
+    kinds = ast.Node.__subclasses__()
+    for kind in kinds:
+        assert kind.__match_args__[:2] == ("line", "col")
+        assert kind.__match_args__ == tuple(inspect.signature(kind).parameters), kind
+    sources = [path.read_text() for path in sorted(CORPUS.glob("*.njxl"))]
+    seen = set()
+    for source in sources + list(structured_programs()):
+        try:
+            program = parse_source(source)
+        except NjexlError:
+            continue
+        for node in _nodes(program):  # parsed, never run: no tier state yet
+            assert list(vars(node)) == list(type(node).__match_args__), ast.dump(node)
+            seen.add(type(node))
+    assert seen == set(kinds)
 
 
 def test_def_expression_and_statement():

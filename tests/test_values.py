@@ -833,6 +833,9 @@ VALUE_MODEL = [
     ("-DEC('1.234567890123456789012345678901234')",
      Decimal("-1.234567890123456789012345678901234")),
     ("x = DEC('1.234567890123456789012345678901234') ; -x == DEC('0') - x", True),
+    # a literal past float's range is a DEC, not an infinity
+    ("1e999", Decimal("1E+999")),
+    ("1e999 + null", _FAIL("TypeError", "cannot apply + to DEC and null", 1, 1)),
 ]
 
 
