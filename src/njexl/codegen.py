@@ -48,6 +48,15 @@ A call of a Function (by type) with one positional argument per
 parameter, and no named ones, __args__ or block, enters its body directly
 in a frame of them (Interp.enter), skipping the argument handling of
 Interp.call_function; any other callee takes the generic call beside it.
+In a block body, a call of index, list, set, lfold or rfold by name with a
+block, no named arguments or __args__ and a count the builtin takes runs
+the builtin inline when its callee is that builtin (inline): the
+builtin's own work on its arguments, the frame of depth Interp.invoke_block
+takes, and the step's loop with the inner block's body inlined, framed or
+frameless as its own code would be, under names of its own.  Any other
+callee takes the generic call beside it, and so does every call of a site
+whose inner body cannot be inlined (a #clock or #(...) in it, or too deep);
+the inner block's own heat and tier-1 code are left alone.
 
 A body that cannot be one Python function stays in tier 0: generate
 returns None.  That is a body holding a node kind this module does not
@@ -68,6 +77,7 @@ import re
 
 from .ast import Assign, Call, ClockBlock, For, FuncDef, Identifier, Import, Index, Literal
 from .ast import Member, MultiAssign, Node, StaticCall
+from .stdlib import BUILTINS, _iter_arg
 from .values import INT_MAX, INT_MIN
 
 # no suite opens this deep in run(), so a line is inside at most 19 suites: within
@@ -100,6 +110,20 @@ STEPS = {
 }
 # the steps whose builtin gives a partial, bound as _$_
 _PARTIAL = ("fold", "filter")
+# the block builtins whose calls a block body's tier-1 code runs inline: each
+# one's step, the counts of arguments it takes with a block, what it gives if
+# its loop adds or finds nothing (a fold gives its partial), and the step's
+# rule on each element's value, as STEPS has it
+_INLINED = {
+    "index": ("index", (1,), "-1", "if {truth}: {out} = {index} ; break"),
+    "list": ("map", (1,), "[]", "{out}.append({value})"),
+    "set": ("map", (1,), "XSet()", "{out}.add({value}, {line}, {col})"),
+    "lfold": ("fold", (1, 2), None, "{partial} = {value}"),
+    "rfold": ("fold", (1, 2), None, "{partial} = {value}"),
+}
+# the generator's state that belongs to the body it emits (start_body)
+_BODY_STATE = ("step", "partial", "suffix", "loop", "own", "frameless", "writes", "locals",
+               "spans", "scope", "B", "parent")
 
 
 class _Unsupported(Exception):
@@ -288,7 +312,23 @@ def _own_writes(nodes, own, writes):
 
 class _Generator:
     def __init__(self, params, step, body=None):
-        self.function, self.step, self.partial = params is not None, step, step in _PARTIAL
+        self.function = params is not None
+        self.consts = []  # values handed to _make as K0, K1, ...
+        self.const_names = {}  # id(value) -> its K name
+        self.kinds = {}  # literal operand text -> its exact Python type
+        self.bools = set()  # temporaries known to hold a bool
+        self.count = 0
+        self.depth, self.lines = 1, []
+        # the Python names of the frame the body runs in, of its bindings, and of
+        # the frame a block element's frame is made in
+        self.scope, self.B, self.parent = "scope", "B", "parent"
+        self.start_body(params, step, body, "")
+
+    def start_body(self, params, step, body, suffix):
+        """Take up the state of a body: a function's (params), or a block's run
+        by step, whose Python locals item, index, source and partial end in
+        suffix; None as body when the emitter makes a frame per element."""
+        self.step, self.partial, self.suffix, self.loop = step, step in _PARTIAL, suffix, False
         # names bound in the body's own frame whenever it runs
         own = ("$", "_", "$$", "_$_") if self.partial else ("$", "_", "$$")
         self.own = frozenset(own if params is None else params)
@@ -296,18 +336,12 @@ class _Generator:
         # copy per element; its scope is the parent frame
         writes = None if body is None or self.function else _own_writes(body, self.own, set())
         self.frameless, self.writes = writes is not None, writes or set()
-        self.locals = {name: _LOCALS[name] for name in self.own} if self.frameless else {}
+        self.locals = {name: _LOCALS[name] + suffix for name in self.own} if self.frameless else {}
         self.locals.update({name: f"{self.locals[name]}_" for name in self.writes})
-        self.consts = []  # values handed to _make as K0, K1, ...
-        self.const_names = {}  # id(value) -> its K name
-        self.kinds = {}  # literal operand text -> its exact Python type
-        self.bools = set()  # temporaries known to hold a bool
         # operands known to hold a plain int, and its bounds: a loop's own index
         # (a list is shorter than INT_MAX), and int-lane results computed from those
         natural = self.frameless and "_" not in self.writes
-        self.spans = {"index": (0, INT_MAX - 1)} if natural else {}
-        self.count = 0
-        self.depth, self.loop, self.lines = 1, False, []
+        self.spans = {"index" + suffix: (0, INT_MAX - 1)} if natural else {}
 
     # --- output --------------------------------------------------------------
 
@@ -343,13 +377,14 @@ class _Generator:
     def frame(self):
         """Emit the start of one element's run of the body in a builtin's
         loop: its frame, or fresh copies of the own names it writes."""
+        s = self.suffix
         if self.frameless:
             for name in sorted(self.writes):
-                self.emit(f"{self.locals[name]} = {_LOCALS[name]}")
+                self.emit(f"{self.locals[name]} = {_LOCALS[name]}{s}")
         else:
-            partial = ", '_$_': partial" if self.partial else ""
-            self.emit(f"B = {{'$': item, '_': index, '$$': source{partial}}}")
-            self.emit("scope = Scope(parent, B)")
+            partial = f", '_$_': partial{s}" if self.partial else ""
+            self.emit(f"{self.B} = {{'$': item{s}, '_': index{s}, '$$': source{s}{partial}}}")
+            self.emit(f"{self.scope} = Scope({self.parent}, {self.B})")
 
     def emit(self, line):
         self.lines.append("    " * self.depth + line)
@@ -452,7 +487,7 @@ class _Generator:
         if hole.literal:
             return hole.name
         out = self.new()
-        self.emit(f"{out} = {hole.name}(interp, scope)")
+        self.emit(f"{out} = {hole.name}(interp, {self.scope})")
         return out
 
     def _Literal(self, node):
@@ -466,7 +501,7 @@ class _Generator:
         elif local is not None:
             self.emit(f"{out} = {local}")
         elif node.name in self.own:
-            self.emit(f"{out} = B[{name}]")
+            self.emit(f"{out} = {self.B}[{name}]")
         else:
             self.lookup(out, node)
         return out
@@ -474,11 +509,11 @@ class _Generator:
     def lookup(self, out, node):
         """Emit out = the value of node's name in the nearest frame binding it."""
         name = repr(node.name)
-        self.open(f"if {name} in B:")
-        self.emit(f"{out} = B[{name}]")
+        self.open(f"if {name} in {self.B}:")
+        self.emit(f"{out} = {self.B}[{name}]")
         self.close()
         self.open("else:")
-        self.emit(f"{out} = scope.parent")
+        self.emit(f"{out} = {self.scope}.parent")
         self.open(f"while {name} not in {out}.bindings:")
         self.emit(f"{out} = {out}.parent")
         self.open(f"if {out} is None:")
@@ -489,7 +524,7 @@ class _Generator:
 
     def _VarDecl(self, node):
         value = "None" if node.value is None else self.node(node.value)
-        self.emit(f"scope.declare_global({node.name!r}, {value})")
+        self.emit(f"{self.scope}.declare_global({node.name!r}, {value})")
         return value
 
     def _Assign(self, node):
@@ -512,27 +547,27 @@ class _Generator:
         whose text is name; the operand of its value."""
         if node.op == "=":
             if target.name in self.own:
-                self.emit(f"B[{name}] = {value}")
+                self.emit(f"{self.B}[{name}] = {value}")
             else:
-                self.open(f"if {name} in B:")
-                self.emit(f"B[{name}] = {value}")
+                self.open(f"if {name} in {self.B}:")
+                self.emit(f"{self.B}[{name}] = {value}")
                 self.close()
                 self.open("else:")
-                self.emit(f"scope.assign({name}, {value})")
+                self.emit(f"{self.scope}.assign({name}, {value})")
                 self.close()
             return value
         # +=: the nearest frame's value; a builtin's name is bound here
         old, frame, out = self.new(), self.new(), self.new()
         if target.name in self.own:
-            self.emit(f"{old}, {frame} = B[{name}], B")
+            self.emit(f"{old}, {frame} = {self.B}[{name}], {self.B}")
         else:
-            self.open(f"if {name} in B:")
-            self.emit(f"{old}, {frame} = B[{name}], B")
+            self.open(f"if {name} in {self.B}:")
+            self.emit(f"{old}, {frame} = {self.B}[{name}], {self.B}")
             self.close()
             self.open("else:")
-            self.emit(f"{frame} = scope.frame_of({name}, {target.line}, {target.col})")
+            self.emit(f"{frame} = {self.scope}.frame_of({name}, {target.line}, {target.col})")
             self.emit(f"{old} = {frame}.bindings[{name}]")
-            self.emit(f"{frame} = (scope if {frame}.parent is None else {frame}).bindings")
+            self.emit(f"{frame} = ({self.scope} if {frame}.parent is None else {frame}).bindings")
             self.close()
         self.arith("+", old, value, out, node)
         self.emit(f"{frame}[{name}] = {out}")
@@ -549,15 +584,15 @@ class _Generator:
 
     def _Import(self, node):
         module = f"interp.import_module({node.path!r}, {self.const(node)})"
-        self.emit(f"scope.assign({node.alias!r}, {module})")
+        self.emit(f"{self.scope}.assign({node.alias!r}, {module})")
         return "None"
 
     def _FuncDef(self, node):
         out = self.new()
-        self.emit(f"{out} = Function({self.const(node)}, scope)")
+        self.emit(f"{out} = Function({self.const(node)}, {self.scope})")
         if node.name is None:
             return out
-        self.emit(f"B[{node.name!r}] = {out}")
+        self.emit(f"{self.B}[{node.name!r}] = {out}")
         return "None"
 
     def choice(self, cond, then, orelse):
@@ -599,7 +634,7 @@ class _Generator:
     def _For(self, node):
         items, item = self.node(node.iterable), self.new()
         self.open(f"for {item} in enumerate_value({items}, {node.line}, {node.col}):")
-        self.emit(f"B[{node.var!r}] = {item}")
+        self.emit(f"{self.B}[{node.var!r}] = {item}")
         self.loop_body(lambda: self.body(node.body))
         self.close()
         return "None"
@@ -777,15 +812,97 @@ class _Generator:
                 f"{out} = interp.call_function({callee}, {values}, {keywords}, {where})")))
         cases.append(([f"not isinstance({callee}, NativeFunction)"],
                       lane(f"raise _uncallable({callee}, {where})")))
-        self.cases(cases, lane(
-            f"{out} = {callee}.fn(interp, scope, {values}, {keywords}, {block}, {where})"))
+        generic = lane(
+            f"{out} = {callee}.fn(interp, {self.scope}, {values}, {keywords}, {block}, {where})")
+        name = self.inlined(node)
+        if name is not None:  # the builtin itself runs inline, any other callee as above
+            mark = len(self.lines), self.depth
+            test = f"{callee} is {self.const(BUILTINS[name])}"
+            try:
+                self.cases([([test], lambda: self.inline(node, name, args, out)), *cases], generic)
+                return out
+            except (_Unsupported, RecursionError):  # this call alone keeps the generic call
+                del self.lines[mark[0]:]
+                self.depth = mark[1]
+        self.cases(cases, generic)
         return out
+
+    def inlined(self, node):
+        """The name of the block builtin (_INLINED) that node, a call in a block
+        body, runs inline when its callee is that builtin, or None: a call by
+        the builtin's name, with a block, no named arguments or __args__, and
+        a count of arguments the builtin takes with a block."""
+        if self.step is None or node.block is None or node.named or node.splat is not None:
+            return None
+        name = node.callee.name if isinstance(node.callee, Identifier) else None
+        return name if name in _INLINED and len(node.args) in _INLINED[name][1] else None
+
+    def inline(self, node, name, args, out):
+        """Emit out = the value of node, a call of the block builtin name with
+        args, run here: what _native, the builtin's body and
+        Interp.invoke_block do, with the step's loop around the block's body
+        inlined.  That body runs in a frame per element, or frameless, as its
+        own tier-1 code would (_own_writes); its parent frame is this body's
+        scope, and its Python locals end in a suffix of this call's own."""
+        step, _, start, rule = _INLINED[name]
+        where, block = self.const(node), self.const(node.block)
+        s = self.new()[1:]  # a number no other temporary or inlined call has
+        items, source, partial = f"items{s}", f"source{s}", f"partial{s}"
+        self.open("try:")  # _native: an error with no position takes the call's
+        self.emit(f"{source} = {args[0]}")
+        iterate = f"{self.const(_iter_arg)}({where}, {name!r}, {source})"
+        if start is None:  # b_fold: a snapshot of the source, reversed for rfold
+            self.emit(f"{items} = {source}.copy() if type({source}) is list else list({iterate})")
+            if name == "rfold":
+                self.emit(f"{items}.reverse()")
+            self.emit(f"{partial} = {args[1] if len(args) == 2 else 'None'}")
+        else:  # b_index, b_collect
+            self.emit(f"{items} = {iterate}")
+            self.emit(f"{out} = {start}")
+        self.emit("interp.depth += 1")  # invoke_block: the loop takes one frame
+        self.open("if interp.depth > MAX_CALL_DEPTH:")
+        self.emit(f"raise interp._too_deep({block})")
+        self.close()
+        self.open("try:")
+        body, parent = node.block.body, self.scope
+        saved = {attr: getattr(self, attr) for attr in _BODY_STATE}
+        try:
+            self.start_body(None, step, body, s)
+            if not self.frameless:
+                self.parent, self.B, self.scope = parent, f"B{s}", f"scope{s}"
+
+            def element():
+                self.frame()
+                return self.body(body)
+
+            self.open(f"for index{s}, item{s} in enumerate({items}):")
+            value = self.loop_body(element)
+            self.emit(rule.format(truth=self.truth(value), value=value, out=out, index=f"index{s}",
+                                  partial=partial, line=node.line, col=node.col))
+            self.close()
+        finally:
+            vars(self).update(saved)
+        if start is None:
+            self.emit(f"{out} = {partial}")
+        self.close()
+        self.open("except RecursionError:")
+        self.emit(f"raise _error({block}, 'StackOverflowError', 'call depth exceeded') from None")
+        self.close()
+        self.open("finally:")
+        self.emit("interp.depth -= 1")
+        self.close(2)
+        self.open("except NjexlError as exc:")
+        self.open("if exc.line is None:")
+        self.emit(f"exc.line, exc.col = {node.line}, {node.col}")
+        self.close()
+        self.emit("raise")
+        self.close()
 
     def _StaticCall(self, node):
         where, fn, out = self.const(node), self.new(), self.new()
-        self.emit(f"{fn} = _module_member(scope, {where})")
+        self.emit(f"{fn} = _module_member({self.scope}, {where})")
         args = ", ".join(self.node(arg) for arg in node.args)
-        self.emit(f"{out} = _call_static(interp, scope, {where}, {fn}, [{args}])")
+        self.emit(f"{out} = _call_static(interp, {self.scope}, {where}, {fn}, [{args}])")
         return out
 
     def _Index(self, node):

@@ -18,6 +18,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import chain
 
 from .errors import NjexlError, guest_error
 from .interpreter import Interp, new_global_scope, run_on_deep_stack
@@ -28,9 +29,10 @@ from .values import ErrorValue, XMap, XSet, tag
 _MAX_BRIDGE_DEPTH = 64
 # exact types whose values cross the bridge unchanged both ways, so elements of
 # a plain list below the depth cap are copied inline, and the list itself is
-# tested for before any other type: a table row costs one comprehension (bool
-# and the INT tag BigInt are int subclasses, not these types, and recurse)
+# tested for before any other type (bool and the INT tag BigInt are int
+# subclasses, not these types, and recurse)
 _SAME = (int, str)
+_PLAIN = frozenset(_SAME)
 
 
 @dataclass
@@ -96,8 +98,25 @@ def evaluate(ctx, source):
         return StructuredError("ConversionError", str(exc))
 
 
+def _plain_copy(value, depth):
+    """The copy of value, an exact list, that either direction of the bridge
+    makes, made in one C-level pass when it is a list of _SAME values or a
+    table (a list of such lists) that crosses below the depth cap; None
+    otherwise."""
+    if depth < _MAX_BRIDGE_DEPTH - 1:
+        kinds = set(map(type, value))
+        if kinds <= _PLAIN:
+            return value.copy()
+        if kinds == {list} and _PLAIN.issuperset(map(type, chain.from_iterable(value))):
+            return list(map(list.copy, value))
+    return None
+
+
 def _to_value(value, depth):
     if type(value) is list and depth < _MAX_BRIDGE_DEPTH:
+        copy = _plain_copy(value, depth)
+        if copy is not None:
+            return copy
         return [v if type(v) in _SAME else _to_value(v, depth + 1) for v in value]
     if depth > _MAX_BRIDGE_DEPTH:
         raise ConversionError("host data nested too deeply")
@@ -126,6 +145,9 @@ def _to_value(value, depth):
 
 def _from_value(value, depth):
     if type(value) is list and depth < _MAX_BRIDGE_DEPTH:
+        copy = _plain_copy(value, depth)
+        if copy is not None:
+            return copy
         return [v if type(v) in _SAME else _from_value(v, depth + 1) for v in value]
     if depth > _MAX_BRIDGE_DEPTH:
         raise ConversionError("script data nested too deeply")

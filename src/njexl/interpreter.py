@@ -29,7 +29,8 @@ a function body on its FUNCTION_TIER_UP_AT-th call.  Tier-up translates the body
 Python function (codegen.py) that raises the same errors; a body holding a
 node kind the generator does not cover stays in tier 0.  Program bodies and
 one-shot evaluations stay in tier 0.  Both tiers enter a function body
-through Interp.enter and a block body through Interp.invoke_block, and
+through Interp.enter and a block body through Interp.invoke_block (but for
+the builtin calls that tier-1 block code runs inline, see Blocks), and
 both look the value operations (arith, values_equal, ...) up in this
 module when they run.
 
@@ -37,7 +38,8 @@ Calls.  A compiled call of a Function given one positional argument per
 parameter, and no named ones, __args__ or block, builds the frame of them
 and enters the body through Interp.enter (codegen._Call).  Any other call
 of a Function goes through Interp.call_function, which binds arguments,
-named ones and nulls first, and a builtin or host native through its fn.
+named ones and nulls first, and a builtin or host native through its fn,
+except the block builtin calls that tier-1 block code runs inline (below).
 
 Blocks.  A call with a block passes its AnonBlock node to the builtin,
 which enters the block once per call in the frame it was called in:
@@ -45,7 +47,11 @@ Interp.invoke_block runs the builtin's whole loop, its step (codegen.STEPS)
 around the body.  The sort comparators and minmax run a one-element loop
 per comparison.  In tier 0 that is the step's loop around the body's
 closures (_LOOPS); in tier 1 one generated function per body and step,
-with the body inlined in the loop.
+with the body inlined in the loop.  In a block body's tier-1 code, a call
+of index, list, set, lfold or rfold whose callee is that builtin does
+what the builtin and invoke_block would, with the inner block's body
+inlined in the loop too (codegen._Generator.inline); that inner block
+counts no heat and gets no code of its own from such a call.
 
 Frames.  A function body runs in the frame Interp.enter builds of its
 parameters.  Each element of a block runs in a frame binding $, _, $$ and,
@@ -68,7 +74,6 @@ every later evaluation; the worker stops once its host thread has ended.
 """
 
 import collections
-import functools
 import operator
 import os
 import queue
@@ -289,7 +294,17 @@ def warm(node, step=None, count=1):
             return code
     if node.run is None:
         node.run = compile_body(node.body)
-    return node.run if function else functools.partial(_LOOPS[step], node.run)
+    if function:
+        return node.run
+    loop, body = _LOOPS[step], node.run
+
+    # a Python closure, not functools.partial: a C call here would take one C
+    # frame per level of guest recursion through a block, which 3.12 and
+    # later refuse long before the frame cap
+    def run(interp, parent, items, source, partial, sink):
+        return loop(body, interp, parent, items, source, partial, sink)
+
+    return run
 
 
 # each builtin step's loop around a block body's tier-0 code (codegen.tier_0_loop)

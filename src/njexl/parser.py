@@ -422,7 +422,7 @@ class _Parser:
                     if name == "__args__":
                         if splat is not None:
                             self.error("duplicate __args__ argument", tok)
-                        splat = value
+                        splat, splat_tok = value, tok
                     else:
                         named.append((name, value))
                 else:
@@ -434,7 +434,7 @@ class _Parser:
                     continue
                 break
         if splat is not None and (args or named):
-            self.error("__args__ must be the only argument")
+            self.error("__args__ must be the only argument", splat_tok)
         self.close_bracket(")")
         return args, named, splat
 

@@ -14,7 +14,9 @@ called in (scope), which runs the builtin's whole loop (a codegen.STEPS
 step) and handles continue and break itself: index, list, set, lfold, rfold
 and join once per call, minmax and the sort comparators once per
 comparison, over the one pair compared.  Each element counts toward the
-block's tier-up.
+block's tier-up.  Tier-1 code of a block body runs a call of index, list,
+set, lfold or rfold itself, doing what _native, the builtin and
+invoke_block do (codegen._Generator.inline).
 """
 
 import datetime

@@ -195,6 +195,9 @@ _INTEGER = "import 'java.lang.Integer' as I\n"
         (_INTEGER + "I:parseInt(__args__ = ['1'])", "static calls take positional arguments only", 2, 12),
         (_INTEGER + "I:parseInt('1', x = 2)", "static calls take positional arguments only", 2, 17),
         ("f = def(a){a}\nf(__args__ = [1], __args__ = [2])", "duplicate __args__ argument", 2, 19),
+        ("f = def(a){a}\nf(1, __args__ = [2])", "__args__ must be the only argument", 2, 6),
+        ("f = def(a){a}\nf(a = 1, __args__ = [2])", "__args__ must be the only argument", 2, 10),
+        ("f = def(a){a}\nf(__args__ = [2], a = 1)", "__args__ must be the only argument", 2, 3),
         ("f(x = 1, 2)", "positional arguments must come first", 1, 10),
         ("#(a, :e, :f) = 1", "only one error-capture target allowed", 1, 10),
         ("#(:e, a) = 1", "error-capture target must come last", 1, 7),

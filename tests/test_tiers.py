@@ -5,6 +5,7 @@ of 0 (every function and block body tiers up on its first run).
 """
 
 import copy
+import dis
 import re
 from collections import Counter
 
@@ -453,7 +454,27 @@ def test_paper_predicates_run_in_tier_1_once_hot(monkeypatch, script):
     assert outcome(source + "\n" + PREDICATE_CALLS[script])[0][0] == "value"
     assert all(map(is_tier_1, generated))
     wanted = bodies(parse_source(source).body)
-    assert len(wanted) >= 2 and set(wanted) <= {dump_body(node.body) for node in generated}
+    ran = {dump_body(node.body) for node in generated}
+    ran |= {body for node in generated if isinstance(node, ast.AnonBlock)
+            for body in inlined_bodies(node.body)}
+    assert len(wanted) >= 2 and set(wanted) <= ran
+
+
+def inlined_bodies(node):
+    """Dumps of the block bodies that a block body holding node runs inline
+    in its tier-1 code: the blocks of calls of index, list, set, lfold and
+    rfold by name, with no named arguments or __args__, and theirs."""
+    found = []
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            found += inlined_bodies(item)
+    elif isinstance(node, ast.Node) and not isinstance(node, ast.FuncDef):
+        if (isinstance(node, ast.Call) and node.block is not None and not node.named
+                and node.splat is None and isinstance(node.callee, ast.Identifier)
+                and node.callee.name in codegen._INLINED):
+            found.append(dump_body(node.block.body))
+        found += inlined_bodies(list(vars(node).values()))
+    return found
 
 
 def test_loop_signals_cross_tiers():
@@ -693,11 +714,15 @@ rows = list{ [$, $ + 1] }([0:300])
     at_defaults = count_entries(source)
     set_tier(monkeypatch, 0)
     assert count_entries(source) == at_defaults
-    # one entry per builtin loop: the two list{}s over [0:...], index{}, pick's
-    # list{} and one lfold{} for each of its 300 rows; each call of fib gives
-    # it its one argument, so it enters fib's body directly, in both tiers
-    assert at_defaults["invoke_block"] == 304 and at_defaults["enter"] > 1000
+    # one entry per builtin loop: the two list{}s over [0:...], index{} and
+    # pick's list{}, whose body is hot before its first loop, so its tier-1
+    # code runs each row's lfold{} inline; each call of fib gives it its one
+    # argument, so it enters fib's body directly, in both tiers
+    assert at_defaults["invoke_block"] == 4 and at_defaults["enter"] > 1000
     assert at_defaults["call_function"] == 0
+    # in tier 0 every builtin loop is entered, one lfold{} for each of pick's 300 rows too
+    set_tier(monkeypatch, NEVER)
+    assert count_entries(source)["invoke_block"] == 304
 
 
 def test_tier_1_code_looks_value_operations_up_in_the_interpreter(monkeypatch):
@@ -985,6 +1010,145 @@ def test_a_position_less_error_in_a_block_takes_the_builtin_call_s(monkeypatch, 
     assert outcome(f"def f(){{ {imported} }}\n f()")[0] == (*error, None, None)
 
 
+# Calls of index, list, set, lfold and rfold with a block, in a block body
+# hot before its first loop: its tier-1 code runs the builtin inline when the
+# callee is that builtin.  Each outcome is what the generic call gave, the
+# builtin's own code and Interp.invoke_block, at each threshold below.
+INLINE_CASES = [
+    # break and continue in the inner body
+    ('list{ index{ continue($ == 1) ; break($ == 3) ; $ > 1 }([0, 1, 2, 3]) }([0:130])[129]',
+     ('value', 'int', '2')),
+    ('list{ index{ continue($ == 1) ; break($ == 2) ; $ > 5 }([0, 1, 2, 3]) }([0:130])[129]',
+     ('value', 'int', '-1')),
+    ('list{ list{ continue($ == 1) ; break($ == 3) ; $ * 2 }([0, 1, 2, 3, 4]) }([0:130])[129]',
+     ('value', 'list', '[0, 4]')),
+    ('list{ set{ continue($ == 1) ; break($ == 3) ; $ % 2 }([0, 1, 2, 3, 4]) }([0:130])[129]',
+     ('value', 'set', '{0}')),
+    ('list{ lfold{ continue($ == 1) ; break($ == 3) ; _$_ + $ }([0, 1, 2, 3, 4], 10) }([0:130])'
+     '[129]', ('value', 'int', '12')),
+    ('list{ rfold{ continue($ == 3) ; break($ == 1) ; _$_ + $ }([0, 1, 2, 3, 4], 10) }([0:130])'
+     '[129]', ('value', 'int', '16')),
+    # return in an inner block under a function
+    ('def f(l){ list{ index{ return [_, $] }([5]) }(l) ; 8 }\nf([0:130])',
+     ('value', 'list', '[0, 5]')),
+    ('def f(l){ list{ list{ return $ }([6]) }(l) ; 8 }\nf([0:130])', ('value', 'int', '6')),
+    ('def f(l){ list{ set{ return $ }([6]) }(l) ; 8 }\nf([0:130])', ('value', 'int', '6')),
+    ('def f(l){ list{ lfold{ return _$_ }([1], 7) }(l) ; 8 }\nf([0:130])', ('value', 'int', '7')),
+    ('def f(l){ list{ rfold{ return $ }([1, 2]) }(l) ; 8 }\nf([0:130])', ('value', 'int', '2')),
+    # a source that cannot be iterated: the builtin's error, at the call
+    ('list{ index{ $ }(true) }([0:130])',
+     ('error', 'TypeError', 'index cannot iterate a bool', 1, 7)),
+    ('list{ \n list{ $ }(1.5) }([0:130])',
+     ('error', 'TypeError', 'list cannot iterate a float', 2, 2)),
+    ('list{ set{ $ }(2) }([0:130])', ('error', 'TypeError', 'set cannot iterate a int', 1, 7)),
+    ('list{ x = $ ; lfold{ $ }(x, 0) }([0:130])',
+     ('error', 'TypeError', 'lfold cannot iterate a int', 1, 15)),
+    ('list{ rfold{ $ }(null) }([0:130])',
+     ('error', 'TypeError', 'rfold cannot iterate a null', 1, 7)),
+    # the name rebound to a guest function or to another builtin
+    ('lfold = def(a, b){ a + b }\nlist{ lfold{ $ }([1], 0) }([0:130])',
+     ('error', 'TypeError', 'function <anon> does not take a block', 2, 7)),
+    ('def index(a){ a }\nlist{ index{ $ }([1]) }([0:130])',
+     ('error', 'TypeError', 'function index does not take a block', 2, 7)),
+    ('lfold = rfold\nlist{ lfold{ _$_ + [$] }([1, 2], []) }([0:130])[129]',
+     ('value', 'list', '[[2], [1]]')),
+    ('set = list\nlist{ set{ $ % 2 }([1, 2, 3]) }([0:130])[129]', ('value', 'list', '[1, 0, 1]')),
+    ('list{ list = index ; list{ $ > 1 }([1, 2]) }([0:130])[129]', ('value', 'int', '1')),
+    # set sinks duplicates by value
+    ('list{ set{ $ % 2 }([1, 2, 3, 4]) }([0:130])[129]', ('value', 'set', '{1, 0}')),
+    ("list{ set{ [$ % 2, 'a'] }([1, 2, 3, 1]) }([0:130])[129]",
+     ('value', 'set', '{[1, a], [0, a]}')),
+    ("list{ set{ $ }([1, 1.0, 'a', 'a']) }([0:130])[129]", ('value', 'set', '{1, a}')),
+    # a source the body mutates: a fold iterates a snapshot, list{} the live list
+    ('list{ l = [1, 2, 3] ; [lfold{ l[2] = 100 ; l += [9] ; _$_ + $ }(l, 0), l] }([0:130])[129]',
+     ('value', 'list', '[6, [1, 2, 100, [9], [9], [9]]]')),
+    ('list{ l = [1, 2, 3] ; [rfold{ l[0] = 100 ; _$_ + $ }(l, 0), l] }([0:130])[129]',
+     ('value', 'list', '[6, [100, 2, 3]]')),
+    ('list{ l = [1, 2] ; [list{ if (_ < 2) { l += [9] } ; $ }(l), l] }([0:130])[129]',
+     ('value', 'list', '[[1, 2, [9], [9]], [1, 2, [9], [9]]]')),
+    # nested inline calls; the outer frame's names read and written inside
+    ('list{ t = $ ; lfold{ _$_ + lfold{ _$_ + t + $ }([1, 2], 0) }([0, 1], 0) }([0:130])[129]',
+     ('value', 'int', '522')),
+    ('lfold{ _$_ + index{ $ > _$_ }([0, 1, 3, 6, 10]) }([0:130], 0)', ('value', 'int', '9')),
+    ('lfold{ index{ _$_ += 1 ; false }([1, 2]) ; _$_ + $ }([0:130], 0)',
+     ('value', 'int', '8645')),
+    ('list{ t = $ ; fs = list{ def(){ [$, t] } }([1, 2]) ; fs[1]() }([0:130])[129]',
+     ('value', 'list', '[2, 129]')),
+    ('list{ lfold{ var g = $ ; _$_ }([1, 2], 0) ; g }([0:130])[129]', ('value', 'int', '2')),
+    ('index{ lfold{ _$_ + $ }([$, 1], 0) > 100 }([0:130])', ('value', 'int', '100')),
+    # the frame cap through a function, its list{} and the lfold{} inside,
+    # reached at each of the three
+    ('def g(n){ n == 0 ? 0 : list{ lfold{ g(n - 1) }([1], 0) }([1])[0] }\ng(3333)',
+     ('value', 'int', '0')),
+    ('def g(n){ n == 0 ? 0 : list{ lfold{ g(n - 1) }([1], 0) }([1])[0] }\ng(3334)',
+     ('error', 'StackOverflowError', 'recursion deeper than 10000 frames', 1, 28)),
+    ('def g(n){ n == 0 ? 0 : list{ lfold{ g(n - 1) }([1], 0) }([1])[0] }\nlist{ g(3334) }([1])',
+     ('error', 'StackOverflowError', 'recursion deeper than 10000 frames', 1, 37)),
+    ('def g(n){ n == 0 ? 0 : list{ lfold{ g(n - 1) }([1], 0) }([1])[0] }\n'
+     'list{ list{ g(3333) }([1]) }([1])',
+     ('error', 'StackOverflowError', 'recursion deeper than 10000 frames', 1, 35)),
+]
+
+
+def set_threshold(monkeypatch, threshold):
+    """Both tier-up thresholds at threshold, or at their defaults for DEFAULTS."""
+    if threshold == DEFAULTS:
+        monkeypatch.setattr(interpreter, "BLOCK_TIER_UP_AT", DEFAULTS[0])
+        monkeypatch.setattr(interpreter, "FUNCTION_TIER_UP_AT", DEFAULTS[1])
+    else:
+        set_tier(monkeypatch, threshold)
+
+
+@pytest.mark.parametrize("threshold", [NEVER, 0, 1, DEFAULTS])
+@pytest.mark.parametrize("source, want", INLINE_CASES)
+def test_block_builtins_run_inline_keep_every_outcome(monkeypatch, threshold, source, want):
+    set_threshold(monkeypatch, threshold)
+    assert outcome(source) == (want, "")
+
+
+@pytest.mark.parametrize("threshold", [NEVER, 0, 1, DEFAULTS])
+def test_a_hot_block_body_calls_a_native_bound_to_a_block_builtin_s_name(monkeypatch, threshold):
+    from njexl.stdlib import BUILTINS, default_registry
+
+    set_threshold(monkeypatch, threshold)
+    parse_int = default_registry()["java.lang.Integer"].bindings["parseInt"]
+    for name in ("index", "list", "set", "lfold", "rfold"):
+        scope = new_global_scope()
+        scope.bindings[name], scope.bindings["each"] = parse_int, BUILTINS["list"]
+        assert function_calls(f"each{{ {name}{{ $ }}('42') }}([0:130])[129]", scope)[0] == "42"
+        with pytest.raises(NjexlError, match="parseInt takes 1 arguments, got 2"):
+            function_calls(f"each{{ {name}{{ $ }}('42', 0) }}([0:130])", scope)
+
+
+@pytest.mark.parametrize("threshold", [NEVER, 0, 1, DEFAULTS])
+def test_an_inlined_block_s_position_less_error_takes_the_call_s(monkeypatch, tmp_path, threshold):
+    set_threshold(monkeypatch, threshold)
+    path = tmp_path / "m.njxl"
+    path.write_text("break\n", encoding="utf-8")
+    imported = f"import {to_src(str(path))} as m"
+    error = ("error", "SyntaxError", "'break' outside a loop")
+    for call in ("index{{ {} }}([1])", "list{{ {} }}([1])", "set{{ {} }}([1])",
+                 "lfold{{ {} }}([1], 0)", "rfold{{ {} }}([1])"):
+        source = f"list{{\n  {call.format(imported)} }}([0:130])"
+        assert outcome(source)[0] == (*error, 2, 3), call
+
+
+def test_a_call_that_cannot_run_inline_keeps_the_generic_call(monkeypatch):
+    # the list{} body calls lfold when its block holds a #clock, or nests too
+    # deep to inline, and still runs in tier 1
+    set_tier(monkeypatch, 0)
+    generated = recording_generate(monkeypatch)
+    source = "list{ lfold{ #clock{ 1 } ; _$_ + $ }([$, 1], 0) }([1, 2])"
+    assert outcome(source)[0] == ("value", "list", "[2, 3]")
+    outer, folded = generated
+    assert is_tier_1(outer) and not is_tier_1(folded)
+    generated.clear()
+    source = f"list{{ lfold{{ {nested_ternaries('_$_ + $', 14)} }}([$, 1], 0) }}([1, 2])"
+    assert outcome(source)[0] == ("value", "list", "[2, 3]")
+    outer, folded = generated
+    assert is_tier_1(outer) and is_tier_1(folded)
+
+
 def test_names_and_numbers_in_the_text_add_no_templates():
     # a digit Member is keyed by isdigit() alone: each k below gives the same shapes
     def run(k):
@@ -1101,5 +1265,10 @@ xs = [0:300].list()
     # each block by its first statement, as the syntax-tree dump names it
     first = {dump(node.body[0]).split("\n")[0].rsplit(" ", 1)[0]: node for node in generated}
     assert all(map(is_tier_1, first.values()))
-    assert is_frameless(first["Binary and"]) and is_frameless(first["Assign +="])
+    assert is_frameless(first["Binary and"])
     assert not is_frameless(first["Unary not"]) and not is_frameless(first["Assign ="])
+    # the table's lfold{} runs inline in its list{}'s code, frameless: that
+    # code makes one frame per row, the list{} body's own, and no other
+    assert "Assign +=" not in first
+    [table] = tier_1_code(first["Assign ="])
+    assert sum(op.argval == "Scope" for op in dis.get_instructions(table)) == 1
