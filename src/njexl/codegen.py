@@ -18,13 +18,14 @@ names are read and written through frame.bindings and the parent chain,
 syntax node as a constant, so it shares one tier state with the tier-0
 code of this body.  Each node kind's code is written once: tier-1 code
 inlines it, a literal operand's type decided here, and tier 0 makes the
-code of every kind but Literal, ListLit, MapLit, ClockBlock and
-MultiAssign from templates written by the same methods
+code of every kind from templates written by the same methods
 (tier_0_template), as it makes its loops (tier_0_loop).  Every error is
 raised with the kind, message, line and column that tier 0 gives it.  A
 guest loop is a Python loop, and `break` and `continue` inside it are
 Python's; `return` in a function body is Python's.  Everywhere else they
-raise the signal that tier 0 raises.
+raise the signal that tier 0 raises.  A #clock body runs in a frame of its
+own, through which it reads every name, and a #(...) assignment with a
+capture catches its value's error as tier 0 does.
 
 A block body's code, one function per (node, step), is run(interp, parent,
 items, source, partial, sink): `for index, item in enumerate(items):`
@@ -55,15 +56,14 @@ builtin's own work on its arguments, the frame of depth Interp.invoke_block
 takes, and the step's loop with the inner block's body inlined, framed or
 frameless as its own code would be, under names of its own.  Any other
 callee takes the generic call beside it, and so does every call of a site
-whose inner body cannot be inlined (a #clock or #(...) in it, or too deep);
-the inner block's own heat and tier-1 code are left alone.
+whose inner body is nested too deep to inline; the inner block's own heat
+and tier-1 code are left alone.
 
 A body that cannot be one Python function stays in tier 0: generate
-returns None.  That is a body holding a node kind this module does not
-cover (#clock and #(...) assignments), and a body nested too
-deep: CPython refuses more than 20 statically nested blocks (a loop and
-its try each take one, a builtin's loop included), so no suite is opened at
-_MAX_NESTING or deeper.
+returns None.  That is a body nested too deep: CPython refuses more than
+20 statically nested blocks (a loop and its try each take one, a
+builtin's loop included), so no suite is opened at _MAX_NESTING or
+deeper.
 
 A tier-0 template is the code the emitter writes for a stand-in of a node
 that keeps only what template_key holds of it (its kind, its op, and so
@@ -127,14 +127,14 @@ _BODY_STATE = ("step", "partial", "suffix", "loop", "own", "frameless", "writes"
 
 
 class _Unsupported(Exception):
-    """The body holds a node kind that tier 1 does not cover, or nests too deep."""
+    """The body nests too deep for one Python function."""
 
 
 def generate(node, namespace, step=None):
     """Tier-1 code for the body of node (an ast.FuncDef or ast.AnonBlock),
     run with namespace (the interpreter module's dict) as its globals; None
-    if it stays in tier 0.  A block body's step (a STEPS key) is the
-    builtin's loop its code runs.  Nothing here refers to the interpreter
+    if it nests too deep and stays in tier 0.  A block body's step (a STEPS
+    key) is the builtin's loop its code runs.  Nothing here refers to the interpreter
     module itself, so a dropped copy of njexl is still freed by reference
     counting."""
     params = node.params if isinstance(node, FuncDef) else None
@@ -168,10 +168,12 @@ def tier_0_template(node, namespace):
     namespace as its globals: make(node) returns code(interp, scope) for any
     node of that shape.  The emitter writes code for a stand-in of node that
     keeps what template_key holds; each other part of it is one of make()'s
-    names, bound only when the code uses it: a text field its text, an own
-    Literal child its value, any other child or body its tier-0 code, run
-    where tier 1 inlines it, and a node of the tree; a position is read
-    from node when the code needs it."""
+    names, bound only when the code uses it: a text field its text, a
+    Literal or an own Literal child its value, any other child or body its
+    tier-0 code, run where tier 1 inlines it, a literal's items or entries
+    one tuple of their codes, whatever their count, and a node of the tree;
+    a position (or a #(...)'s targets) is read from node when the code
+    needs it."""
     gen = _Generator((), None)  # no own names: every name is read through the frames
     gen.function = False  # a return raises ReturnSignal, as in all tier-0 code
     binds = {}  # make()'s names, each to what make() binds it to
@@ -191,6 +193,11 @@ def tier_0_template(node, namespace):
         if field == "named":
             return [(_Text(bind("t", f"{path}[{i}][0]")), part(arg, f"{path}[{i}][1]", None, own))
                     for i, (_, arg) in enumerate(value)]
+        if field == "items":  # a ListLit's: one tuple of their codes, of any length
+            return _Hole(bind("c", f"tuple([_compile(item) for item in {path}])"))
+        if field == "entries":  # a MapLit's: each key's and value's code and the key's position
+            codes = "(_compile(key), _compile(value), key.line, key.col)"
+            return _Hole(bind("c", f"tuple([{codes} for key, value in {path}])"))
         if isinstance(value, list):  # a body, or a FuncDef's params, which no code reads
             return _Hole(bind("c", f"compile_body({path})"))
         if own and isinstance(value, Literal):
@@ -203,6 +210,8 @@ def tier_0_template(node, namespace):
 
     def stand_in(real, path, own):
         kind = type(real)
+        if kind is Literal and real.value is not None:  # a value of any type
+            return _Hole(bind("k", f"{path}.value"), literal=True)
         node = object.__new__(kind)  # of real's class, for the emitter's dispatch and tests
         node.line, node.col = f"{path}.line", f"{path}.col"
         gen.const_names[id(node)] = "node" if path == "node" else bind("n", path)
@@ -274,7 +283,8 @@ class _Digits(_Text):
 
 class _Hole:
     """A child or a body of a template's node: make()'s name for its tier-0
-    code, or for its value when it is an own Literal child (literal)."""
+    code (a tuple of codes for a literal's items or entries), or for its
+    value when it is a Literal (literal)."""
 
     def __init__(self, name, literal=False):
         self.name, self.literal = name, literal
@@ -477,10 +487,7 @@ class _Generator:
     def node(self, node):
         if isinstance(node, _Hole):
             return self.hole(node)
-        handler = getattr(self, "_" + type(node).__name__, None)
-        if handler is None:
-            raise _Unsupported(type(node).__name__)
-        return handler(node)
+        return getattr(self, "_" + type(node).__name__)(node)
 
     def hole(self, hole):
         """The operand of a template's hole: its literal value, or what its code gives."""
@@ -936,13 +943,63 @@ class _Generator:
 
     def _ListLit(self, node):
         out = self.new()
-        self.emit(f"{out} = [{', '.join(self.node(item) for item in node.items)}]")
+        if isinstance(node.items, _Hole):  # a template's: one tuple of their codes
+            self.emit(f"{out} = [item(interp, {self.scope}) for item in {node.items.name}]")
+        else:
+            self.emit(f"{out} = [{', '.join([self.node(item) for item in node.items])}]")
         return out
 
     def _MapLit(self, node):
         out = self.new()
         self.emit(f"{out} = XMap()")
+        if isinstance(node.entries, _Hole):  # a template's: one tuple of their codes
+            scope = self.scope
+            self.open(f"for key, value, line, col in {node.entries.name}:")
+            self.emit(f"{out}.set(key(interp, {scope}), value(interp, {scope}), line, col)")
+            self.close()
+            return out
         for key, value in node.entries:
             k, v = self.node(key), self.node(value)
             self.emit(f"{out}.set({k}, {v}, {key.line}, {key.col})")
         return out
+
+    def _ClockBlock(self, node):
+        """Emit `#clock{ body }`: the body run in a frame of its own, where
+        every name, the body's own names too, is read through the frames;
+        its value is the pair of the clock's ticks over that run and the
+        body's value."""
+        s = self.new()[1:]
+        scope, B, start = f"scope{s}", f"B{s}", f"start{s}"
+        self.emit(f"{B} = {{}}")
+        self.emit(f"{scope}, {start} = Scope({self.scope}, {B}), interp.io.clock()")
+        saved = self.scope, self.B, self.own, self.locals
+        self.scope, self.B, self.own, self.locals = scope, B, frozenset(), {}
+        value = self.body(node.body)
+        self.scope, self.B, self.own, self.locals = saved
+        out = self.new()
+        self.emit(f"{out} = (int(interp.io.clock() - {start}), {value})")
+        return out
+
+    def _MultiAssign(self, node):
+        """Emit `#(targets) = value`: each target gets its part of the value
+        (_destructure), assigned through the frames in target order.  With a
+        capture, an error in the value or its split is caught: each target
+        gets null, and the capture the error (else null)."""
+        where, parts, error = self.const(node), self.new(), self.new()
+        if node.capture is not None:
+            self.open("try:")
+        self.emit(f"{parts} = _destructure({self.node(node.value)}, {where})")
+        if node.capture is not None:
+            self.emit(f"{error} = None")
+            self.close()
+            self.open("except (NjexlError, RecursionError) as exc:")
+            self.emit("exc = guest_error(exc)")
+            self.emit(f"{parts}, {error} = [None] * len({where}.targets), "
+                      "ErrorValue(exc.kind, exc.message, exc.cause)")
+            self.close()
+        self.open(f"for name, part in zip({where}.targets, {parts}):")
+        self.emit(f"{self.scope}.assign(name, part)")
+        self.close()
+        if node.capture is not None:
+            self.emit(f"{self.scope}.assign({where}.capture, {error})")
+        return "None"

@@ -27,10 +27,10 @@ from .stdlib import default_io
 from .values import ErrorValue, XMap, XSet, tag
 
 _MAX_BRIDGE_DEPTH = 64
-# exact types whose values cross the bridge unchanged both ways, so elements of
-# a plain list below the depth cap are copied inline, and the list itself is
-# tested for before any other type (bool and the INT tag BigInt are int
-# subclasses, not these types, and recurse)
+# exact types whose values cross the bridge unchanged both ways, so a plain
+# list of them below the depth cap is copied in one pass (_plain_copy), and
+# the list itself is tested for before any other type (bool and the INT tag
+# BigInt are int subclasses, not these types, and recurse)
 _SAME = (int, str)
 _PLAIN = frozenset(_SAME)
 
@@ -113,11 +113,9 @@ def _plain_copy(value, depth):
 
 
 def _to_value(value, depth):
-    if type(value) is list and depth < _MAX_BRIDGE_DEPTH:
-        copy = _plain_copy(value, depth)
-        if copy is not None:
-            return copy
-        return [v if type(v) in _SAME else _to_value(v, depth + 1) for v in value]
+    copy = _plain_copy(value, depth) if type(value) is list else None
+    if copy is not None:
+        return copy
     if depth > _MAX_BRIDGE_DEPTH:
         raise ConversionError("host data nested too deeply")
     if value is None or isinstance(value, (int, str, float, Decimal, range)):  # bool is an int
@@ -126,7 +124,7 @@ def _to_value(value, depth):
         return value
     if isinstance(value, tuple) and len(value) == 2:
         return (_to_value(value[0], depth + 1), _to_value(value[1], depth + 1))
-    if isinstance(value, (list, tuple)):  # a subclass, a tuple, or a list at the cap
+    if isinstance(value, (list, tuple)):  # a subclass, a tuple, or a list _plain_copy did not take
         return [_to_value(v, depth + 1) for v in value]
     if isinstance(value, (set, frozenset)):
         return XSet(_to_value(v, depth + 1) for v in value)
@@ -144,11 +142,9 @@ def _to_value(value, depth):
 
 
 def _from_value(value, depth):
-    if type(value) is list and depth < _MAX_BRIDGE_DEPTH:
-        copy = _plain_copy(value, depth)
-        if copy is not None:
-            return copy
-        return [v if type(v) in _SAME else _from_value(v, depth + 1) for v in value]
+    copy = _plain_copy(value, depth) if type(value) is list else None
+    if copy is not None:
+        return copy
     if depth > _MAX_BRIDGE_DEPTH:
         raise ConversionError("script data nested too deeply")
     if type(value) in _SAME or value is None or isinstance(value, (bool, str)):
@@ -159,7 +155,7 @@ def _from_value(value, depth):
         return value
     if isinstance(value, tuple):
         return tuple(_from_value(v, depth + 1) for v in value)
-    if isinstance(value, (list, Iterator)):  # an iterator, or a list at the cap
+    if isinstance(value, (list, Iterator)):  # an iterator, or a list _plain_copy did not take
         return [_from_value(v, depth + 1) for v in value]
     if isinstance(value, XSet):
         try:

@@ -6,15 +6,13 @@ generation", 1987), with operators, literals, comparison directions and
 call shapes fixed when the code is built.  A node's closure is made from
 the template of its shape (codegen.template_key) that tier 1's emitter
 writes the first time a node of that shape is compiled
-(codegen.tier_0_template), as builtins' loops are (tier_0_loop), so calls,
-name lookup, assignment, control flow and each exact-type lane are written
-once.  Only Literal, ListLit, MapLit, ClockBlock (#clock) and MultiAssign
-(#(...)) have compilers of their own here.  Compiled code never holds an
-Interp, a Scope or a Function, and neither does the one state written
-onto syntax-tree nodes (a body's tier state, below), so contexts are
-freed by reference counting alone.  An Interp caches the code of recent
-source texts: a repeated predicate skips the lexer, the parser and the
-compiler.
+(codegen.tier_0_template), as builtins' loops are (tier_0_loop), so the
+code of every node kind, each exact-type lane included, is written once.
+Compiled code never holds an Interp, a Scope or a Function, and neither
+does the one state written onto syntax-tree nodes (a body's tier state,
+below), so contexts are freed by reference counting alone.  An Interp
+caches the code of recent source texts: a repeated predicate skips the
+lexer, the parser and the compiler.
 
 Tier 1.  Each function body and each block body keeps its tier state on its
 syntax node, an ast.FuncDef or ast.AnonBlock: node.run is a function
@@ -25,10 +23,10 @@ an AnonBlock, shares that state, whichever tier the code around it runs
 in.  Nothing is built for a body until it first runs, in tier 0.  A block
 body tiers up once its builtins have given it BLOCK_TIER_UP_AT elements,
 before the loop that reaches that count when its source's length is known;
-a function body on its FUNCTION_TIER_UP_AT-th call.  Tier-up translates the body into one flat
-Python function (codegen.py) that raises the same errors; a body holding a
-node kind the generator does not cover stays in tier 0.  Program bodies and
-one-shot evaluations stay in tier 0.  Both tiers enter a function body
+a function body on its FUNCTION_TIER_UP_AT-th call.  Tier-up translates
+the body into one flat Python function (codegen.py) that raises the same
+errors; a body nested too deep for one stays in tier 0.  Program bodies
+and one-shot evaluations stay in tier 0.  Both tiers enter a function body
 through Interp.enter and a block body through Interp.invoke_block (but for
 the builtin calls that tier-1 block code runs inline, see Blocks), and
 both look the value operations (arith, values_equal, ...) up in this
@@ -274,8 +272,8 @@ def warm(node, step=None, count=1):
     The first time the count reaches the body's tier-up threshold, heat is
     set to -1: the body is hot.  Each use of a hot body (a call or a step)
     gets its tier-1 code the first time it runs, kept in node.tier_1, and a
-    function's node.run becomes its tier-1 code.  A use the generator does
-    not cover stays in tier 0.  The tier-0 closures, a block body's
+    function's node.run becomes its tier-1 code.  A use nested too deep for
+    the generator stays in tier 0.  The tier-0 closures, a block body's
     node.run, are built the first time tier-0 code runs: a body that never
     runs is never compiled, and neither is the tier-0 code of a body hot
     before its first run."""
@@ -476,7 +474,7 @@ class Interp:
             self.depth -= 1
 
 
-# --- compiler: _compile_<Name> compiles an ast.<Name> node, a template any other ----
+# --- compiler: a node's code comes from its shape's template; helpers that code calls --
 # Value operations (arith, values_equal, ...) are looked up as module globals when
 # code runs, never bound when it is built, so that perfbench/spans.py can wrap them.
 
@@ -485,7 +483,7 @@ def compile_body(stmts):
     """Code that runs stmts in order and returns the last value (null if none)."""
     codes = [_compile(stmt) for stmt in stmts or ()]
     if len(codes) <= 1:
-        return codes[0] if codes else _constant(None)
+        return codes[0] if codes else lambda interp, scope: None
     init, last = tuple(codes[:-1]), codes[-1]
 
     def sequence(interp, scope):
@@ -497,11 +495,7 @@ def compile_body(stmts):
 
 
 def _compile(node):
-    """Code for node: its kind's own compiler's, else its shape's template's
-    (codegen.tier_0_template), built on first use."""
-    compiler = _COMPILERS.get(type(node))
-    if compiler is not None:
-        return compiler(node)
+    """Code for node: its shape's template's (codegen.tier_0_template), built on first use."""
     key = template_key(node)
     make = _TEMPLATES.get(key)
     if make is None:
@@ -514,14 +508,6 @@ _TEMPLATES = {}  # codegen.template_key -> its make(node)
 
 def _error(node, kind, message):
     return NjexlError(kind, message, getattr(node, "line", None), getattr(node, "col", None))
-
-
-def _constant(value):
-    return lambda interp, scope: value
-
-
-def _compile_Literal(node):
-    return _constant(node.value)
 
 
 def _undefined(node):
@@ -550,35 +536,17 @@ def _index_set(obj, key, value, node):
         raise _error(node, "TypeError", f"cannot assign into {tag(obj)}")
 
 
-def _compile_MultiAssign(node):
-    targets, capture, value = node.targets, node.capture, _compile(node.value)
-    whole = capture is not None and len(targets) == 1
-
-    def multi_assign(interp, scope):
-        try:
-            result = value(interp, scope)
-            parts, error = [result] if whole else _destructure(result, len(targets), node), None
-        except (NjexlError, RecursionError) as exc:
-            if capture is None:
-                raise
-            exc = guest_error(exc)
-            parts, error = [None] * len(targets), ErrorValue(exc.kind, exc.message, exc.cause)
-        for name, part in zip(targets, parts):
-            scope.assign(name, part)
-        if capture is not None:
-            scope.assign(capture, error)
-
-    return multi_assign
-
-
-def _destructure(value, count, node):
-    if isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
+def _destructure(value, node):
+    """The parts of value for the targets of node, an ast.MultiAssign: value
+    whole when a capture follows one target."""
+    count = len(node.targets)
+    if count == 1 and node.capture is not None:
+        return [value]
+    if not isinstance(value, (list, tuple)):
         raise _error(node, "DestructureError", f"cannot split {tag(value)} into {count} values")
-    if len(parts) != count:
-        raise _error(node, "DestructureError", f"expected {count} values, got {len(parts)}")
-    return parts
+    if len(value) != count:
+        raise _error(node, "DestructureError", f"expected {count} values, got {len(value)}")
+    return value
 
 
 # the orderings' tests of order_compare's answer, for the operands their lanes do not take
@@ -593,17 +561,6 @@ def _ordered(a, b, node):
             return sub_collection(a, b, node.line, node.col)
         raise _error(node, "TypeError", f"cannot order {tag(a)} and {tag(b)} with {node.op}")
     return _ORDERINGS[node.op](order_compare(a, b, node.line, node.col), 0)
-
-
-def _compile_ClockBlock(node):
-    body = compile_body(node.body)
-
-    def clock(interp, scope):
-        frame, start = Scope(scope), interp.io.clock()
-        value = body(interp, frame)
-        return (int(interp.io.clock() - start), value)
-
-    return clock
 
 
 def _module_member(scope, node):
@@ -660,30 +617,6 @@ def _range(start, end, step, node):
     if step == 0:
         raise _error(node, "TypeError", "range step must not be zero")
     return range(*parts)
-
-
-def _compile_ListLit(node):
-    items = tuple(_compile(item) for item in node.items)
-    return lambda interp, scope: [item(interp, scope) for item in items]
-
-
-def _compile_MapLit(node):
-    entries = tuple((_compile(key), _compile(value), key) for key, value in node.entries)
-
-    def map_lit(interp, scope):
-        out = XMap()
-        for key, value, key_node in entries:
-            out.set(key(interp, scope), value(interp, scope), key_node.line, key_node.col)
-        return out
-
-    return map_lit
-
-
-_COMPILERS = {
-    getattr(ast, name[len("_compile_"):]): compiler
-    for name, compiler in list(globals().items())
-    if name.startswith("_compile_")
-}
 
 
 def new_global_scope(args=()):

@@ -253,22 +253,23 @@ def canonical_key(v, line=None, col=None, _seen=None):
     if isinstance(v, range):
         return ("range", (v.start, v.step, range_length(v)) if v else ())
     if isinstance(v, tuple):
-        return ("pair", tuple(canonical_key(e, line, col, _seen) for e in v))
+        return ("pair", tuple([canonical_key(e, line, col, _seen) for e in v]))
     if isinstance(v, (list, XSet, XMap)):
         if _seen is None:
             _seen = set()
         if id(v) in _seen:
             raise NjexlError("TypeError", "cyclic value has no identity", line, col)
         _seen.add(id(v))  # _seen holds v's ancestors only: a shared value is no cycle
+        # lists, not generators: a C call that consumes a generator nests in C
         if isinstance(v, list):
-            key = ("list", tuple(sorted(canonical_key(e, line, col, _seen) for e in v)))
+            key = ("list", tuple(sorted([canonical_key(e, line, col, _seen) for e in v])))
         elif isinstance(v, XSet):
-            key = ("set", tuple(sorted(canonical_key(e, line, col, _seen) for e in v)))
+            key = ("set", tuple(sorted([canonical_key(e, line, col, _seen) for e in v])))
         else:
-            pairs = (
+            pairs = [
                 (canonical_key(k, line, col, _seen), canonical_key(val, line, col, _seen))
                 for k, val in v.items()
-            )
+            ]
             key = ("map", tuple(sorted(pairs)))
         _seen.discard(id(v))
         return key
@@ -309,6 +310,9 @@ def values_equal(a, b, line=None, col=None):
         kind = native_kind(a)
         if kind is not None and native_kind(b) is kind:
             return sorted(a) == sorted(b)
+    if a is b:  # one key, for a cycle's error: comparing two deep keys recurses in C
+        canonical_key(a, line, col)
+        return True
     return canonical_key(a, line, col) == canonical_key(b, line, col)
 
 
@@ -593,17 +597,18 @@ def stringify(v, _seen=None):
         if id(v) in _seen:
             return "[...]" if isinstance(v, list) else "{...}"
         _seen.add(id(v))  # _seen holds v's ancestors only: a shared value is no cycle
+        # lists, not generators: see canonical_key
         if isinstance(v, list):
-            text = "[" + ", ".join(stringify(e, _seen) for e in v) + "]"
+            text = "[" + ", ".join([stringify(e, _seen) for e in v]) + "]"
         elif isinstance(v, XSet):
-            text = "{" + ", ".join(stringify(e, _seen) for e in v) + "}"
+            text = "{" + ", ".join([stringify(e, _seen) for e in v]) + "}"
         else:
-            entries = (f"{stringify(k, _seen)} : {stringify(val, _seen)}" for k, val in v.items())
+            entries = [f"{stringify(k, _seen)} : {stringify(val, _seen)}" for k, val in v.items()]
             text = "{" + ", ".join(entries) + "}"
         _seen.discard(id(v))
         return text
     if isinstance(v, tuple):
-        return "(" + ", ".join(stringify(e, _seen) for e in v) + ")"
+        return "(" + ", ".join([stringify(e, _seen) for e in v]) + ")"
     if isinstance(v, Function):
         return f"def {v.node.name or ''}({', '.join(v.node.params)})"
     if isinstance(v, NativeFunction):

@@ -216,6 +216,19 @@ def test_all_corpus_scripts_parse():
         parse_source(path.read_text())
 
 
+EVERY_KIND = """\
+var g = null
+import 'java.lang.Integer' as I
+def f(a, b){ if (a > b) { return -a } else { return } }
+#(o, :e) = I:parseInt('4' + 2)
+for (i : [0:10:2]) { while (true) { break(i == 4) ; continue } }
+t = #clock{ #|[1, 2.5]| }
+m = {'k' : true, 1 : false}
+x = list{ $ * 2 }(f(1, b = 2)) + f(__args__ = [1, 2])
+y = m['k'] ? t.0 : not x
+"""
+
+
 def test_ast_dump_golden():
     program = parse_source("x = 1 + 2")
     assert dump(program) == "\n".join(
@@ -226,6 +239,88 @@ def test_ast_dump_golden():
             "    Binary + (1:5)",
             "      Literal 1 (1:5)",
             "      Literal 2 (1:9)",
+        ]
+    )
+    # a node of every kind, and the branches of each kind's dump
+    program = parse_source(EVERY_KIND)
+    assert {type(node) for node in _nodes(program)} == set(ast.Node.__subclasses__())
+    assert dump(program) == "\n".join(
+        [
+            "Program (1:1)",
+            "  VarDecl g (1:1)",
+            "    Literal null (1:9)",
+            "  Import 'java.lang.Integer' as I (2:1)",
+            "  FuncDef f(a,b) (3:1)",
+            "    If (3:14)",
+            "      Binary > (3:18)",
+            "        Identifier a (3:18)",
+            "        Identifier b (3:22)",
+            "      then:",
+            "        Return (3:27)",
+            "          Unary - (3:34)",
+            "            Identifier a (3:35)",
+            "      else:",
+            "        Return (3:46)",
+            "  MultiAssign o,:e (4:1)",
+            "    StaticCall I:parseInt (4:12)",
+            "      Binary + (4:23)",
+            "        Literal '4' (4:23)",
+            "        Literal 2 (4:29)",
+            "  For i (5:1)",
+            "    RangeLit (5:10)",
+            "      Literal 0 (5:11)",
+            "      Literal 10 (5:13)",
+            "      Literal 2 (5:16)",
+            "    While (5:22)",
+            "      Literal true (5:29)",
+            "      Break (5:37)",
+            "        Binary == (5:43)",
+            "          Identifier i (5:43)",
+            "          Literal 4 (5:48)",
+            "      Continue (5:53)",
+            "  Assign = (6:1)",
+            "    Identifier t (6:1)",
+            "    ClockBlock (6:5)",
+            "      Cardinality (6:13)",
+            "        ListLit (6:15)",
+            "          Literal 1 (6:16)",
+            "          Literal 2.5 (6:19)",
+            "  Assign = (7:1)",
+            "    Identifier m (7:1)",
+            "    MapLit (7:5)",
+            "      Literal 'k' (7:6)",
+            "      Literal true (7:12)",
+            "      Literal 1 (7:18)",
+            "      Literal false (7:22)",
+            "  Assign = (8:1)",
+            "    Identifier x (8:1)",
+            "    Binary + (8:5)",
+            "      Call block (8:5)",
+            "        Identifier list (8:5)",
+            "        AnonBlock (8:9)",
+            "          Binary * (8:11)",
+            "            Identifier $ (8:11)",
+            "            Literal 2 (8:15)",
+            "        Call (8:19)",
+            "          Identifier f (8:19)",
+            "          Literal 1 (8:21)",
+            "          NamedArg b:",
+            "            Literal 2 (8:28)",
+            "      Call splat (8:34)",
+            "        Identifier f (8:34)",
+            "        ListLit (8:47)",
+            "          Literal 1 (8:48)",
+            "          Literal 2 (8:51)",
+            "  Assign = (9:1)",
+            "    Identifier y (9:1)",
+            "    Ternary (9:5)",
+            "      Index (9:5)",
+            "        Identifier m (9:5)",
+            "        Literal 'k' (9:7)",
+            "      Member 0 (9:14)",
+            "        Identifier t (9:14)",
+            "      Unary not (9:20)",
+            "        Identifier x (9:24)",
         ]
     )
 

@@ -288,10 +288,9 @@ def test_each_tier_covers_the_node_kinds():
         if isinstance(kind, type) and issubclass(kind, ast.Node) and kind is not ast.Node
     }
     handlers = {name[1:] for name in vars(codegen._Generator) if name[1:2].isupper()}
-    assert handlers == kinds - {"Program", "AnonBlock", "ClockBlock", "MultiAssign"}
-    # every other kind's tier-0 code is built from the emitter's template of its shape
-    compiled = {kind.__name__ for kind in interpreter._COMPILERS}
-    assert compiled == {"Literal", "ListLit", "MapLit", "ClockBlock", "MultiAssign"}
+    assert handlers == kinds - {"Program", "AnonBlock"}
+    # and every kind's tier-0 code is built from the emitter's template of its shape
+    assert not [name for name in vars(interpreter) if name.startswith("_compile_")]
 
 
 def templated_nodes(node):
@@ -301,7 +300,7 @@ def templated_nodes(node):
         for item in node:
             found += templated_nodes(item)
     elif isinstance(node, ast.Node):
-        if type(node) not in interpreter._COMPILERS and type(node) is not ast.AnonBlock:
+        if type(node) is not ast.AnonBlock:
             found.append(node)
         found += templated_nodes(list(vars(node).values()))
     return found
@@ -324,8 +323,9 @@ def mutant(node, own=True):
     """A node of node's kind with node's template_key, and everything else
     changed: texts (a digit Member name to other digits), positions, literal
     values, the kind of each non-literal child, the literal-ness of
-    grandchildren (an Assign target's children among them) and each body's
-    statements."""
+    grandchildren (an Assign target's children among them), each body's
+    statements, and the count of a list's items, a map's entries and a
+    multiple assignment's targets."""
     kind = type(node)
     twin = copy.copy(node)
     twin.line, twin.col = node.line + 11, node.col + 13
@@ -339,12 +339,18 @@ def mutant(node, own=True):
             value += "_2"
         elif field == "target":
             value = mutant(value, own=False)
+        elif field == "targets":
+            value = [f"{name}_2" for name in value] + ["t_3"]
+        elif field == "entries":
+            value = [] if value else [(ast.Literal(1, 1, "k"), ast.Identifier(1, 1, "s"))]
+        elif kind is ast.Literal:  # its value is data, of any type
+            value = ("other", value)
         elif field == "args":
             value = [_other_child(arg, isinstance(arg, ast.Literal)) for arg in value]
         elif field == "named":
             value = [(f"{name}_2", _other_child(arg, isinstance(arg, ast.Literal)))
                      for name, arg in value]
-        elif isinstance(value, list):  # a body, or a FuncDef's params
+        elif isinstance(value, list):  # a body, a list's items, or a FuncDef's params
             value = [] if value else [ast.Identifier(1, 1, "s")]
         else:
             literal = isinstance(value, ast.Literal)
@@ -770,10 +776,10 @@ def test_tier_up_thresholds(monkeypatch):
     assert run("[a(1), b(2)]") == [2, 4] and len(generated) == 2
     assert run("a(3)") == 6 and len(generated) == 3 and generated[2].params == ["x"]
     assert run("b(4)") == 8 and len(generated) == 3
-    # a body holding a node kind tier 1 does not cover stays in tier 0
+    # a body holding #(...) tiers up as any other
     run("def t(){ #(o, :e) = 1 / 0 ; e.kind }")
     assert run("[t(), t(), t(), t()]") == ["DivideByZero"] * 4
-    assert not is_tier_1(generated[-1]) and generated[-1].heat == -1
+    assert is_tier_1(generated[-1]) and generated[-1].name == "t"
 
 
 def test_recursion_under_nested_operators_reaches_the_frame_cap(monkeypatch):
@@ -1106,6 +1112,78 @@ def test_block_builtins_run_inline_keep_every_outcome(monkeypatch, threshold, so
     assert outcome(source) == (want, "")
 
 
+# run 40 times: past FUNCTION_TIER_UP_AT, so the function body below runs in tier 1
+HOT = "\nfor (k : [0:40]) { r = %s }\nr"
+# 200,001 lists deep: its key takes more frames than Python's recursion limit
+DEEP = "a = lfold{ [_$_] }([0:200000], [])\n"
+
+# #clock{} and #(...) in a hot function body and in an inner block that runs
+# inline.  Each outcome is what tier 0 gives, at each threshold below.
+CLOCK_AND_CAPTURE_CASES = [
+    # the clock's pair and its frame: a name it assigns is its own, unless a
+    # frame outside binds it (x, g below); a capture of each outcome
+    ('def f(x){ c = #clock{ y = x * 2 ; y + 1 } ; #(v, :e) = 12 / x ; [c, v, e] }'
+     + HOT % '[f(4), f(0)]',
+     ('value', 'list',
+      '[[(10, 9), 3, null], [(10, 1), null, DivideByZero: integer division by zero]]')),
+    ('def f(x){ #clock{ x = 5 ; def h(){ 3 } ; var g = h() } ; [x, g] }' + HOT % 'f(1)',
+     ('value', 'list', '[5, 3]')),
+    ('def f(x){ #clock{ y = x } ; y }' + HOT % 'f(1)',
+     ('error', 'NameError', "'y' is not defined", 1, 29)),
+    # split, whole under a capture of one target, and _destructure's errors
+    ('def f(l){ #(a, b) = l ; #(c, :e) = l ; #(p, q, :e2) = l ; [a, b, c, e, p, q, e2] }'
+     + HOT % 'f([1, 2])', ('value', 'list', '[1, 2, [1, 2], null, 1, 2, null]')),
+    ('def f(l){ #(p, q, :e) = l ; [p, q, e.kind, e.message] }' + HOT % '[f(5), f([1, 2, 3])]',
+     ('value', 'list', '[[null, null, DestructureError, cannot split int into 2 values], '
+      '[null, null, DestructureError, expected 2 values, got 3]]')),
+    ('def f(l){ 1 ;\n  #(a, b) = l ; a }' + HOT % 'f([1, 2])' + '\nf(5)',
+     ('error', 'DestructureError', 'cannot split int into 2 values', 2, 3)),
+    ('def f(l){ 1 ;\n  #(a, b) = l ; a }' + HOT % 'f([1, 2])' + '\nf([1, 2, 3])',
+     ('error', 'DestructureError', 'expected 2 values, got 3', 2, 3)),
+    # break, continue and return inside both
+    ('def f(l){ s = 0\nfor (x : l) {\n  t = #clock{ continue(x == 2) ; break(x == 4) ; x * 10 }\n'
+     '  #(v, :e) = t.1 / (x - 3)\n  s += e == null ? v : 1000\n}\ns }'
+     + HOT % 'f([0, 1, 2, 3, 4, 5])', ('value', 'int', '995')),
+    ("def f(x){ #(v, :e) = #clock{ if (x > 1) { return 'big' } ; x } ; [v, e] }"
+     + HOT % '[f(1), f(2)]', ('value', 'list', '[[(10, 1), null], big]')),
+    ('def f(l){ #(v, :e) = lfold{ break($ == 3) ; _$_ + $ }(l, 0)\n'
+     '#(w, :e2) = list{ continue($ == 2) ; $ }(l) ; [v, w, e] }' + HOT % 'f([1, 2, 3, 4])',
+     ('value', 'list', '[3, [1, 3, 4], null]')),
+    ('def f(l){ while (true) { #(v, :e) = #clock{ break } } ; 7 }' + HOT % 'f(1)',
+     ('value', 'int', '7')),
+    # a captured RecursionError, in the last run only
+    (DEEP + 'def f(x){ #(v, :e) = x ? a == a : 0 ; [v, e] }' + HOT % 'f(false)' + '\nf(true)',
+     ('value', 'list', '[null, StackOverflowError: evaluation nested too deeply]')),
+    (DEEP + 'list{ #(v, :e) = $ == 129 ? a == a : 0 ; [v, e] }([0:130])[129]',
+     ('value', 'list', '[null, StackOverflowError: evaluation nested too deeply]')),
+    # the same in an inner block that runs inline
+    ('list{ t = $ ; lfold{ #(v, :e) = t / $ ; c = #clock{ _$_ + (e == null ? v : 100) } ; c.1 }'
+     '([0, 1, 2], 0) }([0:130])[129]', ('value', 'int', '293')),
+    ('list{ t = $ ; list{ c = #clock{ [$ + _, t] } ; #(a, b, :e) = c.1 ; #(w, :e2) = 1 / $ ;'
+     ' [c.0, a, b, e, w, e2] }([0, 1]) }([0:130])[129]',
+     ('value', 'list', '[[10, 0, 129, null, null, DivideByZero: integer division by zero], '
+      '[10, 2, 129, null, 1, null]]')),
+    ('list{ index{ #(a, b) = $ ; a > b }([[1, 2], 5]) }([0:130])',
+     ('error', 'DestructureError', 'cannot split int into 2 values', 1, 14)),
+    ('list{ lfold{ c = #clock{ continue($ == 1) ; break($ == 3) ; $ } ; _$_ + c.1 }'
+     '([0, 1, 2, 3, 4], 10) }([0:130])[129]', ('value', 'int', '12')),
+    ('def f(l){ list{ index{ #(v, :e) = #clock{ return [$, _] } }([5]) }(l) ; 8 }\nf([0:130])',
+     ('value', 'list', '[5, 0]')),
+    (DEEP + 'list{ t = $ ; lfold{ #(v, :e) = t == 129 ? a == a : 0 ; e }([1], 0) }([0:130])[129]',
+     ('value', 'error', 'StackOverflowError: evaluation nested too deeply')),
+]
+
+
+@pytest.mark.parametrize("threshold", [NEVER, 0, 1, DEFAULTS])
+@pytest.mark.parametrize("source, want", CLOCK_AND_CAPTURE_CASES)
+def test_clock_and_error_capture_keep_every_outcome(monkeypatch, threshold, source, want):
+    set_threshold(monkeypatch, threshold)
+    generated = recording_generate(monkeypatch)
+    assert outcome(source) == (want, "")
+    if threshold == 0:  # every body holding them ran in tier 1
+        assert generated and all(map(is_tier_1, generated))
+
+
 @pytest.mark.parametrize("threshold", [NEVER, 0, 1, DEFAULTS])
 def test_a_hot_block_body_calls_a_native_bound_to_a_block_builtin_s_name(monkeypatch, threshold):
     from njexl.stdlib import BUILTINS, default_registry
@@ -1134,15 +1212,16 @@ def test_an_inlined_block_s_position_less_error_takes_the_call_s(monkeypatch, tm
 
 
 def test_a_call_that_cannot_run_inline_keeps_the_generic_call(monkeypatch):
-    # the list{} body calls lfold when its block holds a #clock, or nests too
-    # deep to inline, and still runs in tier 1
+    # the list{} body calls lfold when its block nests too deep to inline,
+    # and still runs in tier 1; a #clock or #(...) in the block is inlined
     set_tier(monkeypatch, 0)
     generated = recording_generate(monkeypatch)
-    source = "list{ lfold{ #clock{ 1 } ; _$_ + $ }([$, 1], 0) }([1, 2])"
-    assert outcome(source)[0] == ("value", "list", "[2, 3]")
-    outer, folded = generated
-    assert is_tier_1(outer) and not is_tier_1(folded)
-    generated.clear()
+    for inner in ("#clock{ 1 }", "#(o, :e) = 1 / 0"):
+        source = f"list{{ lfold{{ {inner} ; _$_ + $ }}([$, 1], 0) }}([1, 2])"
+        assert outcome(source)[0] == ("value", "list", "[2, 3]")
+        [outer] = generated
+        assert is_tier_1(outer)
+        generated.clear()
     source = f"list{{ lfold{{ {nested_ternaries('_$_ + $', 14)} }}([$, 1], 0) }}([1, 2])"
     assert outcome(source)[0] == ("value", "list", "[2, 3]")
     outer, folded = generated

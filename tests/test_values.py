@@ -724,9 +724,11 @@ _DEEP_LIST = "lfold{ [_$_] }([0:%d], [])"  # nested depth + 1 lists deep
 
 
 def test_a_20000_deep_list_prints_and_compares():
-    code, out, err = run_cli(["--eval", _DEEP_LIST % 20_000])
-    assert (code, out, err) == (0, "[" * 20_001 + "]" * 20_001 + "\n", "")
-    assert run_source("l = %s\nl == l" % (_DEEP_LIST % 20_000))[0] is True
+    # built by a fold, and written as a literal that is compiled and run
+    for deep in (_DEEP_LIST % 20_000, "[" * 20_001 + "]" * 20_001):
+        code, out, err = run_cli(["--eval", deep])
+        assert (code, out, err) == (0, "[" * 20_001 + "]" * 20_001 + "\n", "")
+        assert run_source("l = %s\nl == l" % deep)[0] is True
 
 
 def test_cycle_guards_take_memory_linear_in_depth():
